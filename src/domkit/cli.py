@@ -45,6 +45,17 @@ _CLI_ERRORS = (
 _KINDS = [k.value for k in ReductionKind]
 
 
+def _count(text: str) -> int:
+    """argparse type for counts and caps: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -171,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("bondage", "total-bondage", "reinforcement", "total-reinforcement"):
         p = sub.add_parser(name, help=f"compute the {name.replace('-', ' ')} number of a graph")
         p.add_argument("input", help="graph file, or - for stdin")
-        p.add_argument("--max-k", type=int, default=None, help="cap the edge-subset search size")
+        p.add_argument("--max-k", type=_count, default=None, help="cap the edge-subset search size")
         p.set_defaults(func=_cmd_perturb)
 
     p = sub.add_parser("sat", help="decide satisfiability of a DIMACS CNF instance")
@@ -196,11 +207,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=_KINDS)
     p.add_argument("-n", "--num-vars", type=int, required=True)
     p.add_argument("-m", "--num-clauses", type=int, required=True)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_count, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deep", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help="run trials in this many processes")
+    p.add_argument("--jobs", type=_count, default=1, help="run trials in this many processes")
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("export-dot", help="convert a graph file to DOT")

@@ -147,18 +147,25 @@ def _minimum_cover(cover: tuple[int, ...], full: int, n: int) -> list[int]:
     return sorted(best)
 
 
-def _exists_cover(cover: tuple[int, ...], full: int, n: int, limit: int) -> bool:
-    """Whether any cover of size at most ``limit`` exists (early exit)."""
-    if full == 0:
-        return True
-    if limit <= 0:
-        return False
+def _exists_cover(
+    cover: tuple[int, ...], full: int, n: int, limit: int, dominated: int = 0, banned: int = 0
+) -> list[int] | None:
+    """Indices of some cover of size at most ``limit``, or None (early exit).
 
-    def dfs(dominated: int, banned: int, depth: int) -> bool:
+    The search starts from ``dominated``: vertices already covered by
+    choices made outside it, which the returned indices need not cover.
+    Vertices in ``banned`` are never chosen.
+    """
+    if dominated == full:
+        return []
+    if limit <= 0:
+        return None
+
+    def dfs(dominated: int, banned: int, depth: int) -> list[int] | None:
         if dominated == full:
-            return True
+            return []
         if depth >= limit:
-            return False
+            return None
         undom = full & ~dominated
         branch_cands = -1
         branch_count = n + 1
@@ -169,7 +176,7 @@ def _exists_cover(cover: tuple[int, ...], full: int, n: int, limit: int) -> bool
             cands = cover[low.bit_length() - 1] & ~banned
             c = cands.bit_count()
             if c == 0:
-                return False
+                return None
             if c < branch_count:
                 branch_count = c
                 branch_cands = cands
@@ -184,30 +191,33 @@ def _exists_cover(cover: tuple[int, ...], full: int, n: int, limit: int) -> bool
             if gain > cmax:
                 cmax = gain
         if depth + (need + cmax - 1) // cmax > limit:
-            return False
+            return None
         tried = 0
         m = branch_cands
         while m:
             low = m & -m
             m ^= low
-            if dfs(dominated | cover[low.bit_length() - 1], banned | tried, depth + 1):
-                return True
+            u = low.bit_length() - 1
+            found = dfs(dominated | cover[u], banned | tried, depth + 1)
+            if found is not None:
+                found.append(u)
+                return found
             tried |= low
-        return False
+        return None
 
-    return dfs(0, 0, 0)
+    return dfs(dominated, banned, 0)
 
 
 def has_dominating_set_within(g: Graph, size: int) -> bool:
     """Whether some dominating set of at most ``size`` vertices exists."""
     cover = _cover_masks(g, total=False)
-    return _exists_cover(cover, (1 << g.num_vertices) - 1, g.num_vertices, size)
+    return _exists_cover(cover, (1 << g.num_vertices) - 1, g.num_vertices, size) is not None
 
 
 def has_total_dominating_set_within(g: Graph, size: int) -> bool:
     """Whether some total dominating set of at most ``size`` vertices exists."""
     cover = _cover_masks(g, total=True)
-    return _exists_cover(cover, (1 << g.num_vertices) - 1, g.num_vertices, size)
+    return _exists_cover(cover, (1 << g.num_vertices) - 1, g.num_vertices, size) is not None
 
 
 def _all_minimum_covers(

@@ -16,7 +16,11 @@ everything so a counterexample is fully diagnosable.  Perturbation
 searches are bounded: removal searches stop at two edges (a one-edge
 sweep already certifies the removal bound, so the true value is 1 or
 2), and addition searches stop at one edge because the equivalences
-only ever need to distinguish "1" from "more than 1".
+only ever need to distinguish "1" from "more than 1".  None of them
+copies the graph per candidate: the removal sweep reuses the covers its
+earlier searches found, and the deep check picks its augmenting edges
+with the forced-endpoint test of ``perturbation.AdditionSearch``; see
+that module for both.
 
 Deep checks enumerate every minimum set, which grows combinatorially,
 so they only run for instances with at most ``DEEP_VAR_LIMIT`` variables.
@@ -30,7 +34,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .cnf import CnfInstance, TooFewVariablesError, random_instance, solve_sat
-from .domination import (
+# ``perfbench/tracing.py`` wraps the two ``has_*_within`` names in this
+# module's namespace, so they stay imported although nothing here calls them.
+from .domination import (  # noqa: F401
     domination_number,
     enumerate_minimum_sets,
     has_dominating_set_within,
@@ -41,7 +47,9 @@ from .domination import (
 )
 from .graph import Graph
 from .perturbation import (
+    AdditionSearch,
     PerturbResult,
+    RemovalSearch,
     bondage_number,
     reinforcement_number,
     total_bondage_number,
@@ -143,21 +151,24 @@ def _gadget_quota_violation(out: ReductionOutput, chosen: frozenset[str]) -> str
     return None
 
 
-def _removal_sweep(g: Graph, total: bool, bound: int) -> tuple[tuple[str, str] | None, int]:
+def _removal_sweep(
+    g: Graph, total: bool, bound: int, witness: frozenset[str]
+) -> tuple[tuple[str, str] | None, int]:
     """Check every qualifying single-edge removal stays within the bound.
 
-    For the total variant, removals that would isolate a vertex do not
-    qualify and are skipped.  Returns (first violating edge or None,
-    number of edges swept).
+    ``witness`` is a minimum (total) dominating set of ``g``.  For the
+    total variant, removals that would isolate a vertex do not qualify
+    and are skipped.  Returns (first violating edge or None, number of
+    edges swept).
     """
-    within = has_total_dominating_set_within if total else has_dominating_set_within
+    search = RemovalSearch(g, total, bound, kept=[witness])
     swept = 0
     for edge in sorted(g.edges):
-        a, b = edge
-        if total and (g.degree(a) == 1 or g.degree(b) == 1):
+        within = search.covers_after([edge])
+        if within is None:
             continue
         swept += 1
-        if not within(g.remove_edges([edge]), bound):
+        if not within:
             return edge, swept
     return None, swept
 
@@ -172,7 +183,8 @@ def verify_bondage(inst: CnfInstance, deep: bool = False) -> VerificationReport:
     sat = assignment is not None
     claims: list[ClaimCheck] = []
 
-    gamma = domination_number(g).value
+    dom = domination_number(g)
+    gamma = dom.value
     claims.append(
         ClaimCheck("gamma-lower-bound", f"gamma >= {2 * n + 1}", f"gamma = {gamma}", gamma >= 2 * n + 1)
     )
@@ -185,7 +197,7 @@ def verify_bondage(inst: CnfInstance, deep: bool = False) -> VerificationReport:
         )
     )
 
-    bad_edge, swept = _removal_sweep(g, total=False, bound=2 * n + 2)
+    bad_edge, swept = _removal_sweep(g, total=False, bound=2 * n + 2, witness=dom.witness)
     claims.append(
         ClaimCheck(
             "edge-removal-bound",
@@ -259,7 +271,8 @@ def verify_total_bondage(inst: CnfInstance, deep: bool = False) -> VerificationR
     sat = assignment is not None
     claims: list[ClaimCheck] = []
 
-    gamma_t = total_domination_number(g).value
+    dom = total_domination_number(g)
+    gamma_t = dom.value
     claims.append(
         ClaimCheck(
             "gamma-t-lower-bound", f"gamma_t >= {2 * n + 2}", f"gamma_t = {gamma_t}", gamma_t >= 2 * n + 2
@@ -274,7 +287,7 @@ def verify_total_bondage(inst: CnfInstance, deep: bool = False) -> VerificationR
         )
     )
 
-    bad_edge, swept = _removal_sweep(g, total=True, bound=2 * n + 3)
+    bad_edge, swept = _removal_sweep(g, total=True, bound=2 * n + 3, witness=dom.witness)
     claims.append(
         ClaimCheck(
             "edge-removal-bound",
@@ -394,12 +407,13 @@ def verify_reinforcement(inst: CnfInstance, deep: bool = False) -> VerificationR
         violation = None
         augmenting = 0
         sets_checked = 0
+        additions = AdditionSearch(g, False, gamma)
         for edge in g.complement_edges():
-            augmented = g.add_edges([edge])
-            if domination_number(augmented).value != 2 * n:
+            # gamma(G+e) == 2n exactly
+            if not additions.covers_after(edge, 2 * n) or additions.covers_after(edge, 2 * n - 1):
                 continue
             augmenting += 1
-            for chosen in enumerate_minimum_sets(augmented, total=False):
+            for chosen in enumerate_minimum_sets(g.add_edges([edge]), total=False):
                 sets_checked += 1
                 if "s" in chosen:
                     violation = f"apex picked in a minimum set of G+{edge}"
@@ -484,12 +498,13 @@ def verify_total_reinforcement(inst: CnfInstance, deep: bool = False) -> Verific
         violation = None
         augmenting = 0
         sets_checked = 0
+        additions = AdditionSearch(g, True, gamma_t)
         for edge in g.complement_edges():
-            augmented = g.add_edges([edge])
-            if total_domination_number(augmented).value != 2 * n + 1:
+            # gamma_t(G+e) == 2n+1 exactly: one added edge can lower gamma_t by 2
+            if not additions.covers_after(edge, 2 * n + 1) or additions.covers_after(edge, 2 * n):
                 continue
             augmenting += 1
-            for chosen in enumerate_minimum_sets(augmented, total=True):
+            for chosen in enumerate_minimum_sets(g.add_edges([edge]), total=True):
                 sets_checked += 1
                 if "s1" in chosen:
                     violation = f"s1 picked in a minimum total set of G+{edge}"

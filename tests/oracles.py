@@ -3,7 +3,10 @@
 Everything here recomputes from first principles: full subset
 enumeration over neighbor masks rebuilt from the raw edge list.  None
 of it shares search code with the package, so agreement between the
-two is meaningful evidence.
+two is meaningful evidence.  The one exception is ``scan_perturbation``,
+the reference for perturbation witnesses: it shares the package's
+bounded search, but decides every candidate edge set on its own copy of
+the graph, with none of the perturbation module's shortcuts.
 """
 
 from __future__ import annotations
@@ -11,6 +14,12 @@ from __future__ import annotations
 from itertools import combinations
 
 from domkit.cnf import CnfInstance
+from domkit.domination import (
+    domination_number,
+    has_dominating_set_within,
+    has_total_dominating_set_within,
+    total_domination_number,
+)
 from domkit.graph import Graph
 
 
@@ -145,6 +154,40 @@ def brute_total_reinforcement(g: Graph) -> int:
             if value is not None and value < base:
                 return k
     raise AssertionError("total reinforcement must succeed before exhausting the complement")
+
+
+def scan_perturbation(g: Graph, kind: str, max_k: int | None = None):
+    """(value, witness, base) by the plain edge-subset scan.
+
+    The reference for the ``*_number`` functions in ``domkit.perturbation``:
+    every candidate set, in ascending size and lexicographic order, is
+    applied to a copy of the graph and decided there with a bounded
+    search.  ``kind`` is one of bondage, total-bondage, reinforcement,
+    total-reinforcement.
+    """
+    total = kind.startswith("total-")
+    base = (total_domination_number(g) if total else domination_number(g)).value
+    within = has_total_dominating_set_within if total else has_dominating_set_within
+    removal = kind.endswith("bondage")
+    if removal:
+        candidates = sorted(g.edges)
+    else:
+        if base <= (2 if total else 1):
+            return 0, None, base
+        candidates = g.complement_edges()
+    if max_k is None:
+        max_k = len(candidates) if g.num_edges <= 12 else 2
+    for k in range(1, min(max_k, len(candidates)) + 1):
+        for subset in combinations(candidates, k):
+            if removal:
+                reduced = g.remove_edges(subset)
+                if total and reduced.isolated_vertices():
+                    continue
+                if not within(reduced, base):
+                    return k, subset, base
+            elif within(g.add_edges(subset), base - 1):
+                return k, subset, base
+    return None, None, base
 
 
 def brute_solve(inst: CnfInstance) -> dict[int, bool] | None:

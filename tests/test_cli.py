@@ -216,6 +216,23 @@ class TestErrors:
         code, _, _ = run(capsys)
         assert code == 2
 
+    def test_negative_max_k(self, capsys, p4_graph):
+        code, out, err = run(capsys, "bondage", p4_graph, "--max-k", "-1")
+        assert code == 2 and out == ""
+        assert "error:" in err and "--max-k" in err
+
+    def test_negative_trials(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--kind", "bondage", "-n", "3", "-m", "2", "--trials", "-3")
+        assert code == 2 and out == ""
+        assert "error:" in err and "--trials" in err
+
+    def test_negative_jobs(self, capsys):
+        code, out, err = run(
+            capsys, "fuzz", "--kind", "bondage", "-n", "3", "-m", "2", "--trials", "1", "--jobs", "-4"
+        )
+        assert code == 2 and out == ""
+        assert "error:" in err and "--jobs" in err
+
     def test_fuzz_too_few_variables(self, capsys):
         code, _, err = run(capsys, "fuzz", "--kind", "bondage", "-n", "2", "-m", "2", "--trials", "1")
         assert code == 2

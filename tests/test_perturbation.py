@@ -1,19 +1,31 @@
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
-from domkit.domination import IsolatedVertexError, domination_number, total_domination_number
+from domkit.cnf import random_instance
+from domkit.domination import (
+    IsolatedVertexError,
+    domination_number,
+    has_dominating_set_within,
+    has_total_dominating_set_within,
+    total_domination_number,
+)
 from domkit.graph import Graph
 from domkit.perturbation import (
+    AdditionSearch,
     EmptyGraphError,
+    RemovalSearch,
     bondage_number,
     reinforcement_number,
     total_bondage_number,
     total_reinforcement_number,
 )
+from domkit.reductions import build
 from oracles import (
     brute_bondage,
+    brute_solve,
     brute_reinforcement,
     brute_total_bondage,
     brute_total_reinforcement,
@@ -21,6 +33,7 @@ from oracles import (
     cycle_graph,
     path_graph,
     random_graph,
+    scan_perturbation,
     star_graph,
 )
 from strategies import graphs, isolated_free_graphs
@@ -174,8 +187,6 @@ class TestTotalReinforcement:
 
 class TestSeededSweep:
     def test_random_graphs_agree_with_brute_force(self):
-        import random
-
         rng = random.Random(20240817)
         for trial in range(25):
             g = random_graph(rng, rng.randint(3, 6), rng.uniform(0.25, 0.7))
@@ -187,3 +198,75 @@ class TestSeededSweep:
                 assert (total_reinforcement_number(g, max_k=20).value or 0) == brute_total_reinforcement(
                     g
                 ), trial
+
+
+SOLVERS = {
+    "bondage": bondage_number,
+    "total-bondage": total_bondage_number,
+    "reinforcement": reinforcement_number,
+    "total-reinforcement": total_reinforcement_number,
+}
+
+
+def test_witnesses_match_reference_scan():
+    """Value, witness and base equal the plain edge-subset scan's, for every kind.
+
+    Gadgets of a satisfiable and an unsatisfiable instance put both
+    directions of the "perturbation is 1 iff satisfiable" claims through
+    the solvers.  On the unsatisfiable gadget additions stop at one edge:
+    a two-edge addition scan there tries ~90,000 sets.
+    """
+
+    def check(g, kind, max_k):
+        got = SOLVERS[kind](g, max_k=max_k)
+        assert (got.value, got.witness, got.base) == scan_perturbation(g, kind, max_k), (kind, max_k, g.edges)
+
+    rng = random.Random(20261017)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.15, 0.8))
+        for kind in SOLVERS:
+            if (kind == "bondage" and not g.edges) or (kind.startswith("total-") and g.isolated_vertices()):
+                continue
+            for max_k in (1, 2, None):
+                check(g, kind, max_k)
+
+    instances = [random_instance(3, 13, seed) for seed in range(20)]
+    sat = next(inst for inst in instances if brute_solve(inst) is not None)
+    unsat = next(inst for inst in instances if brute_solve(inst) is None)
+    for inst, max_ks in ((sat, (1, 2, None)), (unsat, (1,))):
+        for kind in SOLVERS:
+            g = build(kind, inst).graph
+            for max_k in (1, 2, None) if kind.endswith("bondage") else max_ks:
+                check(g, kind, max_k)
+
+
+def test_single_edge_searches_match_graph_copies():
+    """Every edge and every limit, decided on masks, equals the search on a copied graph.
+
+    Unlike the first-hit scans, this runs past hits, so it reaches the
+    reuse of covers and partner sets found by earlier edges.
+    """
+    rng = random.Random(1990)
+    for _ in range(120):
+        g = random_graph(rng, rng.randint(3, 8), rng.uniform(0.2, 0.7))
+        for total in (False, True):
+            if total and g.isolated_vertices():
+                continue
+            within = has_total_dominating_set_within if total else has_dominating_set_within
+            start = total_domination_number(g) if total else domination_number(g)
+            base = start.value
+            additions = AdditionSearch(g, total, base)
+            removals = [(limit, RemovalSearch(g, total, limit)) for limit in range(base - 1, base + 2)]
+            # seeded below its limit, so it also reaches the repair of kept covers
+            removals.append((base + 1, RemovalSearch(g, total, base + 1, kept=[start.witness])))
+            # seeded above its limit: the witness must not vouch for any removal
+            removals.append((base - 1, RemovalSearch(g, total, base - 1, kept=[start.witness])))
+            for edge in g.complement_edges():
+                for limit in range(base - 3, base + 1):
+                    expected = within(g.add_edges([edge]), limit)
+                    assert additions.covers_after(edge, limit) == expected, (total, edge, limit, g.edges)
+            for edge in sorted(g.edges):
+                reduced = g.remove_edges([edge])
+                for limit, search in removals:
+                    expected = None if total and reduced.isolated_vertices() else within(reduced, limit)
+                    assert search.covers_after([edge]) == expected, (total, edge, limit, g.edges)
