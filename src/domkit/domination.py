@@ -1,14 +1,19 @@
 """Exact minimum dominating set and total dominating set computation.
 
-The solver is a branch and bound over vertex bitmasks.  At each node it
-selects an undominated vertex with the fewest remaining candidate
-dominators and branches over those candidates in index order; branches
-are made disjoint by forbidding, inside the t-th branch, the candidates
-tried before it, so every vertex set is reachable along exactly one
-path.  The initial upper bound comes from a greedy max-coverage pass,
-and nodes are cut with the admissible bound
-
-    needed >= ceil(#undominated / max coverage of any allowed vertex).
+The solver is a branch and bound over vertex bitmasks.  Its three
+searches (optimize, decide "at most k", enumerate "exactly k") share
+one branch step, ``_branch``, which makes a single pass over the
+undominated vertices.  It branches on the undominated vertex with the
+fewest allowed dominators (lowest index among ties), over those
+dominators in index order; branches are made disjoint by forbidding,
+inside the t-th branch, the dominators tried before it, so every vertex
+set is reachable along exactly one path.  The same pass gives the lower
+bound, a packing: taken in order of (dominator count, index), the
+undominated vertices whose allowed dominators are disjoint from those
+of all vertices kept before each need a pick of their own.  The bound
+is admissible, so it cuts only subtrees without a qualifying cover and
+the witnesses do not depend on it.  The initial upper bound of the
+optimize search comes from a greedy max-coverage pass.
 
 The same search, run at the proven optimum size without the best-so-far
 cut, enumerates all minimum sets (used by the structural claim checks),
@@ -72,14 +77,14 @@ def _cover_masks(g: Graph, total: bool) -> tuple[int, ...]:
     return tuple(mask | (1 << i) for i, mask in enumerate(adj))
 
 
-def _greedy_cover(cover: tuple[int, ...], full: int, n: int) -> list[int]:
+def _greedy_cover(cover: tuple[int, ...], full: int) -> list[int]:
     dominated = 0
     chosen: list[int] = []
     while dominated != full:
         best_u = -1
         best_gain = 0
-        for u in range(n):
-            gain = (cover[u] & ~dominated).bit_count()
+        for u, mask in enumerate(cover):
+            gain = (mask & ~dominated).bit_count()
             if gain > best_gain:
                 best_gain = gain
                 best_u = u
@@ -88,11 +93,44 @@ def _greedy_cover(cover: tuple[int, ...], full: int, n: int) -> list[int]:
     return chosen
 
 
-def _minimum_cover(cover: tuple[int, ...], full: int, n: int) -> list[int]:
+def _branch(cover: tuple[int, ...], undom: int, banned: int) -> tuple[int | None, int]:
+    """Where a search node branches, and how many more picks it needs.
+
+    Cover masks are symmetric, so ``cover[v]`` minus ``banned`` is the set
+    of allowed dominators of v.  ``undom`` must be nonempty.  Returns
+    ``(None, 0)`` when some vertex in it has no allowed dominator.
+    Otherwise returns the allowed dominators of the undominated vertex
+    with the fewest (lowest index among ties), and ``need``: taking the
+    undominated vertices by (dominator count, index), the number kept
+    whose dominators are disjoint from those of all kept before.  Each
+    kept vertex needs a pick of its own.
+    """
+    allowed = ~banned
+    keyed: list[tuple[int, int, int]] = []
+    m = undom
+    while m:
+        low = m & -m
+        m ^= low
+        v = low.bit_length() - 1
+        cands = cover[v] & allowed
+        if not cands:
+            return None, 0
+        keyed.append((cands.bit_count(), v, cands))
+    keyed.sort()
+    used = 0
+    need = 0
+    for _, _, cands in keyed:
+        if not cands & used:
+            used |= cands
+            need += 1
+    return keyed[0][2], need
+
+
+def _minimum_cover(cover: tuple[int, ...], full: int) -> list[int]:
     """Indices of a minimum cover; the witness is deterministic."""
     if full == 0:
         return []
-    best = _greedy_cover(cover, full, n)
+    best = _greedy_cover(cover, full)
     best_size = len(best)
 
     def dfs(dominated: int, banned: int, chosen: list[int]) -> None:
@@ -105,31 +143,8 @@ def _minimum_cover(cover: tuple[int, ...], full: int, n: int) -> list[int]:
         depth = len(chosen)
         if depth + 1 >= best_size:
             return
-        undom = full & ~dominated
-        branch_cands = -1
-        branch_count = n + 1
-        m = undom
-        while m:
-            low = m & -m
-            m ^= low
-            cands = cover[low.bit_length() - 1] & ~banned
-            c = cands.bit_count()
-            if c == 0:
-                return
-            if c < branch_count:
-                branch_count = c
-                branch_cands = cands
-                if c == 1:
-                    break
-        need = undom.bit_count()
-        cmax = 0
-        for u in range(n):
-            if banned >> u & 1:
-                continue
-            gain = (cover[u] & undom).bit_count()
-            if gain > cmax:
-                cmax = gain
-        if depth + (need + cmax - 1) // cmax >= best_size:
+        branch_cands, need = _branch(cover, full & ~dominated, banned)
+        if branch_cands is None or depth + need >= best_size:
             return
         tried = 0
         m = branch_cands
@@ -148,7 +163,7 @@ def _minimum_cover(cover: tuple[int, ...], full: int, n: int) -> list[int]:
 
 
 def _exists_cover(
-    cover: tuple[int, ...], full: int, n: int, limit: int, dominated: int = 0, banned: int = 0
+    cover: tuple[int, ...], full: int, limit: int, dominated: int = 0, banned: int = 0
 ) -> list[int] | None:
     """Indices of some cover of size at most ``limit``, or None (early exit).
 
@@ -166,31 +181,8 @@ def _exists_cover(
             return []
         if depth >= limit:
             return None
-        undom = full & ~dominated
-        branch_cands = -1
-        branch_count = n + 1
-        m = undom
-        while m:
-            low = m & -m
-            m ^= low
-            cands = cover[low.bit_length() - 1] & ~banned
-            c = cands.bit_count()
-            if c == 0:
-                return None
-            if c < branch_count:
-                branch_count = c
-                branch_cands = cands
-                if c == 1:
-                    break
-        need = undom.bit_count()
-        cmax = 0
-        for u in range(n):
-            if banned >> u & 1:
-                continue
-            gain = (cover[u] & undom).bit_count()
-            if gain > cmax:
-                cmax = gain
-        if depth + (need + cmax - 1) // cmax > limit:
+        branch_cands, need = _branch(cover, full & ~dominated, banned)
+        if branch_cands is None or depth + need > limit:
             return None
         tried = 0
         m = branch_cands
@@ -210,19 +202,15 @@ def _exists_cover(
 
 def has_dominating_set_within(g: Graph, size: int) -> bool:
     """Whether some dominating set of at most ``size`` vertices exists."""
-    cover = _cover_masks(g, total=False)
-    return _exists_cover(cover, (1 << g.num_vertices) - 1, g.num_vertices, size) is not None
+    return _exists_cover(_cover_masks(g, total=False), (1 << g.num_vertices) - 1, size) is not None
 
 
 def has_total_dominating_set_within(g: Graph, size: int) -> bool:
     """Whether some total dominating set of at most ``size`` vertices exists."""
-    cover = _cover_masks(g, total=True)
-    return _exists_cover(cover, (1 << g.num_vertices) - 1, g.num_vertices, size) is not None
+    return _exists_cover(_cover_masks(g, total=True), (1 << g.num_vertices) - 1, size) is not None
 
 
-def _all_minimum_covers(
-    cover: tuple[int, ...], full: int, n: int, size: int, cap: int
-) -> list[tuple[int, ...]]:
+def _all_minimum_covers(cover: tuple[int, ...], full: int, size: int, cap: int) -> list[tuple[int, ...]]:
     """Every cover of exactly the optimum size, each found once."""
     if full == 0:
         return [()]
@@ -238,31 +226,8 @@ def _all_minimum_covers(
         depth = len(chosen)
         if depth >= size:
             return
-        undom = full & ~dominated
-        branch_cands = -1
-        branch_count = n + 1
-        m = undom
-        while m:
-            low = m & -m
-            m ^= low
-            cands = cover[low.bit_length() - 1] & ~banned
-            c = cands.bit_count()
-            if c == 0:
-                return
-            if c < branch_count:
-                branch_count = c
-                branch_cands = cands
-                if c == 1:
-                    break
-        need = undom.bit_count()
-        cmax = 0
-        for u in range(n):
-            if banned >> u & 1:
-                continue
-            gain = (cover[u] & undom).bit_count()
-            if gain > cmax:
-                cmax = gain
-        if depth + (need + cmax - 1) // cmax > size:
+        branch_cands, need = _branch(cover, full & ~dominated, banned)
+        if branch_cands is None or depth + need > size:
             return
         tried = 0
         m = branch_cands
@@ -281,8 +246,7 @@ def _all_minimum_covers(
 
 def domination_number(g: Graph) -> DomResult:
     """The minimum size of a dominating set, with one witness."""
-    cover = _cover_masks(g, total=False)
-    chosen = _minimum_cover(cover, (1 << g.num_vertices) - 1, g.num_vertices)
+    chosen = _minimum_cover(_cover_masks(g, total=False), (1 << g.num_vertices) - 1)
     return DomResult(len(chosen), frozenset(g.label_at(i) for i in chosen))
 
 
@@ -291,8 +255,7 @@ def total_domination_number(g: Graph) -> DomResult:
 
     Raises IsolatedVertexError when the graph has isolated vertices.
     """
-    cover = _cover_masks(g, total=True)
-    chosen = _minimum_cover(cover, (1 << g.num_vertices) - 1, g.num_vertices)
+    chosen = _minimum_cover(_cover_masks(g, total=True), (1 << g.num_vertices) - 1)
     return DomResult(len(chosen), frozenset(g.label_at(i) for i in chosen))
 
 
@@ -303,6 +266,6 @@ def enumerate_minimum_sets(g: Graph, total: bool = False, cap: int = 100_000) ->
     """
     cover = _cover_masks(g, total)
     full = (1 << g.num_vertices) - 1
-    optimum = len(_minimum_cover(cover, full, g.num_vertices))
-    covers = _all_minimum_covers(cover, full, g.num_vertices, optimum, cap)
+    optimum = len(_minimum_cover(cover, full))
+    covers = _all_minimum_covers(cover, full, optimum, cap)
     return [frozenset(g.label_at(i) for i in chosen) for chosen in covers]

@@ -108,10 +108,6 @@ class Graph:
         self._edges = tuple(edges)
         self._edge_set = frozenset(edge_set)
 
-    @classmethod
-    def from_edge_list(cls, vertex_labels: Iterable[str], edge_pairs: Iterable[Edge]) -> "Graph":
-        return cls(vertex_labels, edge_pairs)
-
     # -- basic queries -------------------------------------------------
 
     @property

@@ -132,7 +132,7 @@ class RemovalSearch:
             if chosen.bit_count() <= self._limit:
                 self._kept.append(chosen)
                 return True
-        found = _exists_cover(tuple(cover), self._full, len(cover), self._limit)
+        found = _exists_cover(tuple(cover), self._full, self._limit)
         if found is None:
             return False
         self._kept.append(_bits(found))
@@ -158,7 +158,7 @@ class AdditionSearch:
         self._partners: dict[tuple[int, int], int | None] = {}
 
     def _search(self, limit: int, dominated: int, banned: int) -> list[int] | None:
-        return _exists_cover(self._cover, self._full, len(self._cover), limit, dominated, banned)
+        return _exists_cover(self._cover, self._full, limit, dominated, banned)
 
     def _misses_only(self, u: int, x: int, limit: int) -> bool:
         """Some set of at most ``limit`` vertices holds u and dominates all of G but x.

@@ -76,9 +76,6 @@ class ReductionOutput:
             return (f"u{i}", f"v{i}", f"nu{i}", f"r{i}", f"q{i}", f"p{i}")
         return (f"u{i}", f"nu{i}", f"v{i}", f"p{i}", f"q{i}")
 
-    def anchor_labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, role in self.roles.items() if role == ROLE_ANCHOR)
-
 
 def _literal_label(lit: int) -> str:
     return f"u{lit}" if lit > 0 else f"nu{-lit}"

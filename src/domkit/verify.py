@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .cnf import CnfInstance, TooFewVariablesError, random_instance, solve_sat
@@ -598,6 +597,10 @@ def fuzz(
     rng = random.Random(seed)
     trial_args = [(kind, num_vars, num_clauses, rng.randrange(2**32), deep) for _ in range(trials)]
     if jobs > 1 and trials > 1:
+        # Imported here, so that ``import domkit`` does not load the
+        # process pool machinery (~1.5 MB of memory) for serial callers.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_fuzz_trial, trial_args))
     return [_fuzz_trial(args) for args in trial_args]

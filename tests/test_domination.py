@@ -1,9 +1,13 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
 from domkit.domination import (
     BudgetExceededError,
     IsolatedVertexError,
+    _branch,
     domination_number,
     enumerate_minimum_sets,
     has_dominating_set_within,
@@ -20,6 +24,7 @@ from oracles import (
     cycle_graph,
     oracle_dominates,
     path_graph,
+    random_graph,
     star_graph,
 )
 from strategies import graphs, isolated_free_graphs
@@ -187,3 +192,42 @@ class TestDecisionForm:
         gamma_t = brute_total_domination_number(g)
         for k in range(g.num_vertices + 1):
             assert has_total_dominating_set_within(g, k) == (gamma_t <= k)
+
+
+class TestBranchStep:
+    """The kernel's shared branch step against brute force on search states."""
+
+    def test_matches_brute_force(self):
+        rng = random.Random(3)
+        checked = pruned = 0
+        for trial in range(600):
+            n = rng.randint(1, 10)
+            g = random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
+            closed = trial % 2 == 0
+            dominators = [{v} if closed else set() for v in range(n)]
+            for a, b in g.edges:
+                i, j = g.index_of(a), g.index_of(b)
+                dominators[i].add(j)
+                dominators[j].add(i)
+            undom = [v for v in range(n) if rng.random() < 0.6]
+            if not undom:
+                continue
+            banned = {u for u in range(n) if rng.random() < 0.25}
+            cover = tuple(sum(1 << u for u in dom) for dom in dominators)
+            cands, need = _branch(cover, sum(1 << v for v in undom), sum(1 << u for u in banned))
+            allowed = {v: dominators[v] - banned for v in undom}
+            if any(not allowed[v] for v in undom):
+                assert cands is None
+                pruned += 1
+                continue
+            assert cands is not None
+            fewest = min(undom, key=lambda v: (len(allowed[v]), v))
+            assert cands == sum(1 << u for u in allowed[fewest])
+            pool = sorted(set(range(n)) - banned)
+            smallest = next(
+                k for k in range(1, len(pool) + 1)
+                if any(all(allowed[v] & set(picks) for v in undom) for picks in combinations(pool, k))
+            )
+            assert 1 <= need <= smallest
+            checked += 1
+        assert checked > 200 and pruned > 20

@@ -58,9 +58,6 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph(["a b"], [])
 
-    def test_from_edge_list_alias(self):
-        assert Graph.from_edge_list(["a", "b"], [("a", "b")]) == Graph(["a", "b"], [("a", "b")])
-
 
 class TestNeighbors:
     def test_open_neighbors_middle(self):

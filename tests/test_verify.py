@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import domkit
 from domkit.cnf import CnfInstance, TooFewVariablesError, random_instance
 from domkit.reductions import ReductionKind
 from domkit.verify import ClaimCheck, VerificationReport, fuzz, verify
@@ -175,3 +181,11 @@ class TestFuzz:
     def test_string_kind_accepted(self):
         reports = fuzz("reinforcement", 3, 2, 2, 3)
         assert all(r.kind is ReductionKind.REINFORCEMENT for r in reports)
+
+
+def test_import_does_not_load_the_process_pool():
+    src = str(Path(domkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = "import sys, domkit; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
