@@ -34,6 +34,12 @@ class ReductionKind(str, Enum):
     REINFORCEMENT = "reinforcement"
     TOTAL_REINFORCEMENT = "total-reinforcement"
 
+    @classmethod
+    def _missing_(cls, value: object) -> ReductionKind:
+        # ``ReductionKind(value)`` is how every entry point resolves a kind,
+        # so an unknown one raises this error everywhere.
+        raise KindMismatchError(f"unknown reduction kind {value!r}")
+
 
 ROLE_LITERAL_POS = "literal+"
 ROLE_LITERAL_NEG = "literal-"
@@ -202,16 +208,12 @@ def build_total_reinforcement(inst: CnfInstance) -> ReductionOutput:
 
 
 def build(kind: ReductionKind | str, inst: CnfInstance) -> ReductionOutput:
-    try:
-        resolved = ReductionKind(kind)
-    except ValueError:
-        raise KindMismatchError(f"unknown reduction kind {kind!r}") from None
     builder = {
         ReductionKind.BONDAGE: build_bondage,
         ReductionKind.TOTAL_BONDAGE: build_total_bondage,
         ReductionKind.REINFORCEMENT: build_reinforcement,
         ReductionKind.TOTAL_REINFORCEMENT: build_total_reinforcement,
-    }[resolved]
+    }[ReductionKind(kind)]
     return builder(inst)
 
 

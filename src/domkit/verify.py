@@ -1,26 +1,35 @@
 """Machine checks of the gadget equivalences on concrete and fuzzed instances.
 
-Each verifier builds the gadget for one reduction kind, measures the
-relevant parameters exactly, and records one pass/fail entry per
-claimed fact:
+``verify(kind, inst, deep)`` builds the gadget for one reduction kind,
+measures the relevant parameters exactly, and records one pass/fail
+entry per claimed fact.  One body serves all four kinds.  Three facts
+about the kind decide every claim: closed or total neighbourhoods
+(gamma or gamma_t, exact bound 2n+1 or 2n+2), edge removal (bondage
+kinds) or edge addition (reinforcement kinds), and the structure the
+deep check asks of each minimum set.  The claims are
 
-  * the gadget parameter bound or exact value,
-  * the single-edge perturbation bound (bondage kinds),
-  * the equivalence between satisfiability and perturbation value 1,
-  * with ``deep`` enabled, the structure of every minimum witness set
-    (enumerated exhaustively), and
-  * the round trip from a satisfying assignment to a small witness set.
+  * the parameter: at least the exact bound, and equal to it exactly
+    when satisfiable (bondage kinds), or equal to it (reinforcement),
+  * every single-edge removal stays within the bound + 1 (bondage kinds),
+  * perturbation value 1 exactly when the instance is satisfiable,
+  * with ``deep`` enabled, the structure of every minimum set of the
+    gadget (bondage kinds; plain bondage only at the exact bound), or of
+    the gadget plus each edge whose addition lowers the parameter by
+    exactly one (reinforcement kinds), and
+  * a satisfying assignment maps to a witness of the exact bound, or of
+    one less plus the added edge (reinforcement kinds).
 
 A failed entry never aborts the remaining checks; the report records
-everything so a counterexample is fully diagnosable.  Perturbation
-searches are bounded: removal searches stop at two edges (a one-edge
-sweep already certifies the removal bound, so the true value is 1 or
-2), and addition searches stop at one edge because the equivalences
-only ever need to distinguish "1" from "more than 1".  None of them
-copies the graph per candidate: the removal sweep reuses the covers its
-earlier searches found, and the deep check picks its augmenting edges
-with the forced-endpoint test of ``perturbation.AdditionSearch``; see
-that module for both.
+everything so a counterexample is fully diagnosable.  An enumeration
+past its cap makes the structure claim fail as "undetermined" and the
+other claims are still made.  Perturbation searches are bounded:
+removal searches stop at two edges (a one-edge sweep already certifies
+the removal bound, so the true value is 1 or 2), and addition searches
+stop at one edge because the equivalences only ever need to distinguish
+"1" from "more than 1".  None of them copies the graph per candidate:
+the removal sweep reuses the covers its earlier searches found, and the
+deep check picks its augmenting edges with the forced-endpoint test of
+``perturbation.AdditionSearch``; see that module for both.
 
 Deep checks enumerate every minimum set, which grows combinatorially,
 so they only run for instances with at most ``DEEP_VAR_LIMIT`` variables.
@@ -33,9 +42,12 @@ import time
 from dataclasses import dataclass, field
 
 from .cnf import CnfInstance, TooFewVariablesError, random_instance, solve_sat
-# ``perfbench/tracing.py`` wraps the two ``has_*_within`` names in this
-# module's namespace, so they stay imported although nothing here calls them.
+# ``perfbench/tracing.py`` wraps the solver and builder names below in this
+# module's namespace while it runs, so ``verify`` looks each one up at call
+# time, and the two ``has_*_within`` names stay imported although nothing
+# here calls them.
 from .domination import (  # noqa: F401
+    BudgetExceededError,
     domination_number,
     enumerate_minimum_sets,
     has_dominating_set_within,
@@ -47,7 +59,6 @@ from .domination import (  # noqa: F401
 from .graph import Graph
 from .perturbation import (
     AdditionSearch,
-    PerturbResult,
     RemovalSearch,
     bondage_number,
     reinforcement_number,
@@ -129,12 +140,6 @@ class VerificationReport:
         return lines
 
 
-def _perturb_text(name: str, result: PerturbResult, bound: int) -> str:
-    if result.value is None:
-        return f"{name} > {bound} (no witness within bound)"
-    return f"{name} = {result.value}"
-
-
 def _clause_labels(out: ReductionOutput) -> set[str]:
     return {out.clause_label(j) for j in range(1, out.num_clauses + 1)}
 
@@ -148,6 +153,116 @@ def _gadget_quota_violation(out: ReductionOutput, chosen: frozenset[str]) -> str
         if len(chosen & {out.positive_label(i), out.negative_label(i)}) > 1:
             return f"both literals of variable {i} in {sorted(chosen)}"
     return None
+
+
+def _exact_bound_violation(
+    out: ReductionOutput, clause_labels: set[str], chosen: frozenset[str], anchor: set[str], picks: list
+) -> str | None:
+    """A minimum set at the exact bound: an anchor pick among ``picks``, no clause vertex, gadget quotas."""
+    if chosen & anchor not in picks:
+        return f"anchor pick {sorted(chosen & anchor)}"
+    if chosen & clause_labels:
+        return f"clause vertices {sorted(chosen & clause_labels)} picked"
+    return _gadget_quota_violation(out, chosen)
+
+
+def _bondage_violation(
+    out: ReductionOutput, clause_labels: set[str], chosen: frozenset[str], at_exact: bool
+) -> str | None:
+    """Checked only at the exact bound: s2 alone from the anchor."""
+    return _exact_bound_violation(out, clause_labels, chosen, {"s1", "s2", "s3"}, [{"s2"}])
+
+
+def _total_bondage_violation(
+    out: ReductionOutput, clause_labels: set[str], chosen: frozenset[str], at_exact: bool
+) -> str | None:
+    """s5 and one of v/q per variable; at the exact bound also s2 or s4 with s5 from the anchor."""
+    if "s5" not in chosen:
+        return "a minimum set misses s5"
+    missing = next((i for i in range(1, out.num_vars + 1) if not chosen & {f"v{i}", f"q{i}"}), None)
+    if missing is not None:
+        return f"variable {missing}: neither v nor q picked"
+    if not at_exact:
+        return None
+    anchor = {f"s{k}" for k in range(1, 7)}
+    return _exact_bound_violation(out, clause_labels, chosen, anchor, [{"s2", "s5"}, {"s4", "s5"}])
+
+
+def _minimum_set_claim(out: ReductionOutput, total: bool, at_exact: bool) -> ClaimCheck:
+    """Bondage kinds: every minimum (total) dominating set of the gadget has the kind's structure."""
+    if total:
+        violation_of = _total_bondage_violation
+        expected = "every minimum total set contains s5 and one of v/q per variable" + (
+            "; at the exact bound: anchor pick {s2,s5} or {s4,s5}, two per gadget, "
+            "at most one literal per variable, no clause vertex" if at_exact else ""
+        )
+    else:
+        violation_of = _bondage_violation
+        expected = (
+            "every minimum set picks exactly s2 from the anchor, two per variable "
+            "gadget, at most one literal per variable, and no clause vertex"
+        )
+    try:
+        sets = enumerate_minimum_sets(out.graph, total=total)
+    except BudgetExceededError as exc:
+        return ClaimCheck("minimum-set-structure", expected, f"undetermined: {exc}", False)
+    clause_labels = _clause_labels(out)
+    violations = (violation_of(out, clause_labels, chosen, at_exact) for chosen in sets)
+    violation = next(filter(None, violations), None)
+    return ClaimCheck(
+        "minimum-set-structure",
+        expected,
+        violation or f"all {len(sets)} minimum sets conform",
+        violation is None,
+    )
+
+
+def _augmented_set_claim(out: ReductionOutput, total: bool, param: int) -> ClaimCheck:
+    """Reinforcement kinds: check G+e for every edge e that lowers the parameter by exactly one.
+
+    Every minimum (total) dominating set of G+e must avoid the apex and
+    the clause vertices and keep the gadget quotas.
+    """
+    g = out.graph
+    target = param - 1
+    apex = "s1" if total else "s"
+    sets_name = "minimum total set" if total else "minimum set"
+    expected = (
+        f"for every added edge reaching {'gamma_t' if total else 'gamma'} == {target}: "
+        f"{sets_name}s avoid {'s1' if total else 'the apex'} and clause vertices, "
+        "two per gadget, at most one literal per variable"
+    )
+    clause_labels = _clause_labels(out)
+    violation = None
+    augmenting = 0
+    sets_checked = 0
+    additions = AdditionSearch(g, total, param)
+    try:
+        for edge in g.complement_edges():
+            # exactly one below: one added edge can lower gamma_t by 2
+            if not additions.covers_after(edge, target) or additions.covers_after(edge, target - 1):
+                continue
+            augmenting += 1
+            for chosen in enumerate_minimum_sets(g.add_edges([edge]), total=total):
+                sets_checked += 1
+                if apex in chosen:
+                    violation = f"{'s1' if total else 'apex'} picked in a {sets_name} of G+{edge}"
+                elif chosen & clause_labels:
+                    violation = f"clause vertices picked in a {sets_name} of G+{edge}"
+                elif quota := _gadget_quota_violation(out, chosen):
+                    violation = f"{quota} (G+{edge})"
+                if violation:
+                    break
+            if violation:
+                break
+    except BudgetExceededError as exc:
+        return ClaimCheck("augmented-minimum-set-structure", expected, f"undetermined: {exc}", False)
+    return ClaimCheck(
+        "augmented-minimum-set-structure",
+        expected,
+        violation or f"{augmenting} augmenting edges, {sets_checked} sets conform",
+        violation is None,
+    )
 
 
 def _removal_sweep(
@@ -172,401 +287,121 @@ def _removal_sweep(
     return None, swept
 
 
-def verify_bondage(inst: CnfInstance, deep: bool = False) -> VerificationReport:
-    """Check the bondage-gadget facts: bound, iff, removal bound, structure."""
+def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> VerificationReport:
+    """Check every claimed gadget fact of one reduction kind on ``inst``."""
     start = time.perf_counter()
-    out = build_bondage(inst)
+    kind = ReductionKind(kind)
+    total = kind in (ReductionKind.TOTAL_BONDAGE, ReductionKind.TOTAL_REINFORCEMENT)
+    removal = kind in (ReductionKind.BONDAGE, ReductionKind.TOTAL_BONDAGE)
+    # Looked up per call: the names may be swapped at run time (see the imports).
+    builder, perturbation_number = {
+        ReductionKind.BONDAGE: (build_bondage, bondage_number),
+        ReductionKind.TOTAL_BONDAGE: (build_total_bondage, total_bondage_number),
+        ReductionKind.REINFORCEMENT: (build_reinforcement, reinforcement_number),
+        ReductionKind.TOTAL_REINFORCEMENT: (build_total_reinforcement, total_reinforcement_number),
+    }[kind]
+    parameter_number = total_domination_number if total else domination_number
+    dominates = is_total_dominating_set if total else is_dominating_set
+
+    out = builder(inst)
     g = out.graph
     n = inst.num_vars
     assignment = solve_sat(inst)
     sat = assignment is not None
+    yes_no = "yes" if sat else "no"
     claims: list[ClaimCheck] = []
+    exact = 2 * n + 1 + total
+    param_name, param_id = ("gamma_t", "gamma-t") if total else ("gamma", "gamma")
+    pert_name = ("b" if removal else "r") + ("_t" if total else "")
 
-    dom = domination_number(g)
-    gamma = dom.value
-    claims.append(
-        ClaimCheck("gamma-lower-bound", f"gamma >= {2 * n + 1}", f"gamma = {gamma}", gamma >= 2 * n + 1)
-    )
-    claims.append(
-        ClaimCheck(
-            "gamma-iff-sat",
-            f"gamma == {2 * n + 1} exactly when satisfiable ({'yes' if sat else 'no'})",
-            f"gamma = {gamma}",
-            (gamma == 2 * n + 1) == sat,
-        )
-    )
-
-    bad_edge, swept = _removal_sweep(g, total=False, bound=2 * n + 2, witness=dom.witness)
-    claims.append(
-        ClaimCheck(
-            "edge-removal-bound",
-            f"gamma(G-e) <= {2 * n + 2} for every edge",
-            f"all {swept} removals within bound" if bad_edge is None else f"removing {bad_edge} exceeds it",
-            bad_edge is None,
-        )
-    )
-
-    b = bondage_number(g, max_k=2)
-    claims.append(
-        ClaimCheck(
-            "bondage-iff-sat",
-            f"b == 1 exactly when satisfiable ({'yes' if sat else 'no'})",
-            _perturb_text("b", b, 2),
-            (b.value == 1) == sat,
-        )
-    )
-
-    deep_checked = False
-    if deep and n <= DEEP_VAR_LIMIT and gamma == 2 * n + 1:
-        deep_checked = True
-        clause_labels = _clause_labels(out)
-        anchor = {"s1", "s2", "s3"}
-        violation = None
-        sets = enumerate_minimum_sets(g, total=False)
-        for chosen in sets:
-            if chosen & anchor != {"s2"}:
-                violation = f"anchor pick {sorted(chosen & anchor)}"
-                break
-            if chosen & clause_labels:
-                violation = f"clause vertices {sorted(chosen & clause_labels)} picked"
-                break
-            violation = _gadget_quota_violation(out, chosen)
-            if violation:
-                break
+    dom = parameter_number(g)
+    param = dom.value
+    observed = f"{param_name} = {param}"
+    if removal:
+        lower = ClaimCheck(f"{param_id}-lower-bound", f"{param_name} >= {exact}", observed, param >= exact)
+        claims.append(lower)
         claims.append(
             ClaimCheck(
-                "minimum-set-structure",
-                "every minimum set picks exactly s2 from the anchor, two per variable "
-                "gadget, at most one literal per variable, and no clause vertex",
-                violation or f"all {len(sets)} minimum sets conform",
-                violation is None,
+                f"{param_id}-iff-sat",
+                f"{param_name} == {exact} exactly when satisfiable ({yes_no})",
+                observed,
+                (param == exact) == sat,
             )
         )
+        bad_edge, swept = _removal_sweep(g, total, exact + 1, dom.witness)
+        claims.append(
+            ClaimCheck(
+                "edge-removal-bound",
+                f"{param_name}(G-e) <= {exact + 1} for every {'non-isolating ' if total else ''}edge",
+                f"all {swept} removals within bound"
+                if bad_edge is None
+                else f"removing {bad_edge} exceeds it",
+                bad_edge is None,
+            )
+        )
+    else:
+        claims.append(ClaimCheck(f"{param_id}-exact", f"{param_name} == {exact}", observed, param == exact))
+
+    max_k = 2 if removal else 1
+    pert = perturbation_number(g, max_k=max_k)
+    claims.append(
+        ClaimCheck(
+            f"{kind.value}-iff-sat",
+            f"{pert_name} == 1 exactly when satisfiable ({yes_no})",
+            f"{pert_name} > {max_k} (no witness within bound)"
+            if pert.value is None
+            else f"{pert_name} = {pert.value}",
+            (pert.value == 1) == sat,
+        )
+    )
+
+    # The plain bondage structure is claimed only at the exact bound.
+    deep_checked = deep and n <= DEEP_VAR_LIMIT and (total or not removal or param == exact)
+    if deep_checked:
+        if removal:
+            claims.append(_minimum_set_claim(out, total, param == exact))
+        else:
+            claims.append(_augmented_set_claim(out, total, param))
 
     if sat:
         witness = assignment_to_witness(out, assignment)
-        ok = len(witness.vertices) == 2 * n + 1 and is_dominating_set(g, witness.vertices)
+        size = exact if removal else exact - 1
+        target = g if removal else g.add_edges([witness.added_edge])
+        dominating = dominates(target, witness.vertices)
+        set_name = f"{'total ' if total else ''}dominating"
         claims.append(
             ClaimCheck(
                 "witness-round-trip",
-                f"assignment yields a dominating set of size {2 * n + 1}",
-                f"size {len(witness.vertices)}, dominating: {is_dominating_set(g, witness.vertices)}",
-                ok,
+                f"assignment yields a {set_name} set of size {size}"
+                + ("" if removal else " after adding one edge"),
+                f"size {len(witness.vertices)}"
+                + (", " if removal else f" with edge {witness.added_edge}, ")
+                + f"{set_name}: {dominating}",
+                len(witness.vertices) == size and dominating,
             )
         )
 
     elapsed = (time.perf_counter() - start) * 1000
     return VerificationReport(
-        ReductionKind.BONDAGE, n, inst.num_clauses, sat, "gamma", gamma, "b", b.value, deep_checked, elapsed, claims
+        kind, n, inst.num_clauses, sat, param_name, param,
+        pert_name, pert.value, deep_checked, elapsed, claims,
     )
+
+
+def verify_bondage(inst: CnfInstance, deep: bool = False) -> VerificationReport:
+    return verify(ReductionKind.BONDAGE, inst, deep)
 
 
 def verify_total_bondage(inst: CnfInstance, deep: bool = False) -> VerificationReport:
-    start = time.perf_counter()
-    out = build_total_bondage(inst)
-    g = out.graph
-    n = inst.num_vars
-    assignment = solve_sat(inst)
-    sat = assignment is not None
-    claims: list[ClaimCheck] = []
-
-    dom = total_domination_number(g)
-    gamma_t = dom.value
-    claims.append(
-        ClaimCheck(
-            "gamma-t-lower-bound", f"gamma_t >= {2 * n + 2}", f"gamma_t = {gamma_t}", gamma_t >= 2 * n + 2
-        )
-    )
-    claims.append(
-        ClaimCheck(
-            "gamma-t-iff-sat",
-            f"gamma_t == {2 * n + 2} exactly when satisfiable ({'yes' if sat else 'no'})",
-            f"gamma_t = {gamma_t}",
-            (gamma_t == 2 * n + 2) == sat,
-        )
-    )
-
-    bad_edge, swept = _removal_sweep(g, total=True, bound=2 * n + 3, witness=dom.witness)
-    claims.append(
-        ClaimCheck(
-            "edge-removal-bound",
-            f"gamma_t(G-e) <= {2 * n + 3} for every non-isolating edge",
-            f"all {swept} removals within bound" if bad_edge is None else f"removing {bad_edge} exceeds it",
-            bad_edge is None,
-        )
-    )
-
-    bt = total_bondage_number(g, max_k=2)
-    claims.append(
-        ClaimCheck(
-            "total-bondage-iff-sat",
-            f"b_t == 1 exactly when satisfiable ({'yes' if sat else 'no'})",
-            _perturb_text("b_t", bt, 2),
-            (bt.value == 1) == sat,
-        )
-    )
-
-    deep_checked = False
-    if deep and n <= DEEP_VAR_LIMIT:
-        deep_checked = True
-        clause_labels = _clause_labels(out)
-        anchor = {f"s{k}" for k in range(1, 7)}
-        exact = gamma_t == 2 * n + 2
-        violation = None
-        sets = enumerate_minimum_sets(g, total=True)
-        for chosen in sets:
-            if "s5" not in chosen:
-                violation = "a minimum set misses s5"
-                break
-            missing = next(
-                (i for i in range(1, n + 1) if not chosen & {f"v{i}", f"q{i}"}),
-                None,
-            )
-            if missing is not None:
-                violation = f"variable {missing}: neither v nor q picked"
-                break
-            if exact:
-                if chosen & anchor not in ({"s2", "s5"}, {"s4", "s5"}):
-                    violation = f"anchor pick {sorted(chosen & anchor)}"
-                    break
-                if chosen & clause_labels:
-                    violation = f"clause vertices {sorted(chosen & clause_labels)} picked"
-                    break
-                violation = _gadget_quota_violation(out, chosen)
-                if violation:
-                    break
-        claims.append(
-            ClaimCheck(
-                "minimum-set-structure",
-                "every minimum total set contains s5 and one of v/q per variable"
-                + ("; at the exact bound: anchor pick {s2,s5} or {s4,s5}, two per gadget, "
-                   "at most one literal per variable, no clause vertex" if exact else ""),
-                violation or f"all {len(sets)} minimum sets conform",
-                violation is None,
-            )
-        )
-
-    if sat:
-        witness = assignment_to_witness(out, assignment)
-        ok = len(witness.vertices) == 2 * n + 2 and is_total_dominating_set(g, witness.vertices)
-        claims.append(
-            ClaimCheck(
-                "witness-round-trip",
-                f"assignment yields a total dominating set of size {2 * n + 2}",
-                f"size {len(witness.vertices)}, total dominating: "
-                f"{is_total_dominating_set(g, witness.vertices)}",
-                ok,
-            )
-        )
-
-    elapsed = (time.perf_counter() - start) * 1000
-    return VerificationReport(
-        ReductionKind.TOTAL_BONDAGE,
-        n,
-        inst.num_clauses,
-        sat,
-        "gamma_t",
-        gamma_t,
-        "b_t",
-        bt.value,
-        deep_checked,
-        elapsed,
-        claims,
-    )
+    return verify(ReductionKind.TOTAL_BONDAGE, inst, deep)
 
 
 def verify_reinforcement(inst: CnfInstance, deep: bool = False) -> VerificationReport:
-    start = time.perf_counter()
-    out = build_reinforcement(inst)
-    g = out.graph
-    n = inst.num_vars
-    assignment = solve_sat(inst)
-    sat = assignment is not None
-    claims: list[ClaimCheck] = []
-
-    gamma = domination_number(g).value
-    claims.append(
-        ClaimCheck("gamma-exact", f"gamma == {2 * n + 1}", f"gamma = {gamma}", gamma == 2 * n + 1)
-    )
-
-    r = reinforcement_number(g, max_k=1)
-    claims.append(
-        ClaimCheck(
-            "reinforcement-iff-sat",
-            f"r == 1 exactly when satisfiable ({'yes' if sat else 'no'})",
-            _perturb_text("r", r, 1),
-            (r.value == 1) == sat,
-        )
-    )
-
-    deep_checked = False
-    if deep and n <= DEEP_VAR_LIMIT:
-        deep_checked = True
-        clause_labels = _clause_labels(out)
-        violation = None
-        augmenting = 0
-        sets_checked = 0
-        additions = AdditionSearch(g, False, gamma)
-        for edge in g.complement_edges():
-            # gamma(G+e) == 2n exactly
-            if not additions.covers_after(edge, 2 * n) or additions.covers_after(edge, 2 * n - 1):
-                continue
-            augmenting += 1
-            for chosen in enumerate_minimum_sets(g.add_edges([edge]), total=False):
-                sets_checked += 1
-                if "s" in chosen:
-                    violation = f"apex picked in a minimum set of G+{edge}"
-                    break
-                if chosen & clause_labels:
-                    violation = f"clause vertices picked in a minimum set of G+{edge}"
-                    break
-                violation = _gadget_quota_violation(out, chosen)
-                if violation:
-                    violation += f" (G+{edge})"
-                    break
-            if violation:
-                break
-        claims.append(
-            ClaimCheck(
-                "augmented-minimum-set-structure",
-                f"for every added edge reaching gamma == {2 * n}: minimum sets avoid the apex "
-                "and clause vertices, two per gadget, at most one literal per variable",
-                violation or f"{augmenting} augmenting edges, {sets_checked} sets conform",
-                violation is None,
-            )
-        )
-
-    if sat:
-        witness = assignment_to_witness(out, assignment)
-        augmented = g.add_edges([witness.added_edge])
-        ok = len(witness.vertices) == 2 * n and is_dominating_set(augmented, witness.vertices)
-        claims.append(
-            ClaimCheck(
-                "witness-round-trip",
-                f"assignment yields a dominating set of size {2 * n} after adding one edge",
-                f"size {len(witness.vertices)} with edge {witness.added_edge}, dominating: "
-                f"{is_dominating_set(augmented, witness.vertices)}",
-                ok,
-            )
-        )
-
-    elapsed = (time.perf_counter() - start) * 1000
-    return VerificationReport(
-        ReductionKind.REINFORCEMENT,
-        n,
-        inst.num_clauses,
-        sat,
-        "gamma",
-        gamma,
-        "r",
-        r.value,
-        deep_checked,
-        elapsed,
-        claims,
-    )
+    return verify(ReductionKind.REINFORCEMENT, inst, deep)
 
 
 def verify_total_reinforcement(inst: CnfInstance, deep: bool = False) -> VerificationReport:
-    start = time.perf_counter()
-    out = build_total_reinforcement(inst)
-    g = out.graph
-    n = inst.num_vars
-    assignment = solve_sat(inst)
-    sat = assignment is not None
-    claims: list[ClaimCheck] = []
-
-    gamma_t = total_domination_number(g).value
-    claims.append(
-        ClaimCheck("gamma-t-exact", f"gamma_t == {2 * n + 2}", f"gamma_t = {gamma_t}", gamma_t == 2 * n + 2)
-    )
-
-    rt = total_reinforcement_number(g, max_k=1)
-    claims.append(
-        ClaimCheck(
-            "total-reinforcement-iff-sat",
-            f"r_t == 1 exactly when satisfiable ({'yes' if sat else 'no'})",
-            _perturb_text("r_t", rt, 1),
-            (rt.value == 1) == sat,
-        )
-    )
-
-    deep_checked = False
-    if deep and n <= DEEP_VAR_LIMIT:
-        deep_checked = True
-        clause_labels = _clause_labels(out)
-        violation = None
-        augmenting = 0
-        sets_checked = 0
-        additions = AdditionSearch(g, True, gamma_t)
-        for edge in g.complement_edges():
-            # gamma_t(G+e) == 2n+1 exactly: one added edge can lower gamma_t by 2
-            if not additions.covers_after(edge, 2 * n + 1) or additions.covers_after(edge, 2 * n):
-                continue
-            augmenting += 1
-            for chosen in enumerate_minimum_sets(g.add_edges([edge]), total=True):
-                sets_checked += 1
-                if "s1" in chosen:
-                    violation = f"s1 picked in a minimum total set of G+{edge}"
-                    break
-                if chosen & clause_labels:
-                    violation = f"clause vertices picked in a minimum total set of G+{edge}"
-                    break
-                violation = _gadget_quota_violation(out, chosen)
-                if violation:
-                    violation += f" (G+{edge})"
-                    break
-            if violation:
-                break
-        claims.append(
-            ClaimCheck(
-                "augmented-minimum-set-structure",
-                f"for every added edge reaching gamma_t == {2 * n + 1}: minimum total sets avoid "
-                "s1 and clause vertices, two per gadget, at most one literal per variable",
-                violation or f"{augmenting} augmenting edges, {sets_checked} sets conform",
-                violation is None,
-            )
-        )
-
-    if sat:
-        witness = assignment_to_witness(out, assignment)
-        augmented = g.add_edges([witness.added_edge])
-        ok = len(witness.vertices) == 2 * n + 1 and is_total_dominating_set(augmented, witness.vertices)
-        claims.append(
-            ClaimCheck(
-                "witness-round-trip",
-                f"assignment yields a total dominating set of size {2 * n + 1} after adding one edge",
-                f"size {len(witness.vertices)} with edge {witness.added_edge}, total dominating: "
-                f"{is_total_dominating_set(augmented, witness.vertices)}",
-                ok,
-            )
-        )
-
-    elapsed = (time.perf_counter() - start) * 1000
-    return VerificationReport(
-        ReductionKind.TOTAL_REINFORCEMENT,
-        n,
-        inst.num_clauses,
-        sat,
-        "gamma_t",
-        gamma_t,
-        "r_t",
-        rt.value,
-        deep_checked,
-        elapsed,
-        claims,
-    )
-
-
-VERIFIERS = {
-    ReductionKind.BONDAGE: verify_bondage,
-    ReductionKind.TOTAL_BONDAGE: verify_total_bondage,
-    ReductionKind.REINFORCEMENT: verify_reinforcement,
-    ReductionKind.TOTAL_REINFORCEMENT: verify_total_reinforcement,
-}
-
-
-def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> VerificationReport:
-    return VERIFIERS[ReductionKind(kind)](inst, deep=deep)
+    return verify(ReductionKind.TOTAL_REINFORCEMENT, inst, deep)
 
 
 def _fuzz_trial(args: tuple) -> VerificationReport:

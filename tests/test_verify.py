@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import pytest
 
 import domkit
 from domkit.cnf import CnfInstance, TooFewVariablesError, random_instance
-from domkit.reductions import ReductionKind
+from domkit.domination import BudgetExceededError
+from domkit.reductions import KindMismatchError, ReductionKind, build
 from domkit.verify import ClaimCheck, VerificationReport, fuzz, verify
 
 TINY = CnfInstance(3, ((1, 2, 3),))
@@ -88,6 +90,33 @@ class TestVerifiers:
         inst = random_instance(5, 3, 11)
         report = verify(ReductionKind.BONDAGE, inst, deep=True)
         assert not report.deep_checked
+
+    @pytest.mark.parametrize("kind", list(ReductionKind))
+    def test_enumeration_cap_gives_an_undetermined_claim(self, monkeypatch, kind):
+        full = verify(kind, TINY, deep=True)
+
+        def capped(*args, **kwargs):
+            raise BudgetExceededError("more than 7 minimum sets")
+
+        # ``domkit.verify`` is the function; the module has to be looked up
+        monkeypatch.setattr(importlib.import_module("domkit.verify"), "enumerate_minimum_sets", capped)
+        report = verify(kind, TINY, deep=True)
+        assert report.deep_checked and not report.passed
+        assert claim_ids(report) == claim_ids(full)
+        for entry, unpatched in zip(report.claims, full.claims):
+            if "structure" in entry.claim_id:
+                assert not entry.passed
+                assert entry.observed == "undetermined: more than 7 minimum sets"
+                assert entry.expected == unpatched.expected
+            else:
+                assert entry == unpatched
+        assert set(report.to_dict()) == set(full.to_dict())
+
+    def test_unknown_kind_raises_kind_mismatch(self):
+        for call in (lambda: verify("nope", TINY), lambda: fuzz("nope", 3, 3, 1, 0), lambda: build("nope", TINY)):
+            with pytest.raises(KindMismatchError, match="unknown reduction kind 'nope'"):
+                call()
+        assert issubclass(KindMismatchError, ValueError)
 
     def test_iff_agreement_across_kinds(self):
         for seed in (1, 2, 3):
@@ -189,3 +218,20 @@ def test_import_does_not_load_the_process_pool():
     probe = "import sys, domkit; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_runtime_uses_only_the_standard_library():
+    # -S leaves site-packages off sys.path and -E ignores PYTHONPATH, so only
+    # the standard library and ``src`` can be imported.
+    src = str(Path(domkit.__file__).resolve().parent.parent)
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import domkit, domkit.cli\n"
+        "from domkit import CnfInstance, ReductionKind, verify\n"
+        "for kind in ReductionKind:\n"
+        "    assert verify(kind, CnfInstance(3, ((1, 2, 3),)), deep=True).passed, kind\n"
+        "print('ok')"
+    )
+    out = subprocess.run([sys.executable, "-S", "-E", "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
