@@ -1,8 +1,22 @@
 """Exact minimum dominating set and total dominating set computation.
 
-The solver is a branch and bound over vertex bitmasks.  Its three
-searches (optimize, decide "at most k", enumerate "exactly k") share
-one branch step, ``_branch``, which makes a single pass over the
+The solver is one branch and bound over vertex bitmasks, ``_search``:
+it looks for covers of at most ``limit`` picks, hands each cover it
+reaches to a callback, which returns the limit for the rest of the
+search, and returns the last cover it reached.  The three modes are
+three callbacks:
+
+  * optimize (``_minimum_cover``) returns the cover's size minus one,
+    so only strictly smaller covers follow and the last one is minimum;
+    the starting limit is one below the size of a greedy max-coverage
+    cover, which is the answer when no smaller cover exists;
+  * decide "at most k" (``_exists_cover``) returns -1, so the first
+    cover ends the search;
+  * enumerate "exactly k" (``_all_minimum_covers``), run at the proven
+    optimum, records the cover and returns the same limit, with a hard
+    cap on the number of sets (used by the structural claim checks).
+
+Each node makes one branch step, ``_branch``, a single pass over the
 undominated vertices.  It branches on the undominated vertex with the
 fewest allowed dominators (lowest index among ties), over those
 dominators in index order; branches are made disjoint by forbidding,
@@ -12,12 +26,7 @@ bound, a packing: taken in order of (dominator count, index), the
 undominated vertices whose allowed dominators are disjoint from those
 of all vertices kept before each need a pick of their own.  The bound
 is admissible, so it cuts only subtrees without a qualifying cover and
-the witnesses do not depend on it.  The initial upper bound of the
-optimize search comes from a greedy max-coverage pass.
-
-The same search, run at the proven optimum size without the best-so-far
-cut, enumerates all minimum sets (used by the structural claim checks),
-with a hard cap to keep that bounded.
+the witnesses do not depend on it.
 
 Domination uses closed neighborhoods (a chosen vertex covers itself);
 total domination uses open neighborhoods, so a vertex never covers
@@ -27,7 +36,7 @@ itself and graphs with isolated vertices have no total dominating set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .graph import Graph
 
@@ -126,78 +135,81 @@ def _branch(cover: tuple[int, ...], undom: int, banned: int) -> tuple[int | None
     return keyed[0][2], need
 
 
-def _minimum_cover(cover: tuple[int, ...], full: int) -> list[int]:
-    """Indices of a minimum cover; the witness is deterministic."""
-    if full == 0:
-        return []
-    best = _greedy_cover(cover, full)
-    best_size = len(best)
+def _search(
+    cover: tuple[int, ...],
+    full: int,
+    limit: int,
+    found: Callable[[list[int]], int],
+    dominated: int = 0,
+    banned: int = 0,
+) -> list[int] | None:
+    """Branch and bound over covers of ``full & ~dominated`` by at most ``limit`` picks.
 
-    def dfs(dominated: int, banned: int, chosen: list[int]) -> None:
-        nonlocal best, best_size
+    Vertices in ``banned`` are never picked.  Each cover reached, as a
+    list of its picks in branch order, goes to ``found``, which returns
+    the limit for the rest of the search: the search stops once the depth
+    of every open node has reached it.  Returns the last cover reached,
+    or None.
+    """
+    chosen: list[int] = []
+    last: list[int] | None = None
+
+    def dfs(dominated: int, banned: int) -> None:
+        nonlocal limit, last
         if dominated == full:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best = list(chosen)
+            last = list(chosen)
+            limit = found(last)
             return
         depth = len(chosen)
-        if depth + 1 >= best_size:
-            return
-        branch_cands, need = _branch(cover, full & ~dominated, banned)
-        if branch_cands is None or depth + need >= best_size:
-            return
-        tried = 0
-        m = branch_cands
-        while m:
-            low = m & -m
-            m ^= low
-            chosen.append(low.bit_length() - 1)
-            dfs(dominated | cover[low.bit_length() - 1], banned | tried, chosen)
-            chosen.pop()
-            tried |= low
-            if depth + 1 >= best_size:
-                return
-
-    dfs(0, 0, [])
-    return sorted(best)
-
-
-def _exists_cover(
-    cover: tuple[int, ...], full: int, limit: int, dominated: int = 0, banned: int = 0
-) -> list[int] | None:
-    """Indices of some cover of size at most ``limit``, or None (early exit).
-
-    The search starts from ``dominated``: vertices already covered by
-    choices made outside it, which the returned indices need not cover.
-    Vertices in ``banned`` are never chosen.
-    """
-    if dominated == full:
-        return []
-    if limit <= 0:
-        return None
-
-    def dfs(dominated: int, banned: int, depth: int) -> list[int] | None:
-        if dominated == full:
-            return []
         if depth >= limit:
-            return None
+            return
         branch_cands, need = _branch(cover, full & ~dominated, banned)
         if branch_cands is None or depth + need > limit:
-            return None
+            return
         tried = 0
         m = branch_cands
         while m:
             low = m & -m
             m ^= low
             u = low.bit_length() - 1
-            found = dfs(dominated | cover[u], banned | tried, depth + 1)
-            if found is not None:
-                found.append(u)
-                return found
+            chosen.append(u)
+            dfs(dominated | cover[u], banned | tried)
+            chosen.pop()
+            if depth >= limit:
+                return
             tried |= low
-        return None
 
-    return dfs(dominated, banned, 0)
+    dfs(dominated, banned)
+    return last
+
+
+def _smaller(chosen: list[int]) -> int:
+    """Optimize: only strictly smaller covers may follow."""
+    return len(chosen) - 1
+
+
+def _stop(chosen: list[int]) -> int:
+    """Decide: the first cover ends the search."""
+    return -1
+
+
+def _minimum_cover(cover: tuple[int, ...], full: int) -> list[int]:
+    """Indices of a minimum cover; the witness is deterministic."""
+    greedy = _greedy_cover(cover, full)
+    best = _search(cover, full, len(greedy) - 1, _smaller)
+    return sorted(greedy if best is None else best)
+
+
+def _exists_cover(
+    cover: tuple[int, ...], full: int, limit: int, dominated: int = 0, banned: int = 0
+) -> list[int] | None:
+    """Indices of some cover of size at most ``limit``, or None.
+
+    The search starts from ``dominated``: vertices already covered by
+    choices made outside it, which the returned indices need not cover.
+    Vertices in ``banned`` are never chosen.
+    """
+    return _search(cover, full, limit, _stop, dominated, banned)
 
 
 def has_dominating_set_within(g: Graph, size: int) -> bool:
@@ -212,34 +224,15 @@ def has_total_dominating_set_within(g: Graph, size: int) -> bool:
 
 def _all_minimum_covers(cover: tuple[int, ...], full: int, size: int, cap: int) -> list[tuple[int, ...]]:
     """Every cover of exactly the optimum size, each found once."""
-    if full == 0:
-        return [()]
     results: list[tuple[int, ...]] = []
 
-    def dfs(dominated: int, banned: int, chosen: list[int]) -> None:
-        if dominated == full:
-            if len(chosen) == size:
-                if len(results) >= cap:
-                    raise BudgetExceededError(f"more than {cap} minimum sets")
-                results.append(tuple(sorted(chosen)))
-            return
-        depth = len(chosen)
-        if depth >= size:
-            return
-        branch_cands, need = _branch(cover, full & ~dominated, banned)
-        if branch_cands is None or depth + need > size:
-            return
-        tried = 0
-        m = branch_cands
-        while m:
-            low = m & -m
-            m ^= low
-            chosen.append(low.bit_length() - 1)
-            dfs(dominated | cover[low.bit_length() - 1], banned | tried, chosen)
-            chosen.pop()
-            tried |= low
+    def found(chosen: list[int]) -> int:
+        if len(results) >= cap:
+            raise BudgetExceededError(f"more than {cap} minimum sets")
+        results.append(tuple(sorted(chosen)))
+        return size
 
-    dfs(0, 0, [])
+    _search(cover, full, size, found)
     results.sort()
     return results
 

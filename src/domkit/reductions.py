@@ -2,8 +2,11 @@
 
 Each builder turns a 3SAT instance into a gadget graph consisting of
 one variable gadget per variable, one clause vertex per clause wired to
-its three literal vertices, and a kind-specific anchor component.  All
-four outputs are bipartite, and their vertex and edge counts are fixed
+its three literal vertices, and a kind-specific anchor component.  One
+``build`` assembles all four from a per-kind table row: the variable
+gadget (a hexagon or a 5-vertex gadget), the anchor's vertices and
+edges, and the anchor vertices joined to every clause vertex.  All four
+outputs are bipartite, and their vertex and edge counts are fixed
 closed forms in the instance size.
 
 Vertex naming is stable and parseable: ``u<i>`` / ``nu<i>`` for the
@@ -23,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .cnf import Assignment, CnfInstance, evaluate
+from .cnf import Assignment, CnfInstance, TooFewVariablesError, evaluate
 from .graph import Edge, Graph, normalize_edge
 
 
@@ -78,9 +82,7 @@ class ReductionOutput:
 
     def variable_gadget(self, i: int) -> tuple[str, ...]:
         """All vertices of the gadget for variable i."""
-        if self.kind in (ReductionKind.BONDAGE, ReductionKind.REINFORCEMENT):
-            return (f"u{i}", f"v{i}", f"nu{i}", f"r{i}", f"q{i}", f"p{i}")
-        return (f"u{i}", f"nu{i}", f"v{i}", f"p{i}", f"q{i}")
+        return tuple(f"{p}{i}" for p in _SPECS[self.kind].part.prefixes)
 
 
 def _literal_label(lit: int) -> str:
@@ -92,35 +94,63 @@ def roles_to_text(out: ReductionOutput) -> str:
     return "".join(f"{lab} {out.roles[lab]}\n" for lab in out.graph.vertices)
 
 
-def _clause_part(inst: CnfInstance, labels: list[str], edges: list[Edge], roles: dict[str, str]) -> None:
+class _Part(NamedTuple):
+    """One variable gadget: label prefixes in vertex order, and edges between them."""
+
+    prefixes: tuple[str, ...]
+    edges: tuple[tuple[str, str], ...]
+
+
+_HEXAGON = _Part(
+    ("u", "v", "nu", "r", "q", "p"),
+    (("u", "v"), ("v", "nu"), ("nu", "r"), ("r", "q"), ("q", "p"), ("p", "u")),
+)
+_FIVE = _Part(
+    ("u", "nu", "v", "p", "q"),
+    (("u", "v"), ("u", "q"), ("nu", "v"), ("v", "p"), ("p", "q"), ("nu", "q")),
+)
+_PART_ROLES = {"u": ROLE_LITERAL_POS, "nu": ROLE_LITERAL_NEG}
+
+
+class _Spec(NamedTuple):
+    """What sets one kind's gadget apart from the others."""
+
+    part: _Part
+    anchor: tuple[str, ...]
+    anchor_edges: tuple[Edge, ...]
+    joined: tuple[str, ...]  # anchor vertices joined to every clause vertex
+
+
+_PATH3 = (("s1", "s2"), ("s2", "s3"))
+_SPECS = {
+    ReductionKind.BONDAGE: _Spec(_HEXAGON, ("s1", "s2", "s3"), _PATH3, ("s1", "s3")),
+    ReductionKind.TOTAL_BONDAGE: _Spec(
+        _FIVE,
+        ("s1", "s2", "s3", "s4", "s5", "s6"),
+        (("s1", "s2"), ("s1", "s4"), ("s2", "s3"), ("s2", "s5"), ("s3", "s4"), ("s4", "s5"), ("s5", "s6")),
+        ("s1", "s3"),
+    ),
+    ReductionKind.REINFORCEMENT: _Spec(_HEXAGON, ("s",), (), ("s",)),
+    ReductionKind.TOTAL_REINFORCEMENT: _Spec(_FIVE, ("s1", "s2", "s3"), _PATH3, ("s1",)),
+}
+
+
+def build(kind: ReductionKind | str, inst: CnfInstance) -> ReductionOutput:
+    """The gadget of one kind: variable gadgets, clause vertices, then the anchor."""
+    kind = ReductionKind(kind)
+    part, anchor, anchor_edges, joined = _SPECS[kind]
+    roles: dict[str, str] = {}  # in vertex order
+    edges: list[Edge] = []
+    for i in range(1, inst.num_vars + 1):
+        roles.update((f"{p}{i}", _PART_ROLES.get(p, ROLE_AUX)) for p in part.prefixes)
+        edges.extend((f"{a}{i}", f"{b}{i}") for a, b in part.edges)
     for j, clause in enumerate(inst.clauses, start=1):
-        cj = f"c{j}"
-        labels.append(cj)
-        roles[cj] = ROLE_CLAUSE
-        edges.extend((cj, _literal_label(lit)) for lit in clause)
-
-
-def _hexagon_part(inst: CnfInstance, labels: list[str], edges: list[Edge], roles: dict[str, str]) -> None:
-    # 6-cycle u-v-nu-r-q-p per variable
-    for i in range(1, inst.num_vars + 1):
-        cycle = (f"u{i}", f"v{i}", f"nu{i}", f"r{i}", f"q{i}", f"p{i}")
-        labels.extend(cycle)
-        roles[f"u{i}"] = ROLE_LITERAL_POS
-        roles[f"nu{i}"] = ROLE_LITERAL_NEG
-        for aux in (f"v{i}", f"r{i}", f"q{i}", f"p{i}"):
-            roles[aux] = ROLE_AUX
-        edges.extend((cycle[k], cycle[(k + 1) % 6]) for k in range(6))
-
-
-def _five_gadget_part(inst: CnfInstance, labels: list[str], edges: list[Edge], roles: dict[str, str]) -> None:
-    # 5-vertex gadget: edges u-v, u-q, nu-v, v-p, p-q, nu-q per variable
-    for i in range(1, inst.num_vars + 1):
-        u, nu, v, p, q = f"u{i}", f"nu{i}", f"v{i}", f"p{i}", f"q{i}"
-        labels.extend((u, nu, v, p, q))
-        roles[u] = ROLE_LITERAL_POS
-        roles[nu] = ROLE_LITERAL_NEG
-        roles[v] = roles[p] = roles[q] = ROLE_AUX
-        edges.extend(((u, v), (u, q), (nu, v), (v, p), (p, q), (nu, q)))
+        roles[f"c{j}"] = ROLE_CLAUSE
+        edges.extend((f"c{j}", _literal_label(lit)) for lit in clause)
+    roles.update(dict.fromkeys(anchor, ROLE_ANCHOR))
+    edges.extend(anchor_edges)
+    edges.extend((f"c{j}", s) for j in range(1, inst.num_clauses + 1) for s in joined)
+    return ReductionOutput(kind, Graph(roles, edges), roles, inst.num_vars, inst.num_clauses, inst)
 
 
 def build_bondage(inst: CnfInstance) -> ReductionOutput:
@@ -129,19 +159,7 @@ def build_bondage(inst: CnfInstance) -> ReductionOutput:
     Hexagons per variable, clause vertices, and a 3-vertex path anchor
     whose endpoints are joined to every clause vertex.
     """
-    labels: list[str] = []
-    edges: list[Edge] = []
-    roles: dict[str, str] = {}
-    _hexagon_part(inst, labels, edges, roles)
-    _clause_part(inst, labels, edges, roles)
-    labels.extend(("s1", "s2", "s3"))
-    roles["s1"] = roles["s2"] = roles["s3"] = ROLE_ANCHOR
-    edges.extend((("s1", "s2"), ("s2", "s3")))
-    for j in range(1, inst.num_clauses + 1):
-        edges.extend(((f"c{j}", "s1"), (f"c{j}", "s3")))
-    return ReductionOutput(
-        ReductionKind.BONDAGE, Graph(labels, edges), roles, inst.num_vars, inst.num_clauses, inst
-    )
+    return build(ReductionKind.BONDAGE, inst)
 
 
 def build_total_bondage(inst: CnfInstance) -> ReductionOutput:
@@ -150,22 +168,7 @@ def build_total_bondage(inst: CnfInstance) -> ReductionOutput:
     5-vertex gadgets per variable, clause vertices, and a 6-vertex
     anchor whose s1/s3 are joined to every clause vertex.
     """
-    labels: list[str] = []
-    edges: list[Edge] = []
-    roles: dict[str, str] = {}
-    _five_gadget_part(inst, labels, edges, roles)
-    _clause_part(inst, labels, edges, roles)
-    labels.extend(f"s{k}" for k in range(1, 7))
-    for k in range(1, 7):
-        roles[f"s{k}"] = ROLE_ANCHOR
-    edges.extend(
-        (("s1", "s2"), ("s1", "s4"), ("s2", "s3"), ("s2", "s5"), ("s3", "s4"), ("s4", "s5"), ("s5", "s6"))
-    )
-    for j in range(1, inst.num_clauses + 1):
-        edges.extend(((f"c{j}", "s1"), (f"c{j}", "s3")))
-    return ReductionOutput(
-        ReductionKind.TOTAL_BONDAGE, Graph(labels, edges), roles, inst.num_vars, inst.num_clauses, inst
-    )
+    return build(ReductionKind.TOTAL_BONDAGE, inst)
 
 
 def build_reinforcement(inst: CnfInstance) -> ReductionOutput:
@@ -174,17 +177,7 @@ def build_reinforcement(inst: CnfInstance) -> ReductionOutput:
     Hexagons per variable, clause vertices, and a single apex vertex
     joined to every clause vertex.
     """
-    labels: list[str] = []
-    edges: list[Edge] = []
-    roles: dict[str, str] = {}
-    _hexagon_part(inst, labels, edges, roles)
-    _clause_part(inst, labels, edges, roles)
-    labels.append("s")
-    roles["s"] = ROLE_ANCHOR
-    edges.extend((f"c{j}", "s") for j in range(1, inst.num_clauses + 1))
-    return ReductionOutput(
-        ReductionKind.REINFORCEMENT, Graph(labels, edges), roles, inst.num_vars, inst.num_clauses, inst
-    )
+    return build(ReductionKind.REINFORCEMENT, inst)
 
 
 def build_total_reinforcement(inst: CnfInstance) -> ReductionOutput:
@@ -193,28 +186,7 @@ def build_total_reinforcement(inst: CnfInstance) -> ReductionOutput:
     5-vertex gadgets per variable, clause vertices, and a 3-vertex path
     anchor whose first vertex is joined to every clause vertex.
     """
-    labels: list[str] = []
-    edges: list[Edge] = []
-    roles: dict[str, str] = {}
-    _five_gadget_part(inst, labels, edges, roles)
-    _clause_part(inst, labels, edges, roles)
-    labels.extend(("s1", "s2", "s3"))
-    roles["s1"] = roles["s2"] = roles["s3"] = ROLE_ANCHOR
-    edges.extend((("s1", "s2"), ("s2", "s3")))
-    edges.extend((f"c{j}", "s1") for j in range(1, inst.num_clauses + 1))
-    return ReductionOutput(
-        ReductionKind.TOTAL_REINFORCEMENT, Graph(labels, edges), roles, inst.num_vars, inst.num_clauses, inst
-    )
-
-
-def build(kind: ReductionKind | str, inst: CnfInstance) -> ReductionOutput:
-    builder = {
-        ReductionKind.BONDAGE: build_bondage,
-        ReductionKind.TOTAL_BONDAGE: build_total_bondage,
-        ReductionKind.REINFORCEMENT: build_reinforcement,
-        ReductionKind.TOTAL_REINFORCEMENT: build_total_reinforcement,
-    }[ReductionKind(kind)]
-    return builder(inst)
+    return build(ReductionKind.TOTAL_REINFORCEMENT, inst)
 
 
 @dataclass(frozen=True)
@@ -241,10 +213,12 @@ def assignment_to_witness(out: ReductionOutput, assignment: Assignment) -> Gadge
     edge s2-to-literal).  The added edge always ends at the chosen
     literal vertex of variable 1, the lowest-index true literal.
     """
-    if not evaluate(out.instance, assignment):
-        raise UnsatisfyingAssignmentError("assignment does not satisfy the instance")
     n = out.num_vars
     kind = out.kind
+    if n == 0 and kind in (ReductionKind.REINFORCEMENT, ReductionKind.TOTAL_REINFORCEMENT):
+        raise TooFewVariablesError(f"{kind.value} needs an instance with at least 1 variable, got {n}")
+    if not evaluate(out.instance, assignment):
+        raise UnsatisfyingAssignmentError("assignment does not satisfy the instance")
     chosen: set[str] = set()
     if kind in (ReductionKind.BONDAGE, ReductionKind.REINFORCEMENT):
         for i in range(1, n + 1):
@@ -252,20 +226,14 @@ def assignment_to_witness(out: ReductionOutput, assignment: Assignment) -> Gadge
         if kind is ReductionKind.BONDAGE:
             chosen.add("s2")
             return GadgetWitness(frozenset(chosen), None)
-        if n == 0:
-            raise KindMismatchError("reinforcement witness needs at least one variable")
         return GadgetWitness(frozenset(chosen), normalize_edge("s", _chosen_literal(1, assignment[1])))
-    if kind in (ReductionKind.TOTAL_BONDAGE, ReductionKind.TOTAL_REINFORCEMENT):
-        chosen.update(_chosen_literal(i, assignment[i]) for i in range(1, n + 1))
-        chosen.update(f"v{i}" for i in range(1, n + 1))
-        chosen.add("s2")
-        if kind is ReductionKind.TOTAL_BONDAGE:
-            chosen.add("s5")
-            return GadgetWitness(frozenset(chosen), None)
-        if n == 0:
-            raise KindMismatchError("total reinforcement witness needs at least one variable")
-        return GadgetWitness(frozenset(chosen), normalize_edge("s2", _chosen_literal(1, assignment[1])))
-    raise KindMismatchError(f"unknown reduction kind {kind!r}")
+    chosen.update(_chosen_literal(i, assignment[i]) for i in range(1, n + 1))
+    chosen.update(f"v{i}" for i in range(1, n + 1))
+    chosen.add("s2")
+    if kind is ReductionKind.TOTAL_BONDAGE:
+        chosen.add("s5")
+        return GadgetWitness(frozenset(chosen), None)
+    return GadgetWitness(frozenset(chosen), normalize_edge("s2", _chosen_literal(1, assignment[1])))
 
 
 def witness_to_assignment(out: ReductionOutput, vertex_set: frozenset[str] | set[str]) -> Assignment:

@@ -308,6 +308,8 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
     n = inst.num_vars
     assignment = solve_sat(inst)
     sat = assignment is not None
+    # Before any search: it rejects an instance the kind cannot witness.
+    witness = assignment_to_witness(out, assignment) if sat else None
     yes_no = "yes" if sat else "no"
     claims: list[ClaimCheck] = []
     exact = 2 * n + 1 + total
@@ -363,8 +365,7 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
         else:
             claims.append(_augmented_set_claim(out, total, param))
 
-    if sat:
-        witness = assignment_to_witness(out, assignment)
+    if witness is not None:
         size = exact if removal else exact - 1
         target = g if removal else g.add_edges([witness.added_edge])
         dominating = dominates(target, witness.vertices)

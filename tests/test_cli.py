@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 
@@ -237,3 +238,20 @@ class TestErrors:
         code, _, err = run(capsys, "fuzz", "--kind", "bondage", "-n", "2", "-m", "2", "--trials", "1")
         assert code == 2
         assert "error:" in err
+
+    def test_verify_reinforcement_kinds_reject_zero_variables(self, capsys, monkeypatch):
+        verify_module = importlib.import_module("domkit.verify")
+        searched = []
+        for name in ("reinforcement_number", "total_reinforcement_number"):
+            monkeypatch.setattr(verify_module, name, lambda *a, name=name, **kw: searched.append(name))
+        for kind in ("reinforcement", "total-reinforcement"):
+            monkeypatch.setattr("sys.stdin", io.StringIO("p cnf 0 0\n"))
+            code, out, err = run(capsys, "verify", "--kind", kind, "-")
+            assert code == 2 and out == ""
+            assert err == f"error: {kind} needs an instance with at least 1 variable, got 0\n"
+        assert searched == []
+        for kind in ("bondage", "total-bondage"):
+            monkeypatch.setattr("sys.stdin", io.StringIO("p cnf 0 0\n"))
+            code, out, _ = run(capsys, "verify", "--kind", kind, "-")
+            assert code == 0
+            assert out.endswith("result: PASS\n")

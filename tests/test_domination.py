@@ -8,6 +8,7 @@ from domkit.domination import (
     BudgetExceededError,
     IsolatedVertexError,
     _branch,
+    _exists_cover,
     domination_number,
     enumerate_minimum_sets,
     has_dominating_set_within,
@@ -231,3 +232,48 @@ class TestBranchStep:
             assert 1 <= need <= smallest
             checked += 1
         assert checked > 200 and pruned > 20
+
+
+class TestStartingMasks:
+    """The decide search from nonzero starting masks against brute force.
+
+    ``dominated`` and ``banned`` are how the perturbation deciders start
+    a search part-way; the public entry points always pass zero.
+    """
+
+    def test_matches_brute_force(self):
+        rng = random.Random(5)
+        hits = misses = 0
+        for trial in range(400):
+            n = rng.randint(1, 10)
+            g = random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
+            adj = g.adjacency_masks()
+            closed = trial % 2 == 0
+            cover = tuple(mask | (1 << v) if closed else mask for v, mask in enumerate(adj))
+            full = (1 << n) - 1
+            dominated = sum(1 << v for v in range(n) if rng.random() < 0.3) or 1 << rng.randrange(n)
+            banned = sum(1 << v for v in range(n) if rng.random() < 0.25) or 1 << rng.randrange(n)
+            pool = [u for u in range(n) if not banned >> u & 1]
+
+            def covers(picks):
+                reached = dominated
+                for u in picks:
+                    reached |= cover[u]
+                return reached == full
+
+            smallest = next(
+                (k for k in range(len(pool) + 1) if any(covers(picks) for picks in combinations(pool, k))),
+                None,
+            )
+            for limit in range(n + 2):
+                got = _exists_cover(cover, full, limit, dominated, banned)
+                if smallest is None or smallest > limit:
+                    assert got is None, (trial, limit)
+                    misses += 1
+                    continue
+                assert got is not None, (trial, limit)
+                assert len(got) <= limit
+                assert not any(banned >> u & 1 for u in got)
+                assert covers(got)
+                hits += 1
+        assert hits > 500 and misses > 500
