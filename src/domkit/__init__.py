@@ -45,10 +45,6 @@ from .verify import (
     VerificationReport,
     fuzz,
     verify,
-    verify_bondage,
-    verify_reinforcement,
-    verify_total_bondage,
-    verify_total_reinforcement,
 )
 
 __version__ = "0.1.0"
@@ -87,9 +83,5 @@ __all__ = [
     "total_domination_number",
     "total_reinforcement_number",
     "verify",
-    "verify_bondage",
-    "verify_reinforcement",
-    "verify_total_bondage",
-    "verify_total_reinforcement",
     "witness_to_assignment",
 ]

@@ -206,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="verify many random instances")
     p.add_argument("--kind", required=True, choices=_KINDS)
     p.add_argument("-n", "--num-vars", type=int, required=True)
-    p.add_argument("-m", "--num-clauses", type=int, required=True)
+    p.add_argument("-m", "--num-clauses", type=_count, required=True)
     p.add_argument("--trials", type=_count, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deep", action="store_true")

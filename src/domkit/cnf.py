@@ -230,10 +230,13 @@ def random_instance(num_vars: int, num_clauses: int, seed: int) -> CnfInstance:
     """A uniform random instance, deterministic in the seed.
 
     Each clause picks 3 distinct variables uniformly, then signs each
-    uniformly.  Requires at least 3 variables.
+    uniformly.  Requires at least 3 variables and a non-negative clause
+    count.
     """
     if num_vars < 3:
         raise TooFewVariablesError(f"need at least 3 variables, got {num_vars}")
+    if num_clauses < 0:
+        raise CnfError(f"number of clauses must be non-negative, got {num_clauses}")
     rng = random.Random(seed)
     clauses = []
     for _ in range(num_clauses):

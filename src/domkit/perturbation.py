@@ -7,10 +7,9 @@ are tried in ascending cardinality and, within one size, in
 lexicographic order of the normalized edge list, so witnesses are
 deterministic and the first hit is provably minimum.
 
-Removals and single-edge additions, all that ``verify`` asks for, get
-no graph copy.  Each is decided on the cover bitmasks of the
-unperturbed graph, adjusted at the candidate's endpoints, and the
-searches reuse what earlier searches found:
+No candidate set gets a graph copy.  Each is decided on the cover
+bitmasks of the unperturbed graph, with the candidate's edges toggled
+at their endpoints, and the searches reuse what earlier searches found:
 
   * Removals (``RemovalSearch``).  A cover of G - R is also a cover of
     G, and it still covers G - R' unless an endpoint of R' loses its
@@ -28,8 +27,8 @@ searches reuse what earlier searches found:
     one search from an already-dominated mask with the endpoint forced
     in, gated by a memoised per-vertex search ("some such set misses
     only x"); every set found also settles the other edges into x from
-    its members.  Additions of two or more edges are each decided on a
-    copy of the graph.
+    its members.  A set of two or more added edges is decided by one
+    search on the cover masks with those edges joined.
 
 Result encoding: ``value`` is the parameter when a witness exists, 0
 when the parameter cannot be realized by any edge set (reinforcement of
@@ -42,9 +41,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .domination import (
+# ``perfbench/tracing.py`` wraps the ``has_*_within`` names here while it
+# runs, so they stay imported although nothing here calls them.
+from .domination import (  # noqa: F401
     _cover_masks,
     _exists_cover,
     domination_number,
@@ -89,6 +90,18 @@ def _bits(indices: Iterable[int]) -> int:
     return mask
 
 
+def _toggled(g: Graph, cover: tuple[int, ...], edges: Iterable[Edge]) -> tuple[list[int], list[int]]:
+    """``cover`` with ``edges`` removed if present, joined if absent; and their endpoints."""
+    masks = list(cover)
+    touched: list[int] = []
+    for a, b in edges:
+        i, j = g.index_of(a), g.index_of(b)
+        masks[i] ^= 1 << j
+        masks[j] ^= 1 << i
+        touched += (i, j)
+    return masks, touched
+
+
 class RemovalSearch:
     """Decides whether G - R keeps a (total) dominating set of at most ``limit`` vertices.
 
@@ -112,13 +125,7 @@ class RemovalSearch:
         (an isolated vertex, in the total variant): such sets do not
         qualify as candidates.
         """
-        cover = list(self._cover)
-        touched: list[int] = []
-        for a, b in edges:
-            i, j = self._graph.index_of(a), self._graph.index_of(b)
-            cover[i] &= ~(1 << j)
-            cover[j] &= ~(1 << i)
-            touched += (i, j)
+        cover, touched = _toggled(self._graph, self._cover, edges)
         if any(cover[i] == 0 for i in touched):
             return None
         for chosen in reversed(self._kept):
@@ -140,11 +147,12 @@ class RemovalSearch:
 
 
 class AdditionSearch:
-    """Decides whether G + uv has a (total) dominating set of at most ``limit`` vertices.
+    """Decides whether G plus missing edges has a (total) dominating set within ``limit``.
 
-    ``base`` is the unperturbed parameter.  An added edge lowers the
+    ``base`` is the unperturbed parameter.  Each added edge lowers the
     domination number by at most 1 and the total domination number by
-    at most 2, so only limits in that window reach a search.
+    at most 2, so only limits in that window reach a search: the
+    forced-endpoint test for one edge, the joined cover masks for more.
     """
 
     def __init__(self, g: Graph, total: bool, base: int):
@@ -181,13 +189,17 @@ class AdditionSearch:
         self._partners[key] = partners | (_bits(found) | 1 << u) & ~(1 << x)
         return True
 
-    def covers_after(self, edge: Edge, limit: int) -> bool:
-        """Whether G plus the missing ``edge`` has a cover of at most ``limit`` vertices."""
+    def covers_after(self, edges: tuple[Edge, ...], limit: int) -> bool:
+        """Whether G plus the missing ``edges`` has a cover of at most ``limit`` vertices."""
         if limit >= self._base:
             return True
-        if limit < max(1, self._base - (2 if self._total else 1)):
+        if limit < max(1, self._base - len(edges) * (2 if self._total else 1)):
             return False
-        u, v = self._graph.index_of(edge[0]), self._graph.index_of(edge[1])
+        if len(edges) > 1:
+            cover, _ = _toggled(self._graph, self._cover, edges)
+            return _exists_cover(tuple(cover), self._full, limit) is not None
+        (a, b), = edges
+        u, v = self._graph.index_of(a), self._graph.index_of(b)
         if self._misses_only(u, v, limit) or self._misses_only(v, u, limit):
             return True
         if not self._total or limit < 2:
@@ -199,44 +211,29 @@ class AdditionSearch:
         return self._search(limit - 2, near | 1 << u | 1 << v, near) is not None
 
 
-def _resolve_max_k(g: Graph, max_k: int | None, space_size: int) -> int:
-    # Default switches to a depth-2 cap once exhaustive search over all
-    # edge subsets stops being a desk-scale affair.
-    if max_k is not None:
-        return max_k
-    return space_size if g.num_edges <= 12 else 2
+def _first_hit(g: Graph, base: int, candidates: list[Edge], max_k: int | None, hit: Callable) -> PerturbResult:
+    """The first candidate set, by size and then lexicographically, that ``hit`` accepts."""
+    if max_k is None:  # every size while an exhaustive scan stays desk-scale
+        max_k = len(candidates) if g.num_edges <= 12 else 2
+    for k in range(1, min(max_k, len(candidates)) + 1):
+        for subset in combinations(candidates, k):
+            if hit(subset):
+                return PerturbResult(k, subset, base)
+    return PerturbResult(None, None, base)
 
 
 def _removal_number(g: Graph, total: bool, max_k: int | None) -> PerturbResult:
     start = total_domination_number(g) if total else domination_number(g)
-    base = start.value
-    search = RemovalSearch(g, total, base, kept=[start.witness])
-    candidates = sorted(g.edges)
-    limit = min(_resolve_max_k(g, max_k, len(candidates)), len(candidates))
-    for k in range(1, limit + 1):
-        for subset in combinations(candidates, k):
-            if search.covers_after(subset) is False:
-                return PerturbResult(k, subset, base)
-    return PerturbResult(None, None, base)
+    search = RemovalSearch(g, total, start.value, kept=[start.witness])
+    return _first_hit(g, start.value, sorted(g.edges), max_k, lambda edges: search.covers_after(edges) is False)
 
 
 def _addition_number(g: Graph, total: bool, max_k: int | None) -> PerturbResult:
     base = (total_domination_number(g) if total else domination_number(g)).value
     if base <= (2 if total else 1):
         return PerturbResult(0, None, base)
-    candidates = g.complement_edges()
-    limit = min(_resolve_max_k(g, max_k, len(candidates)), len(candidates))
-    if limit >= 1:
-        search = AdditionSearch(g, total, base)
-        for edge in candidates:
-            if search.covers_after(edge, base - 1):
-                return PerturbResult(1, (edge,), base)
-    within = has_total_dominating_set_within if total else has_dominating_set_within
-    for k in range(2, limit + 1):
-        for subset in combinations(candidates, k):
-            if within(g.add_edges(subset), base - 1):
-                return PerturbResult(k, subset, base)
-    return PerturbResult(None, None, base)
+    search = AdditionSearch(g, total, base)
+    return _first_hit(g, base, g.complement_edges(), max_k, lambda edges: search.covers_after(edges, base - 1))
 
 
 def bondage_number(g: Graph, max_k: int | None = None) -> PerturbResult:

@@ -240,7 +240,7 @@ def _augmented_set_claim(out: ReductionOutput, total: bool, param: int) -> Claim
     try:
         for edge in g.complement_edges():
             # exactly one below: one added edge can lower gamma_t by 2
-            if not additions.covers_after(edge, target) or additions.covers_after(edge, target - 1):
+            if not additions.covers_after((edge,), target) or additions.covers_after((edge,), target - 1):
                 continue
             augmenting += 1
             for chosen in enumerate_minimum_sets(g.add_edges([edge]), total=total):
@@ -387,22 +387,6 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
         kind, n, inst.num_clauses, sat, param_name, param,
         pert_name, pert.value, deep_checked, elapsed, claims,
     )
-
-
-def verify_bondage(inst: CnfInstance, deep: bool = False) -> VerificationReport:
-    return verify(ReductionKind.BONDAGE, inst, deep)
-
-
-def verify_total_bondage(inst: CnfInstance, deep: bool = False) -> VerificationReport:
-    return verify(ReductionKind.TOTAL_BONDAGE, inst, deep)
-
-
-def verify_reinforcement(inst: CnfInstance, deep: bool = False) -> VerificationReport:
-    return verify(ReductionKind.REINFORCEMENT, inst, deep)
-
-
-def verify_total_reinforcement(inst: CnfInstance, deep: bool = False) -> VerificationReport:
-    return verify(ReductionKind.TOTAL_REINFORCEMENT, inst, deep)
 
 
 def _fuzz_trial(args: tuple) -> VerificationReport:

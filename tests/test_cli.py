@@ -227,6 +227,11 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "error:" in err and "--trials" in err
 
+    def test_negative_clause_count(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--kind", "bondage", "-n", "3", "-m", "-5", "--trials", "2")
+        assert code == 2 and out == ""
+        assert "error:" in err and "--num-clauses" in err
+
     def test_negative_jobs(self, capsys):
         code, out, err = run(
             capsys, "fuzz", "--kind", "bondage", "-n", "3", "-m", "2", "--trials", "1", "--jobs", "-4"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from conftest import FIG_DIMACS
 from domkit.cnf import (
     ClauseArityError,
+    CnfError,
     CnfInstance,
     DimacsSyntaxError,
     PartialAssignmentError,
@@ -158,3 +159,7 @@ class TestRandomInstance:
     def test_too_few_variables(self):
         with pytest.raises(TooFewVariablesError):
             random_instance(2, 1, 0)
+
+    def test_negative_clause_count(self):
+        with pytest.raises(CnfError, match="non-negative"):
+            random_instance(3, -5, 0)

@@ -213,8 +213,11 @@ def test_witnesses_match_reference_scan():
 
     Gadgets of a satisfiable and an unsatisfiable instance put both
     directions of the "perturbation is 1 iff satisfiable" claims through
-    the solvers.  On the unsatisfiable gadget additions stop at one edge:
-    a two-edge addition scan there tries ~90,000 sets.
+    the solvers.  On the unsatisfiable gadget total reinforcement runs
+    up to two edges, which also puts the joined-mask search of edge
+    pairs against the copied graphs.  Plain reinforcement stops at one
+    edge there: its two-edge scan tries ~90,000 sets, ~25 s for both
+    sides.
     """
 
     def check(g, kind, max_k):
@@ -233,11 +236,11 @@ def test_witnesses_match_reference_scan():
     instances = [random_instance(3, 13, seed) for seed in range(20)]
     sat = next(inst for inst in instances if brute_solve(inst) is not None)
     unsat = next(inst for inst in instances if brute_solve(inst) is None)
-    for inst, max_ks in ((sat, (1, 2, None)), (unsat, (1,))):
-        for kind in SOLVERS:
-            g = build(kind, inst).graph
-            for max_k in (1, 2, None) if kind.endswith("bondage") else max_ks:
-                check(g, kind, max_k)
+    for kind in SOLVERS:
+        for max_k in (1, 2, None):
+            check(build(kind, sat).graph, kind, max_k)
+        for max_k in {"reinforcement": (1,), "total-reinforcement": (1, 2)}.get(kind, (1, 2, None)):
+            check(build(kind, unsat).graph, kind, max_k)
 
 
 def test_single_edge_searches_match_graph_copies():
@@ -264,9 +267,30 @@ def test_single_edge_searches_match_graph_copies():
             for edge in g.complement_edges():
                 for limit in range(base - 3, base + 1):
                     expected = within(g.add_edges([edge]), limit)
-                    assert additions.covers_after(edge, limit) == expected, (total, edge, limit, g.edges)
+                    assert additions.covers_after((edge,), limit) == expected, (total, edge, limit, g.edges)
             for edge in sorted(g.edges):
                 reduced = g.remove_edges([edge])
                 for limit, search in removals:
                     expected = None if total and reduced.isolated_vertices() else within(reduced, limit)
                     assert search.covers_after([edge]) == expected, (total, edge, limit, g.edges)
+
+
+def test_edge_pair_additions_match_graph_copies():
+    """Every pair of missing edges and every limit, decided on joined masks, equals a copied-graph search.
+
+    The first-hit scans stop at the first pair that lowers the parameter;
+    this also runs through the pairs after it and the limits around it.
+    """
+    rng = random.Random(2003)
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(3, 9), rng.uniform(0.2, 0.7))
+        for total in (False, True):
+            if total and g.isolated_vertices():
+                continue
+            within = has_total_dominating_set_within if total else has_dominating_set_within
+            base = (total_domination_number(g) if total else domination_number(g)).value
+            additions = AdditionSearch(g, total, base)
+            for pair in combinations(g.complement_edges(), 2):
+                joined = g.add_edges(pair)
+                for limit in range(base - 3, base + 1):
+                    assert additions.covers_after(pair, limit) == within(joined, limit), (total, pair, limit, g.edges)
