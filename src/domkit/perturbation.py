@@ -12,13 +12,26 @@ bitmasks of the unperturbed graph, with the candidate's edges toggled
 at their endpoints, and the searches reuse what earlier searches found:
 
   * Removals (``RemovalSearch``).  A cover of G - R is also a cover of
-    G, and it still covers G - R' unless an endpoint of R' loses its
-    last dominator in it, which is one mask test per endpoint.  Every
-    cover a search finds is kept, and a candidate that some kept cover
-    survives is not a hit, so it gets no search at all (the witness
-    argument of Bauer, Harary, Nieminen and Suffel, 1983).  Below the
-    limit, a kept cover plus one dominator for each endpoint it lost
-    settles the candidate the same way.
+    G, and a cover C of G survives the removal of R exactly when R
+    holds no vertex's *dominator edges* E_v(C), the edges from v to its
+    dominators in C (in the closed variant a vertex of C dominates
+    itself and has none to lose).  Every cover a search finds is kept,
+    and a candidate that some kept cover survives is not a hit, so it
+    gets no search at all (the witness argument of Bauer, Harary,
+    Nieminen and Suffel, 1983).  For one or two edges only dominator-edge
+    sets of one or two edges matter, so each kept cover is summarised
+    by bits over the edges: its *fragile* edges (the lone dominator edge
+    of some vertex) and its *fragile pairs* (the two dominator edges of
+    a vertex with exactly two).  A cover settles an edge it does not
+    hold as fragile, and a pair of edges neither of which it holds as
+    fragile and which it does not hold as a fragile pair; so the scans
+    settle all single edges, or all partners of a first edge, with one
+    AND per cover.  A candidate that isolates a vertex is never settled,
+    since it holds all that vertex's dominator edges in every cover.
+    Only the candidates left open get the toggled masks: the isolation
+    test, the covers kept since, then, below the limit, a kept cover
+    plus one dominator for each endpoint it lost, and only then a
+    search.
   * Single-edge additions (``AdditionSearch``).  A set S smaller than
     the parameter does not dominate G, so it can dominate G + uv only
     through the new edge: S holds u and misses at most v in G, or the
@@ -53,7 +66,7 @@ from .domination import (  # noqa: F401
     has_total_dominating_set_within,
     total_domination_number,
 )
-from .graph import Edge, Graph
+from .graph import Edge, Graph, iter_bits
 
 
 class EmptyGraphError(ValueError):
@@ -106,7 +119,10 @@ class RemovalSearch:
     """Decides whether G - R keeps a (total) dominating set of at most ``limit`` vertices.
 
     ``kept`` seeds the store of known covers of G; those within the
-    limit are kept, and every cover a search finds joins them.
+    limit are kept, and every cover a search finds joins them.  For the
+    scans, ``open_after`` settles whole rows of candidates at once from
+    each kept cover's fragile edges and fragile pairs (see the module
+    docstring), worked out the first time a row needs the cover.
     """
 
     def __init__(self, g: Graph, total: bool, limit: int, kept: Iterable[Iterable[str]] = ()):
@@ -117,6 +133,53 @@ class RemovalSearch:
         # A seeded cover larger than the limit proves nothing about it.
         seeds = (_bits(g.index_of(v) for v in chosen) for chosen in kept)
         self._kept = [mask for mask in seeds if mask.bit_count() <= limit]
+        # Edge numbers, as positions in ``sorted(g.edges)``, by endpoint indices in either order.
+        self._edge_ids: dict[tuple[int, int], int] = {}
+        for e, (a, b) in enumerate(sorted(g.edges)):
+            i, j = g.index_of(a), g.index_of(b)
+            self._edge_ids[i, j] = self._edge_ids[j, i] = e
+        # Per kept cover, in the same order: its fragile edges, and for each
+        # edge the edges it forms a fragile pair with.
+        self._fragile: list[tuple[int, dict[int, int]]] = []
+
+    def _summaries(self) -> list[tuple[int, dict[int, int]]]:
+        """Fragile edges and pairs of each kept cover, brought up to date."""
+        ids = self._edge_ids
+        for chosen in self._kept[len(self._fragile):]:
+            fragile = 0
+            mates: dict[int, int] = {}
+            for v, mask in enumerate(self._cover):
+                doms = mask & chosen
+                if doms >> v & 1:  # held by a closed cover: dominates itself
+                    continue
+                first = doms.bit_length() - 1
+                rest = doms ^ 1 << first
+                if not rest:
+                    fragile |= 1 << ids[v, first]
+                elif not rest & rest - 1:
+                    e, f = ids[v, first], ids[v, rest.bit_length() - 1]
+                    mates[e] = mates.get(e, 0) | 1 << f
+                    mates[f] = mates.get(f, 0) | 1 << e
+            self._fragile.append((fragile, mates))
+        return self._fragile
+
+    def open_after(self, prefix: tuple[int, ...]) -> int:
+        """Bits of the edges that no kept cover yet settles when removed along with ``prefix``.
+
+        Edges are numbered by their position in ``sorted(g.edges)``.  A
+        settled edge set keeps a cover within the limit, so it is not
+        a hit.  Only prefixes of at most one edge are looked at;
+        after a longer one, every edge is open (-1).
+        """
+        if len(prefix) > 1:
+            return -1
+        still = -1
+        for fragile, mates in self._summaries():
+            if not prefix:
+                still &= fragile
+            elif not fragile >> prefix[0] & 1:
+                still &= fragile | mates.get(prefix[0], 0)
+        return still
 
     def covers_after(self, edges: Iterable[Edge]) -> bool | None:
         """Whether G minus ``edges`` has a cover within the limit.
@@ -165,6 +228,10 @@ class AdditionSearch:
         # vertices that dominate everything but x; None when no such set exists
         self._partners: dict[tuple[int, int], int | None] = {}
 
+    def open_after(self, prefix: tuple[int, ...]) -> int:
+        """Every candidate is open: additions are settled only by ``covers_after``."""
+        return -1
+
     def _search(self, limit: int, dominated: int, banned: int) -> list[int] | None:
         return _exists_cover(self._cover, self._full, limit, dominated, banned)
 
@@ -211,21 +278,42 @@ class AdditionSearch:
         return self._search(limit - 2, near | 1 << u | 1 << v, near) is not None
 
 
-def _first_hit(g: Graph, base: int, candidates: list[Edge], max_k: int | None, hit: Callable) -> PerturbResult:
-    """The first candidate set, by size and then lexicographically, that ``hit`` accepts."""
+def _first_hit(
+    g: Graph,
+    base: int,
+    candidates: list[Edge],
+    max_k: int | None,
+    open_after: Callable[[tuple[int, ...]], int],
+    hit: Callable[[tuple[Edge, ...]], bool],
+) -> PerturbResult:
+    """The first candidate set, by size and then lexicographically, that ``hit`` accepts.
+
+    A set of k candidates is a prefix of k - 1 and one later candidate;
+    ``open_after(prefix)`` gives, as bits over the candidate positions,
+    the last candidates that are not already known to miss (-1: all).
+    """
+    count = len(candidates)
     if max_k is None:  # every size while an exhaustive scan stays desk-scale
-        max_k = len(candidates) if g.num_edges <= 12 else 2
-    for k in range(1, min(max_k, len(candidates)) + 1):
-        for subset in combinations(candidates, k):
-            if hit(subset):
-                return PerturbResult(k, subset, base)
+        max_k = count if g.num_edges <= 12 else 2
+    for k in range(1, min(max_k, count) + 1):
+        for prefix in combinations(range(count), k - 1):
+            head = tuple(candidates[i] for i in prefix)
+            first = prefix[-1] + 1 if prefix else 0
+            still = open_after(prefix)
+            lasts = range(first, count) if still == -1 else iter_bits(still & ((1 << count) - (1 << first)))
+            for last in lasts:
+                subset = head + (candidates[last],)
+                if hit(subset):
+                    return PerturbResult(k, subset, base)
     return PerturbResult(None, None, base)
 
 
 def _removal_number(g: Graph, total: bool, max_k: int | None) -> PerturbResult:
     start = total_domination_number(g) if total else domination_number(g)
     search = RemovalSearch(g, total, start.value, kept=[start.witness])
-    return _first_hit(g, start.value, sorted(g.edges), max_k, lambda edges: search.covers_after(edges) is False)
+    return _first_hit(
+        g, start.value, sorted(g.edges), max_k, search.open_after, lambda edges: search.covers_after(edges) is False
+    )
 
 
 def _addition_number(g: Graph, total: bool, max_k: int | None) -> PerturbResult:
@@ -233,7 +321,9 @@ def _addition_number(g: Graph, total: bool, max_k: int | None) -> PerturbResult:
     if base <= (2 if total else 1):
         return PerturbResult(0, None, base)
     search = AdditionSearch(g, total, base)
-    return _first_hit(g, base, g.complement_edges(), max_k, lambda edges: search.covers_after(edges, base - 1))
+    return _first_hit(
+        g, base, g.complement_edges(), max_k, search.open_after, lambda edges: search.covers_after(edges, base - 1)
+    )
 
 
 def bondage_number(g: Graph, max_k: int | None = None) -> PerturbResult:

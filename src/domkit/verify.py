@@ -276,9 +276,11 @@ def _removal_sweep(
     edges swept).
     """
     search = RemovalSearch(g, total, bound, kept=[witness])
+    still = search.open_after(())
     swept = 0
-    for edge in sorted(g.edges):
-        within = search.covers_after([edge])
+    for e, edge in enumerate(sorted(g.edges)):
+        # Edges the kept covers settle stay within the bound; the rest are decided one by one.
+        within = search.covers_after([edge]) if still >> e & 1 else True
         if within is None:
             continue
         swept += 1
@@ -412,7 +414,7 @@ def fuzz(
     separate processes; reports stay ordered by trial index.
     """
     kind = ReductionKind(kind)
-    if trials and num_vars < 3:
+    if num_vars < 3:
         raise TooFewVariablesError(f"need at least 3 variables, got {num_vars}")
     rng = random.Random(seed)
     trial_args = [(kind, num_vars, num_clauses, rng.randrange(2**32), deep) for _ in range(trials)]

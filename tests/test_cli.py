@@ -244,6 +244,11 @@ class TestErrors:
         assert code == 2
         assert "error:" in err
 
+    def test_fuzz_too_few_variables_without_trials(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--kind", "bondage", "-n", "-4", "-m", "3", "--trials", "0")
+        assert code == 2 and out == ""
+        assert err == "error: need at least 3 variables, got -4\n"
+
     def test_verify_reinforcement_kinds_reject_zero_variables(self, capsys, monkeypatch):
         verify_module = importlib.import_module("domkit.verify")
         searched = []

@@ -275,6 +275,45 @@ def test_single_edge_searches_match_graph_copies():
                     assert search.covers_after([edge]) == expected, (total, edge, limit, g.edges)
 
 
+
+def test_edge_pair_removals_match_graph_copies():
+    """Every pair of edges and every limit, decided on masks, equals a copied-graph search.
+
+    One search per limit runs through all pairs, as the scans do but
+    past the first hit.  Before the pairs with a first edge e, the
+    search's fragile-edge masks mark which edges, alone and after e,
+    its kept covers settle; every edge set they settle must keep a
+    cover within the limit.
+    """
+    rng = random.Random(1983)
+    for _ in range(250):
+        g = random_graph(rng, rng.randint(3, 9), rng.uniform(0.2, 0.7))
+        for total in (False, True):
+            if total and g.isolated_vertices():
+                continue
+            within = has_total_dominating_set_within if total else has_dominating_set_within
+            start = total_domination_number(g) if total else domination_number(g)
+            base = start.value
+            removals = [(limit, RemovalSearch(g, total, limit)) for limit in range(base - 1, base + 2)]
+            # seeded below and above its limit, as in the single-edge test
+            removals.append((base + 1, RemovalSearch(g, total, base + 1, kept=[start.witness])))
+            removals.append((base - 1, RemovalSearch(g, total, base - 1, kept=[start.witness])))
+            edges = sorted(g.edges)
+            for e, first in enumerate(edges):
+                alone = g.remove_edges([first])
+                rows = []
+                for limit, search in removals:
+                    assert search.open_after(()) >> e & 1 or within(alone, limit), (total, first, limit)
+                    rows.append(search.open_after((e,)))
+                for f in range(e + 1, len(edges)):
+                    pair = (first, edges[f])
+                    reduced = g.remove_edges(pair)
+                    for (limit, search), row in zip(removals, rows):
+                        expected = None if total and reduced.isolated_vertices() else within(reduced, limit)
+                        assert row >> f & 1 or expected, (total, pair, limit, "settled by the masks")
+                        assert search.covers_after(pair) == expected, (total, pair, limit, g.edges)
+
+
 def test_edge_pair_additions_match_graph_copies():
     """Every pair of missing edges and every limit, decided on joined masks, equals a copied-graph search.
 
