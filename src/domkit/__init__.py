@@ -1,5 +1,9 @@
 """domkit: exact domination-family graph parameters, 3SAT gadget reductions,
 and machine verification of the reduction facts.
+
+``domkit.verify`` is the ``verify`` function, not its module: importing
+it here rebinds the package attribute.  The module, for example to patch
+a name it imports, is ``importlib.import_module("domkit.verify")``.
 """
 
 from .cnf import (

@@ -56,6 +56,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    """argparse type for sizes and worker counts: a positive integer."""
+    value = _count(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError("must be positive, got 0")
+    return value
+
+
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -182,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("bondage", "total-bondage", "reinforcement", "total-reinforcement"):
         p = sub.add_parser(name, help=f"compute the {name.replace('-', ' ')} number of a graph")
         p.add_argument("input", help="graph file, or - for stdin")
-        p.add_argument("--max-k", type=_count, default=None, help="cap the edge-subset search size")
+        p.add_argument("--max-k", type=_positive, default=None, help="cap the edge-subset search size")
         p.set_defaults(func=_cmd_perturb)
 
     p = sub.add_parser("sat", help="decide satisfiability of a DIMACS CNF instance")
@@ -211,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deep", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=_count, default=1, help="run trials in this many processes")
+    p.add_argument("--jobs", type=_positive, default=1, help="run trials in this many processes")
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("export-dot", help="convert a graph file to DOT")

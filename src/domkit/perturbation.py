@@ -40,8 +40,20 @@ at their endpoints, and the searches reuse what earlier searches found:
     one search from an already-dominated mask with the endpoint forced
     in, gated by a memoised per-vertex search ("some such set misses
     only x"); every set found also settles the other edges into x from
-    its members.  A set of two or more added edges is decided by one
-    search on the cover masks with those edges joined.
+    its members.  Both searches bar the dominators of the vertices they
+    must leave undominated (x, or u and v), so either fails at its root
+    when some other vertex it must dominate has only barred dominators.
+    The *dead* mask of x, made on first use, holds the vertices w all of
+    whose dominators also dominate x (cover[w] a subset of cover[x]).
+    It settles the search for x without a search when it holds a vertex
+    other than x, and the "both endpoints" search for uv when the dead
+    masks of u and v hold a vertex other than u, v and the vertices they
+    dominate.  A set of two or more added edges is decided by one search
+    on the cover masks with those edges joined.
+
+Every search first needs the unperturbed parameter.  A caller that has
+already solved it, as ``verify`` has, passes that result as ``start``
+so it is not solved twice.
 
 Result encoding: ``value`` is the parameter when a witness exists, 0
 when the parameter cannot be realized by any edge set (reinforcement of
@@ -59,6 +71,7 @@ from typing import Callable, Iterable
 # ``perfbench/tracing.py`` wraps the ``has_*_within`` names here while it
 # runs, so they stay imported although nothing here calls them.
 from .domination import (  # noqa: F401
+    DomResult,
     _cover_masks,
     _exists_cover,
     domination_number,
@@ -227,6 +240,8 @@ class AdditionSearch:
         # (x, limit) -> members other than x of sets of at most ``limit``
         # vertices that dominate everything but x; None when no such set exists
         self._partners: dict[tuple[int, int], int | None] = {}
+        # x -> the vertices w with cover[w] a subset of cover[x], made on first use
+        self._dead: dict[int, int] = {}
 
     def open_after(self, prefix: tuple[int, ...]) -> int:
         """Every candidate is open: additions are settled only by ``covers_after``."""
@@ -235,15 +250,26 @@ class AdditionSearch:
     def _search(self, limit: int, dominated: int, banned: int) -> list[int] | None:
         return _exists_cover(self._cover, self._full, limit, dominated, banned)
 
+    def _dead_with(self, x: int) -> int:
+        """The vertices left without a dominator once every dominator of x is barred."""
+        if x not in self._dead:
+            out = self._cover[x]
+            self._dead[x] = _bits(w for w, mask in enumerate(self._cover) if not mask & ~out)
+        return self._dead[x]
+
     def _misses_only(self, u: int, x: int, limit: int) -> bool:
         """Some set of at most ``limit`` vertices holds u and dominates all of G but x.
 
         Such a set is smaller than the parameter, so it really misses x:
-        no dominator of x may join it.
+        no dominator of x may join it, and none exists when that leaves
+        another vertex without a dominator.
         """
         key = (x, limit)
         if key not in self._partners:
-            found = self._search(limit, 1 << x, self._cover[x])
+            if self._dead_with(x) & ~(1 << x):
+                found = None
+            else:
+                found = self._search(limit, 1 << x, self._cover[x])
             self._partners[key] = None if found is None else _bits(found) & ~(1 << x)
         partners = self._partners[key]
         if partners is None:
@@ -273,8 +299,12 @@ class AdditionSearch:
             return False
         # Both endpoints in the set and, the cases above having failed,
         # neither dominated in G.  Cover masks are symmetric, so the
-        # vertices u and v dominate are also the ones that may not join.
+        # vertices u and v dominate are also the ones that may not join;
+        # any other vertex whose dominators are all among them stays
+        # undominated, so no such set exists.
         near = self._cover[u] | self._cover[v]
+        if (self._dead_with(u) | self._dead_with(v)) & ~(near | 1 << u | 1 << v):
+            return False
         return self._search(limit - 2, near | 1 << u | 1 << v, near) is not None
 
 
@@ -308,16 +338,23 @@ def _first_hit(
     return PerturbResult(None, None, base)
 
 
-def _removal_number(g: Graph, total: bool, max_k: int | None) -> PerturbResult:
-    start = total_domination_number(g) if total else domination_number(g)
+def _parameter(g: Graph, total: bool, start: DomResult | None) -> DomResult:
+    """``start`` if given, else the (total) domination number of ``g``, solved here."""
+    if start is not None:
+        return start
+    return total_domination_number(g) if total else domination_number(g)
+
+
+def _removal_number(g: Graph, total: bool, max_k: int | None, start: DomResult | None) -> PerturbResult:
+    start = _parameter(g, total, start)
     search = RemovalSearch(g, total, start.value, kept=[start.witness])
     return _first_hit(
         g, start.value, sorted(g.edges), max_k, search.open_after, lambda edges: search.covers_after(edges) is False
     )
 
 
-def _addition_number(g: Graph, total: bool, max_k: int | None) -> PerturbResult:
-    base = (total_domination_number(g) if total else domination_number(g)).value
+def _addition_number(g: Graph, total: bool, max_k: int | None, start: DomResult | None) -> PerturbResult:
+    base = _parameter(g, total, start).value
     if base <= (2 if total else 1):
         return PerturbResult(0, None, base)
     search = AdditionSearch(g, total, base)
@@ -326,14 +363,14 @@ def _addition_number(g: Graph, total: bool, max_k: int | None) -> PerturbResult:
     )
 
 
-def bondage_number(g: Graph, max_k: int | None = None) -> PerturbResult:
+def bondage_number(g: Graph, max_k: int | None = None, *, start: DomResult | None = None) -> PerturbResult:
     """Minimum number of edge removals that raise the domination number."""
     if g.num_edges == 0:
         raise EmptyGraphError("bondage needs at least one edge")
-    return _removal_number(g, total=False, max_k=max_k)
+    return _removal_number(g, total=False, max_k=max_k, start=start)
 
 
-def total_bondage_number(g: Graph, max_k: int | None = None) -> PerturbResult:
+def total_bondage_number(g: Graph, max_k: int | None = None, *, start: DomResult | None = None) -> PerturbResult:
     """Minimum number of edge removals that raise the total domination number.
 
     Edge sets whose removal isolates a vertex do not qualify and are
@@ -341,23 +378,23 @@ def total_bondage_number(g: Graph, max_k: int | None = None) -> PerturbResult:
     parameter is undefined (value None).  Raises IsolatedVertexError
     when the graph already has isolated vertices.
     """
-    return _removal_number(g, total=True, max_k=max_k)
+    return _removal_number(g, total=True, max_k=max_k, start=start)
 
 
-def reinforcement_number(g: Graph, max_k: int | None = None) -> PerturbResult:
+def reinforcement_number(g: Graph, max_k: int | None = None, *, start: DomResult | None = None) -> PerturbResult:
     """Minimum number of edge additions that lower the domination number.
 
     When the domination number is already 1 no addition can lower it;
     the result is the 0 marker by convention.
     """
-    return _addition_number(g, total=False, max_k=max_k)
+    return _addition_number(g, total=False, max_k=max_k, start=start)
 
 
-def total_reinforcement_number(g: Graph, max_k: int | None = None) -> PerturbResult:
+def total_reinforcement_number(g: Graph, max_k: int | None = None, *, start: DomResult | None = None) -> PerturbResult:
     """Minimum number of edge additions that lower the total domination number.
 
     When the total domination number is already 2 (its floor) the result
     is the 0 marker by convention.  Raises IsolatedVertexError when the
     graph has isolated vertices.
     """
-    return _addition_number(g, total=True, max_k=max_k)
+    return _addition_number(g, total=True, max_k=max_k, start=start)

@@ -26,7 +26,8 @@ other claims are still made.  Perturbation searches are bounded:
 removal searches stop at two edges (a one-edge sweep already certifies
 the removal bound, so the true value is 1 or 2), and addition searches
 stop at one edge because the equivalences only ever need to distinguish
-"1" from "more than 1".  None of them copies the graph per candidate:
+"1" from "more than 1".  Each starts from the parameter ``verify`` has
+already solved, and none of them copies the graph per candidate:
 the removal sweep reuses the covers its earlier searches found, and the
 deep check picks its augmenting edges with the forced-endpoint test of
 ``perturbation.AdditionSearch``; see that module for both.
@@ -347,7 +348,7 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
         claims.append(ClaimCheck(f"{param_id}-exact", f"{param_name} == {exact}", observed, param == exact))
 
     max_k = 2 if removal else 1
-    pert = perturbation_number(g, max_k=max_k)
+    pert = perturbation_number(g, max_k=max_k, start=dom)
     claims.append(
         ClaimCheck(
             f"{kind.value}-iff-sat",

@@ -222,6 +222,11 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "error:" in err and "--max-k" in err
 
+    def test_zero_max_k(self, capsys, p4_graph):
+        code, out, err = run(capsys, "bondage", p4_graph, "--max-k", "0")
+        assert code == 2 and out == ""
+        assert "error:" in err and "--max-k" in err
+
     def test_negative_trials(self, capsys):
         code, out, err = run(capsys, "fuzz", "--kind", "bondage", "-n", "3", "-m", "2", "--trials", "-3")
         assert code == 2 and out == ""
@@ -235,6 +240,13 @@ class TestErrors:
     def test_negative_jobs(self, capsys):
         code, out, err = run(
             capsys, "fuzz", "--kind", "bondage", "-n", "3", "-m", "2", "--trials", "1", "--jobs", "-4"
+        )
+        assert code == 2 and out == ""
+        assert "error:" in err and "--jobs" in err
+
+    def test_zero_jobs(self, capsys):
+        code, out, err = run(
+            capsys, "fuzz", "--kind", "bondage", "-n", "3", "-m", "2", "--trials", "1", "--jobs", "0"
         )
         assert code == 2 and out == ""
         assert "error:" in err and "--jobs" in err

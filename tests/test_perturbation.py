@@ -4,9 +4,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
+from domkit import domination, perturbation
 from domkit.cnf import random_instance
 from domkit.domination import (
     IsolatedVertexError,
+    _exists_cover as exists_cover,
     domination_number,
     has_dominating_set_within,
     has_total_dominating_set_within,
@@ -200,12 +202,38 @@ class TestSeededSweep:
                 ), trial
 
 
+def sat_and_unsat_instances():
+    """The first satisfiable and the first unsatisfiable random n=3, m=13 instance."""
+    instances = [random_instance(3, 13, seed) for seed in range(20)]
+    sat = next(inst for inst in instances if brute_solve(inst) is not None)
+    unsat = next(inst for inst in instances if brute_solve(inst) is None)
+    return sat, unsat
+
+
 SOLVERS = {
     "bondage": bondage_number,
     "total-bondage": total_bondage_number,
     "reinforcement": reinforcement_number,
     "total-reinforcement": total_reinforcement_number,
 }
+
+
+def test_start_replaces_the_parameter_solve(monkeypatch):
+    """Given the graph's own (total) domination result, no kind solves it again, and none answers differently."""
+    rng = random.Random(2014)
+    pool = [random_graph(rng, rng.randint(3, 7), rng.uniform(0.3, 0.7)) for _ in range(30)]
+    pool = [g for g in pool if g.edges and not g.isolated_vertices()]
+    expected = [{kind: solve(g) for kind, solve in SOLVERS.items()} for g in pool]
+    starts = [(domination_number(g), total_domination_number(g)) for g in pool]
+
+    def unexpected(*args):
+        raise AssertionError("the parameter was solved again")
+
+    monkeypatch.setattr(domination, "_minimum_cover", unexpected)
+    for g, results, (gamma, gamma_t) in zip(pool, expected, starts):
+        for kind, solve in SOLVERS.items():
+            start = gamma_t if kind.startswith("total-") else gamma
+            assert solve(g, start=start) == results[kind], (kind, g.edges)
 
 
 def test_witnesses_match_reference_scan():
@@ -233,14 +261,22 @@ def test_witnesses_match_reference_scan():
             for max_k in (1, 2, None):
                 check(g, kind, max_k)
 
-    instances = [random_instance(3, 13, seed) for seed in range(20)]
-    sat = next(inst for inst in instances if brute_solve(inst) is not None)
-    unsat = next(inst for inst in instances if brute_solve(inst) is None)
+    sat, unsat = sat_and_unsat_instances()
     for kind in SOLVERS:
         for max_k in (1, 2, None):
             check(build(kind, sat).graph, kind, max_k)
         for max_k in {"reinforcement": (1,), "total-reinforcement": (1, 2)}.get(kind, (1, 2, None)):
             check(build(kind, unsat).graph, kind, max_k)
+
+
+def assert_single_additions_match(g, total, base, limits):
+    """Every missing edge at every limit, decided by ``AdditionSearch``, equals the search on a copied graph."""
+    within = has_total_dominating_set_within if total else has_dominating_set_within
+    additions = AdditionSearch(g, total, base)
+    for edge in g.complement_edges():
+        for limit in limits:
+            expected = within(g.add_edges([edge]), limit)
+            assert additions.covers_after((edge,), limit) == expected, (total, edge, limit, g.edges)
 
 
 def test_single_edge_searches_match_graph_copies():
@@ -258,22 +294,48 @@ def test_single_edge_searches_match_graph_copies():
             within = has_total_dominating_set_within if total else has_dominating_set_within
             start = total_domination_number(g) if total else domination_number(g)
             base = start.value
-            additions = AdditionSearch(g, total, base)
+            assert_single_additions_match(g, total, base, range(base - 3, base + 1))
             removals = [(limit, RemovalSearch(g, total, limit)) for limit in range(base - 1, base + 2)]
             # seeded below its limit, so it also reaches the repair of kept covers
             removals.append((base + 1, RemovalSearch(g, total, base + 1, kept=[start.witness])))
             # seeded above its limit: the witness must not vouch for any removal
             removals.append((base - 1, RemovalSearch(g, total, base - 1, kept=[start.witness])))
-            for edge in g.complement_edges():
-                for limit in range(base - 3, base + 1):
-                    expected = within(g.add_edges([edge]), limit)
-                    assert additions.covers_after((edge,), limit) == expected, (total, edge, limit, g.edges)
             for edge in sorted(g.edges):
                 reduced = g.remove_edges([edge])
                 for limit, search in removals:
                     expected = None if total and reduced.isolated_vertices() else within(reduced, limit)
                     assert search.covers_after([edge]) == expected, (total, edge, limit, g.edges)
 
+
+def test_single_edge_additions_match_graph_copies_on_gadgets(monkeypatch):
+    """The single-edge addition searches on reinforcement gadgets equal copied-graph searches.
+
+    On the total reinforcement gadgets the dead-vertex masks of
+    ``AdditionSearch`` settle cases without a search, so this also puts
+    them against the copies: with the masks, the same answers take fewer
+    searches than without.
+    """
+    sat, unsat = sat_and_unsat_instances()
+    searches = []
+
+    def counted(*args, **kwargs):
+        searches.append(None)
+        return exists_cover(*args, **kwargs)
+
+    monkeypatch.setattr(perturbation, "_exists_cover", counted)
+    dead_with = AdditionSearch._dead_with
+    for kind, total in (("reinforcement", False), ("total-reinforcement", True)):
+        for inst in (sat, unsat):
+            g = build(kind, inst).graph
+            base = (total_domination_number(g) if total else domination_number(g)).value
+            counts = []
+            for masks in (dead_with, lambda self, x: 0):
+                monkeypatch.setattr(AdditionSearch, "_dead_with", masks)
+                searches.clear()
+                assert_single_additions_match(g, total, base, (base - 1, base - 2))
+                counts.append(len(searches))
+            # The masks fire only in the total variant; on the plain gadgets no vertex is dead.
+            assert counts[0] < counts[1] if total else counts[0] == counts[1], (kind, counts)
 
 
 def test_edge_pair_removals_match_graph_copies():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import domkit
+from domkit import domination
 from domkit.cnf import CnfInstance, TooFewVariablesError, random_instance
 from domkit.domination import BudgetExceededError
 from domkit.reductions import KindMismatchError, ReductionKind, build
@@ -90,6 +91,20 @@ class TestVerifiers:
         inst = random_instance(5, 3, 11)
         report = verify(ReductionKind.BONDAGE, inst, deep=True)
         assert not report.deep_checked
+
+    @pytest.mark.parametrize("kind", list(ReductionKind))
+    def test_parameter_is_solved_once(self, monkeypatch, kind):
+        # the perturbation search starts from verify's own gamma / gamma_t
+        solved = []
+        minimum_cover = domination._minimum_cover
+
+        def counted(*args):
+            solved.append(args)
+            return minimum_cover(*args)
+
+        monkeypatch.setattr(domination, "_minimum_cover", counted)
+        assert verify(kind, random_instance(4, 8, 1)).passed
+        assert len(solved) == 1
 
     @pytest.mark.parametrize("kind", list(ReductionKind))
     def test_enumeration_cap_gives_an_undetermined_claim(self, monkeypatch, kind):
