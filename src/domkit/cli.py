@@ -15,7 +15,6 @@ import sys
 from .cnf import CnfError, parse_dimacs, solve_sat
 from .domination import (
     BudgetExceededError,
-    DomResult,
     IsolatedVertexError,
     domination_number,
     total_domination_number,
@@ -23,7 +22,6 @@ from .domination import (
 from .graph import Graph, GraphError
 from .perturbation import (
     EmptyGraphError,
-    PerturbResult,
     bondage_number,
     reinforcement_number,
     total_bondage_number,
@@ -40,6 +38,8 @@ _CLI_ERRORS = (
     EmptyGraphError,
     UnsatisfyingAssignmentError,
     KindMismatchError,
+    OSError,
+    UnicodeDecodeError,
 )
 
 _KINDS = [k.value for k in ReductionKind]
@@ -79,38 +79,19 @@ def _write_output(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _print_dom(name: str, result: DomResult) -> None:
-    print(f"{name} {result.value}")
+def _cmd_dom(args: argparse.Namespace) -> int:
+    result = args.solver(Graph.from_text(_read_input(args.input)))
+    print(f"{args.command.replace('-', '_')} {result.value}")
     print(("witness " + " ".join(sorted(result.witness))).rstrip())
-
-
-def _print_perturb(name: str, result: PerturbResult) -> None:
-    print(f"{name} {'undefined' if result.value is None else result.value}")
-    print(f"base {result.base}")
-    if result.witness:
-        for a, b in result.witness:
-            print(f"witness-edge {a} {b}")
-
-
-def _cmd_gamma(args: argparse.Namespace) -> int:
-    _print_dom("gamma", domination_number(Graph.from_text(_read_input(args.input))))
-    return 0
-
-
-def _cmd_gamma_t(args: argparse.Namespace) -> int:
-    _print_dom("gamma_t", total_domination_number(Graph.from_text(_read_input(args.input))))
     return 0
 
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
-    g = Graph.from_text(_read_input(args.input))
-    solver = {
-        "bondage": bondage_number,
-        "total-bondage": total_bondage_number,
-        "reinforcement": reinforcement_number,
-        "total-reinforcement": total_reinforcement_number,
-    }[args.command]
-    _print_perturb(args.command.replace("-", "_"), solver(g, max_k=args.max_k))
+    result = args.solver(Graph.from_text(_read_input(args.input)), max_k=args.max_k)
+    print(f"{args.command.replace('-', '_')} {'undefined' if result.value is None else result.value}")
+    print(f"base {result.base}")
+    for a, b in result.witness or ():
+        print(f"witness-edge {a} {b}")
     return 0
 
 
@@ -182,16 +163,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func in (("gamma", _cmd_gamma), ("gamma-t", _cmd_gamma_t)):
+    for name, solver in (("gamma", domination_number), ("gamma-t", total_domination_number)):
         p = sub.add_parser(name, help=f"compute {name.replace('-', '_')} of a graph")
         p.add_argument("input", help="graph file, or - for stdin")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_dom, solver=solver)
 
-    for name in ("bondage", "total-bondage", "reinforcement", "total-reinforcement"):
+    for name, solver in (
+        ("bondage", bondage_number),
+        ("total-bondage", total_bondage_number),
+        ("reinforcement", reinforcement_number),
+        ("total-reinforcement", total_reinforcement_number),
+    ):
         p = sub.add_parser(name, help=f"compute the {name.replace('-', ' ')} number of a graph")
         p.add_argument("input", help="graph file, or - for stdin")
         p.add_argument("--max-k", type=_positive, default=None, help="cap the edge-subset search size")
-        p.set_defaults(func=_cmd_perturb)
+        p.set_defaults(func=_cmd_perturb, solver=solver)
 
     p = sub.add_parser("sat", help="decide satisfiability of a DIMACS CNF instance")
     p.add_argument("input", help="CNF file, or - for stdin")
@@ -239,9 +225,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _CLI_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

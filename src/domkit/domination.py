@@ -21,8 +21,8 @@ undominated vertices.  It branches on the undominated vertex with the
 fewest allowed dominators (lowest index among ties); branches are made
 disjoint by forbidding, inside the t-th branch, the dominators tried
 before it, so every vertex set is reachable along exactly one path,
-whatever order the dominators are tried in.  The order depends on the
-mode:
+whatever order the dominators are tried in.  One child loop tries
+them; only its order depends on the mode:
 
   * optimize tries them in index order, because its witness (the last
     cover reached) is pinned, and so is its node count; so does
@@ -68,23 +68,24 @@ class DomResult:
     witness: frozenset[str]
 
 
-def is_dominating_set(g: Graph, vertex_set: Iterable[str]) -> bool:
-    """True iff every vertex outside the set has a neighbor in it."""
+def _dominates(g: Graph, vertex_set: Iterable[str], closed: bool) -> bool:
+    """Whether the neighborhoods of the set, closed or open, cover every vertex."""
     adj = g.adjacency_masks()
     covered = 0
     for v in vertex_set:
         i = g.index_of(v)
-        covered |= adj[i] | (1 << i)
+        covered |= adj[i] | closed << i
     return covered == (1 << g.num_vertices) - 1
+
+
+def is_dominating_set(g: Graph, vertex_set: Iterable[str]) -> bool:
+    """True iff every vertex outside the set has a neighbor in it."""
+    return _dominates(g, vertex_set, closed=True)
 
 
 def is_total_dominating_set(g: Graph, vertex_set: Iterable[str]) -> bool:
     """True iff every vertex of the graph has a neighbor in the set."""
-    adj = g.adjacency_masks()
-    covered = 0
-    for v in vertex_set:
-        covered |= adj[g.index_of(v)]
-    return covered == (1 << g.num_vertices) - 1
+    return _dominates(g, vertex_set, closed=False)
 
 
 def _cover_masks(g: Graph, total: bool) -> tuple[int, ...]:
@@ -180,28 +181,18 @@ def _search(
         branch_cands, need = _branch(cover, full & ~dominated, banned)
         if branch_cands is None or depth + need > limit:
             return
-        tried = 0
+        order = iter_bits(branch_cands)
         if by_gain:
             undom = ~dominated
-            for u in sorted(iter_bits(branch_cands), key=lambda u: -(cover[u] & undom).bit_count()):
-                chosen.append(u)
-                dfs(dominated | cover[u], banned | tried)
-                chosen.pop()
-                if depth >= limit:
-                    return
-                tried |= 1 << u
-            return
-        m = branch_cands
-        while m:
-            low = m & -m
-            m ^= low
-            u = low.bit_length() - 1
+            order = sorted(order, key=lambda u: -(cover[u] & undom).bit_count())
+        tried = 0
+        for u in order:
             chosen.append(u)
             dfs(dominated | cover[u], banned | tried)
             chosen.pop()
             if depth >= limit:
                 return
-            tried |= low
+            tried |= 1 << u
 
     dfs(dominated, banned)
     return last

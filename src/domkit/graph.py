@@ -187,21 +187,13 @@ class Graph:
         return Graph(self._labels, (e for e in self._edges if e not in drop))
 
     def add_edges(self, edge_pairs: Iterable[Edge]) -> "Graph":
-        """A copy with the given edges appended; every pair must be new."""
-        extra: list[Edge] = []
-        seen: set[Edge] = set()
+        """A copy with the given edges appended; every pair must be new (the constructor checks the rest)."""
+        extra: dict[Edge, None] = {}  # in order
         for a, b in edge_pairs:
-            if a == b:
-                raise SelfLoopError(f"self-loop at {a!r}")
-            if a not in self._index:
-                raise UnknownEndpointError(f"edge endpoint {a!r} is not a vertex")
-            if b not in self._index:
-                raise UnknownEndpointError(f"edge endpoint {b!r} is not a vertex")
             e = normalize_edge(a, b)
-            if e in self._edge_set or e in seen:
+            if e in self._edge_set or e in extra:
                 raise EdgeAlreadyPresentError(f"edge {e!r} already present")
-            seen.add(e)
-            extra.append(e)
+            extra[e] = None
         return Graph(self._labels, self._edges + tuple(extra))
 
     def complement_edges(self) -> list[Edge]:

@@ -7,9 +7,11 @@ are tried in ascending cardinality and, within one size, in
 lexicographic order of the normalized edge list, so witnesses are
 deterministic and the first hit is provably minimum.
 
-No candidate set gets a graph copy.  Each is decided on the cover
-bitmasks of the unperturbed graph, with the candidate's edges toggled
-at their endpoints, and the searches reuse what earlier searches found:
+One loop, ``_first_hit``, walks the candidate sets; ``verify``'s sweep
+of single-edge removals runs it too.  No candidate set gets a graph
+copy.  Each is decided on the cover bitmasks of the unperturbed graph,
+with the candidate's edges toggled at their endpoints, and the searches
+reuse what earlier searches found:
 
   * Removals (``RemovalSearch``).  A cover of G - R is also a cover of
     G, and a cover C of G survives the removal of R exactly when R

@@ -19,7 +19,11 @@ The witness converters implement both directions of the equivalence:
 a satisfying assignment yields a small (total) dominating set of the
 gadget (for the reinforcement kinds, of the gadget plus one added
 edge), and a (total) dominating set maps back to an assignment by
-reading off which positive literal vertices were picked.
+reading off which positive literal vertices were picked.  The first
+direction reads the same table row as ``build``: the two picks of each
+variable gadget for a false or a true variable, the anchor vertices the
+witness holds, and, for the reinforcement kinds, the anchor end of the
+added edge, whose other end is the true literal of variable 1.
 """
 
 from __future__ import annotations
@@ -95,19 +99,22 @@ def roles_to_text(out: ReductionOutput) -> str:
 
 
 class _Part(NamedTuple):
-    """One variable gadget: label prefixes in vertex order, and edges between them."""
+    """One variable gadget: label prefixes in vertex order, edges between them, witness picks."""
 
     prefixes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
+    picks: tuple[tuple[str, str], tuple[str, str]]  # the witness's two picks, variable false / true
 
 
 _HEXAGON = _Part(
     ("u", "v", "nu", "r", "q", "p"),
     (("u", "v"), ("v", "nu"), ("nu", "r"), ("r", "q"), ("q", "p"), ("p", "u")),
+    (("nu", "p"), ("u", "r")),
 )
 _FIVE = _Part(
     ("u", "nu", "v", "p", "q"),
     (("u", "v"), ("u", "q"), ("nu", "v"), ("v", "p"), ("p", "q"), ("nu", "q")),
+    (("nu", "v"), ("u", "v")),
 )
 _PART_ROLES = {"u": ROLE_LITERAL_POS, "nu": ROLE_LITERAL_NEG}
 
@@ -119,37 +126,41 @@ class _Spec(NamedTuple):
     anchor: tuple[str, ...]
     anchor_edges: tuple[Edge, ...]
     joined: tuple[str, ...]  # anchor vertices joined to every clause vertex
+    picks: tuple[str, ...]  # anchor vertices in the witness
+    edge_end: str | None  # anchor end of the witness's added edge (reinforcement kinds)
 
 
 _PATH3 = (("s1", "s2"), ("s2", "s3"))
 _SPECS = {
-    ReductionKind.BONDAGE: _Spec(_HEXAGON, ("s1", "s2", "s3"), _PATH3, ("s1", "s3")),
+    ReductionKind.BONDAGE: _Spec(_HEXAGON, ("s1", "s2", "s3"), _PATH3, ("s1", "s3"), ("s2",), None),
     ReductionKind.TOTAL_BONDAGE: _Spec(
         _FIVE,
         ("s1", "s2", "s3", "s4", "s5", "s6"),
         (("s1", "s2"), ("s1", "s4"), ("s2", "s3"), ("s2", "s5"), ("s3", "s4"), ("s4", "s5"), ("s5", "s6")),
         ("s1", "s3"),
+        ("s2", "s5"),
+        None,
     ),
-    ReductionKind.REINFORCEMENT: _Spec(_HEXAGON, ("s",), (), ("s",)),
-    ReductionKind.TOTAL_REINFORCEMENT: _Spec(_FIVE, ("s1", "s2", "s3"), _PATH3, ("s1",)),
+    ReductionKind.REINFORCEMENT: _Spec(_HEXAGON, ("s",), (), ("s",), (), "s"),
+    ReductionKind.TOTAL_REINFORCEMENT: _Spec(_FIVE, ("s1", "s2", "s3"), _PATH3, ("s1",), ("s2",), "s2"),
 }
 
 
 def build(kind: ReductionKind | str, inst: CnfInstance) -> ReductionOutput:
     """The gadget of one kind: variable gadgets, clause vertices, then the anchor."""
     kind = ReductionKind(kind)
-    part, anchor, anchor_edges, joined = _SPECS[kind]
+    spec = _SPECS[kind]
     roles: dict[str, str] = {}  # in vertex order
     edges: list[Edge] = []
     for i in range(1, inst.num_vars + 1):
-        roles.update((f"{p}{i}", _PART_ROLES.get(p, ROLE_AUX)) for p in part.prefixes)
-        edges.extend((f"{a}{i}", f"{b}{i}") for a, b in part.edges)
+        roles.update((f"{p}{i}", _PART_ROLES.get(p, ROLE_AUX)) for p in spec.part.prefixes)
+        edges.extend((f"{a}{i}", f"{b}{i}") for a, b in spec.part.edges)
     for j, clause in enumerate(inst.clauses, start=1):
         roles[f"c{j}"] = ROLE_CLAUSE
         edges.extend((f"c{j}", _literal_label(lit)) for lit in clause)
-    roles.update(dict.fromkeys(anchor, ROLE_ANCHOR))
-    edges.extend(anchor_edges)
-    edges.extend((f"c{j}", s) for j in range(1, inst.num_clauses + 1) for s in joined)
+    roles.update(dict.fromkeys(spec.anchor, ROLE_ANCHOR))
+    edges.extend(spec.anchor_edges)
+    edges.extend((f"c{j}", s) for j in range(1, inst.num_clauses + 1) for s in spec.joined)
     return ReductionOutput(kind, Graph(roles, edges), roles, inst.num_vars, inst.num_clauses, inst)
 
 
@@ -201,10 +212,6 @@ class GadgetWitness:
     added_edge: Edge | None
 
 
-def _chosen_literal(i: int, value: bool) -> str:
-    return f"u{i}" if value else f"nu{i}"
-
-
 def assignment_to_witness(out: ReductionOutput, assignment: Assignment) -> GadgetWitness:
     """Convert a satisfying assignment into the canonical small witness.
 
@@ -214,26 +221,18 @@ def assignment_to_witness(out: ReductionOutput, assignment: Assignment) -> Gadge
     literal vertex of variable 1, the lowest-index true literal.
     """
     n = out.num_vars
-    kind = out.kind
-    if n == 0 and kind in (ReductionKind.REINFORCEMENT, ReductionKind.TOTAL_REINFORCEMENT):
-        raise TooFewVariablesError(f"{kind.value} needs an instance with at least 1 variable, got {n}")
+    spec = _SPECS[out.kind]
+    if n == 0 and spec.edge_end is not None:
+        raise TooFewVariablesError(f"{out.kind.value} needs an instance with at least 1 variable, got {n}")
     if not evaluate(out.instance, assignment):
         raise UnsatisfyingAssignmentError("assignment does not satisfy the instance")
-    chosen: set[str] = set()
-    if kind in (ReductionKind.BONDAGE, ReductionKind.REINFORCEMENT):
-        for i in range(1, n + 1):
-            chosen.update((f"u{i}", f"r{i}") if assignment[i] else (f"nu{i}", f"p{i}"))
-        if kind is ReductionKind.BONDAGE:
-            chosen.add("s2")
-            return GadgetWitness(frozenset(chosen), None)
-        return GadgetWitness(frozenset(chosen), normalize_edge("s", _chosen_literal(1, assignment[1])))
-    chosen.update(_chosen_literal(i, assignment[i]) for i in range(1, n + 1))
-    chosen.update(f"v{i}" for i in range(1, n + 1))
-    chosen.add("s2")
-    if kind is ReductionKind.TOTAL_BONDAGE:
-        chosen.add("s5")
+    chosen = set(spec.picks)
+    for i in range(1, n + 1):
+        chosen.update(f"{p}{i}" for p in spec.part.picks[bool(assignment[i])])
+    if spec.edge_end is None:
         return GadgetWitness(frozenset(chosen), None)
-    return GadgetWitness(frozenset(chosen), normalize_edge("s2", _chosen_literal(1, assignment[1])))
+    literal = _literal_label(1 if assignment[1] else -1)
+    return GadgetWitness(frozenset(chosen), normalize_edge(spec.edge_end, literal))
 
 
 def witness_to_assignment(out: ReductionOutput, vertex_set: frozenset[str] | set[str]) -> Assignment:

@@ -27,10 +27,12 @@ removal searches stop at two edges (a one-edge sweep already certifies
 the removal bound, so the true value is 1 or 2), and addition searches
 stop at one edge because the equivalences only ever need to distinguish
 "1" from "more than 1".  Each starts from the parameter ``verify`` has
-already solved, and none of them copies the graph per candidate:
-the removal sweep reuses the covers its earlier searches found, and the
-deep check picks its augmenting edges with the forced-endpoint test of
-``perturbation.AdditionSearch``; see that module for both.
+already solved, and none of them copies the graph per candidate.  The
+removal sweep is the single-edge stage of ``perturbation._first_hit``,
+run at the bound on a ``RemovalSearch`` seeded with the parameter's
+witness, so kept covers settle most edges without a search; the deep
+check picks its augmenting edges with the forced-endpoint test of
+``perturbation.AdditionSearch``.  See that module for both.
 
 Deep checks enumerate every minimum set, which grows combinatorially,
 so they only run for instances with at most ``DEEP_VAR_LIMIT`` variables.
@@ -61,6 +63,7 @@ from .graph import Graph
 from .perturbation import (
     AdditionSearch,
     RemovalSearch,
+    _first_hit,
     bondage_number,
     reinforcement_number,
     total_bondage_number,
@@ -274,20 +277,14 @@ def _removal_sweep(
     ``witness`` is a minimum (total) dominating set of ``g``.  For the
     total variant, removals that would isolate a vertex do not qualify
     and are skipped.  Returns (first violating edge or None, number of
-    edges swept).
+    qualifying removals).
     """
     search = RemovalSearch(g, total, bound, kept=[witness])
-    still = search.open_after(())
-    swept = 0
-    for e, edge in enumerate(sorted(g.edges)):
-        # Edges the kept covers settle stay within the bound; the rest are decided one by one.
-        within = search.covers_after([edge]) if still >> e & 1 else True
-        if within is None:
-            continue
-        swept += 1
-        if not within:
-            return edge, swept
-    return None, swept
+    first = _first_hit(
+        g, bound, sorted(g.edges), 1, search.open_after, lambda edges: search.covers_after(edges) is False
+    )
+    swept = sum(not total or min(g.degree(a), g.degree(b)) >= 2 for a, b in g.edges)
+    return (first.witness[0] if first.witness else None), swept
 
 
 def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> VerificationReport:

@@ -202,6 +202,20 @@ class TestErrors:
         assert code == 2
         assert "error:" in err
 
+    def test_verify_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.cnf"
+        path.write_bytes(b"p cnf 3 1\n1 2 3 0\nc caf\xe9\n")
+        code, out, err = run(capsys, "verify", "--kind", "bondage", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "utf-8" in err
+
+    def test_gamma_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.graph"
+        path.write_bytes(b"p graph 2 1\nv caf\xe9\nv b\ne caf\xe9 b\n")
+        code, out, err = run(capsys, "gamma", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "utf-8" in err
+
     def test_gamma_t_isolated_vertex(self, capsys, tmp_path):
         path = tmp_path / "iso.graph"
         path.write_text("p graph 3 1\nv a\nv b\nv c\ne a b\n")

@@ -132,6 +132,24 @@ class TestWitnessConverters:
         assert len(witness.vertices) == 9
         assert is_dominating_set(out.graph, witness.vertices)
 
+    def test_total_bondage_witness_from_worked_example(self, fig_instance):
+        out = build_total_bondage(fig_instance)
+        t = {1: False, 2: True, 3: False, 4: True}
+        witness = assignment_to_witness(out, t)
+        assert witness.added_edge is None
+        assert witness.vertices == frozenset(
+            {"nu1", "v1", "u2", "v2", "nu3", "v3", "u4", "v4", "s2", "s5"}
+        )
+        assert is_total_dominating_set(out.graph, witness.vertices)
+
+    def test_reinforcement_witness_from_worked_example(self, fig_instance):
+        out = build_reinforcement(fig_instance)
+        t = {1: False, 2: True, 3: False, 4: True}
+        witness = assignment_to_witness(out, t)
+        assert witness.added_edge == ("nu1", "s")
+        assert witness.vertices == frozenset({"nu1", "p1", "u2", "r2", "nu3", "p3", "u4", "r4"})
+        assert is_dominating_set(out.graph.add_edges([witness.added_edge]), witness.vertices)
+
     def test_total_reinforcement_witness_from_worked_example(self, fig4_instance):
         out = build_total_reinforcement(fig4_instance)
         t = {1: True, 2: False, 3: False, 4: True}

@@ -9,11 +9,20 @@ import pytest
 import domkit
 from domkit import domination
 from domkit.cnf import CnfInstance, TooFewVariablesError, random_instance
-from domkit.domination import BudgetExceededError
+from domkit.domination import (
+    BudgetExceededError,
+    domination_number,
+    has_dominating_set_within,
+    has_total_dominating_set_within,
+    total_domination_number,
+)
+from domkit.graph import Graph
 from domkit.reductions import KindMismatchError, ReductionKind, build
-from domkit.verify import ClaimCheck, VerificationReport, fuzz, verify
+from domkit.verify import ClaimCheck, VerificationReport, _removal_sweep, fuzz, verify
 
 TINY = CnfInstance(3, ((1, 2, 3),))
+PATH5 = Graph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+STAR = Graph(["c", "l1", "l2", "l3", "l4"], [("c", "l1"), ("c", "l2"), ("c", "l3"), ("c", "l4")])
 
 
 def claim_ids(report):
@@ -142,6 +151,48 @@ class TestVerifiers:
             for r in reports:
                 assert r.passed
                 assert (r.perturbation_value == 1) == r.satisfiable
+
+
+class TestRemovalSweep:
+    """``_removal_sweep`` against one graph copy per edge."""
+
+    @staticmethod
+    def copy_sweep(g, total, bound):
+        """(first qualifying edge whose removal breaks the bound or None, qualifying count)."""
+        within = has_total_dominating_set_within if total else has_dominating_set_within
+        first, count = None, 0
+        for edge in sorted(g.edges):
+            rest = g.remove_edges([edge])
+            if total and rest.isolated_vertices():
+                continue
+            count += 1
+            if first is None and not within(rest, bound):
+                first = edge
+        return first, count
+
+    @pytest.mark.parametrize(
+        "g, total, broken",
+        [
+            (PATH5, False, ("a", "b")),
+            (PATH5, True, ("b", "c")),
+            (STAR, False, ("c", "l1")),
+            (STAR, True, None),  # every removal isolates a leaf
+        ],
+    )
+    def test_bound_at_the_parameter_reports_the_first_breaking_edge(self, g, total, broken):
+        dom = (total_domination_number if total else domination_number)(g)
+        edge, _ = _removal_sweep(g, total, dom.value, dom.witness)
+        assert edge == broken == self.copy_sweep(g, total, dom.value)[0]
+
+    @pytest.mark.parametrize("total", [False, True])
+    @pytest.mark.parametrize("g", [PATH5, STAR, Graph("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])])
+    def test_count_is_the_qualifying_removals(self, g, total):
+        dom = (total_domination_number if total else domination_number)(g)
+        assert _removal_sweep(g, total, dom.value + 1, dom.witness) == self.copy_sweep(g, total, dom.value + 1)
+
+    def test_total_count_skips_removals_that_isolate_a_leaf(self):
+        dom = total_domination_number(PATH5)
+        assert _removal_sweep(PATH5, True, dom.value + 1, dom.witness) == (None, 2)
 
 
 class TestReportShape:
