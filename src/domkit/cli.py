@@ -65,8 +65,8 @@ def _positive(text: str) -> int:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    if path == "-":  # decoded strictly, as a file is
+        return sys.stdin.buffer.read().decode("utf-8")
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 

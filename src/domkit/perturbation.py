@@ -85,7 +85,7 @@ from .graph import Edge, Graph, iter_bits
 
 
 class EmptyGraphError(ValueError):
-    """Bondage is undefined for graphs without edges."""
+    """Bondage and total bondage are undefined for graphs without edges."""
 
 
 @dataclass(frozen=True)
@@ -348,6 +348,8 @@ def _parameter(g: Graph, total: bool, start: DomResult | None) -> DomResult:
 
 
 def _removal_number(g: Graph, total: bool, max_k: int | None, start: DomResult | None) -> PerturbResult:
+    if g.num_edges == 0:
+        raise EmptyGraphError(f"{'total ' if total else ''}bondage needs at least one edge")
     start = _parameter(g, total, start)
     search = RemovalSearch(g, total, start.value, kept=[start.witness])
     return _first_hit(
@@ -367,8 +369,6 @@ def _addition_number(g: Graph, total: bool, max_k: int | None, start: DomResult 
 
 def bondage_number(g: Graph, max_k: int | None = None, *, start: DomResult | None = None) -> PerturbResult:
     """Minimum number of edge removals that raise the domination number."""
-    if g.num_edges == 0:
-        raise EmptyGraphError("bondage needs at least one edge")
     return _removal_number(g, total=False, max_k=max_k, start=start)
 
 
@@ -377,8 +377,9 @@ def total_bondage_number(g: Graph, max_k: int | None = None, *, start: DomResult
 
     Edge sets whose removal isolates a vertex do not qualify and are
     skipped; when every set at every size is skipped or fails, the
-    parameter is undefined (value None).  Raises IsolatedVertexError
-    when the graph already has isolated vertices.
+    parameter is undefined (value None).  Raises EmptyGraphError on a
+    graph without edges and IsolatedVertexError when the graph already
+    has isolated vertices.
     """
     return _removal_number(g, total=True, max_k=max_k, start=start)
 

@@ -24,12 +24,19 @@ direction reads the same table row as ``build``: the two picks of each
 variable gadget for a false or a true variable, the anchor vertices the
 witness holds, and, for the reinforcement kinds, the anchor end of the
 added edge, whose other end is the true literal of variable 1.
+
+The table also holds each kind's gadget lemma, the shape of every
+minimum set, which ``structure_violation`` checks: at the exact bound,
+fixed anchor picks, two vertices per variable gadget, at most one
+literal (so ``witness_to_assignment`` reads an assignment back) and no
+clause vertex; for total bondage, at every bound, s5 and one of v/q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 from .cnf import Assignment, CnfInstance, TooFewVariablesError, evaluate
@@ -75,18 +82,20 @@ class ReductionOutput:
     num_clauses: int
     instance: CnfInstance
 
-    def positive_label(self, i: int) -> str:
-        return f"u{i}"
-
-    def negative_label(self, i: int) -> str:
-        return f"nu{i}"
-
-    def clause_label(self, j: int) -> str:
-        return f"c{j}"
-
     def variable_gadget(self, i: int) -> tuple[str, ...]:
         """All vertices of the gadget for variable i."""
         return tuple(f"{p}{i}" for p in _SPECS[self.kind].part.prefixes)
+
+    @cached_property
+    def _shape(self) -> tuple[frozenset[str], list[tuple[frozenset[str], frozenset[str], frozenset[str]]]]:
+        """For ``structure_violation``: clause vertices; per variable its gadget, literals and ``one_of`` vertices."""
+        one_of = _SPECS[self.kind].one_of
+        gadgets = []
+        for i in range(1, self.num_vars + 1):
+            gadget = frozenset(self.variable_gadget(i))
+            literals = frozenset(v for v in gadget if self.roles[v] in (ROLE_LITERAL_POS, ROLE_LITERAL_NEG))
+            gadgets.append((gadget, literals, frozenset(f"{p}{i}" for p in one_of)))
+        return frozenset(v for v, role in self.roles.items() if role == ROLE_CLAUSE), gadgets
 
 
 def _literal_label(lit: int) -> str:
@@ -120,7 +129,7 @@ _PART_ROLES = {"u": ROLE_LITERAL_POS, "nu": ROLE_LITERAL_NEG}
 
 
 class _Spec(NamedTuple):
-    """What sets one kind's gadget apart from the others."""
+    """What sets one kind's gadget, and its minimum sets, apart from the others."""
 
     part: _Part
     anchor: tuple[str, ...]
@@ -128,21 +137,26 @@ class _Spec(NamedTuple):
     joined: tuple[str, ...]  # anchor vertices joined to every clause vertex
     picks: tuple[str, ...]  # anchor vertices in the witness
     edge_end: str | None  # anchor end of the witness's added edge (reinforcement kinds)
+    # The minimum-set structure that ``structure_violation`` checks:
+    fixed: tuple[str, ...]  # anchor vertices whose picks are fixed at the exact bound
+    fixed_picks: tuple[tuple[str, ...], ...]  # the picks allowed among them, sorted
+    held: tuple[str, ...] = ()  # anchor vertices in every minimum set, at every bound
+    one_of: tuple[str, ...] = ()  # gadget prefixes: every minimum set holds one per variable
 
 
 _PATH3 = (("s1", "s2"), ("s2", "s3"))
+_S3 = ("s1", "s2", "s3")
+_S6 = ("s1", "s2", "s3", "s4", "s5", "s6")
 _SPECS = {
-    ReductionKind.BONDAGE: _Spec(_HEXAGON, ("s1", "s2", "s3"), _PATH3, ("s1", "s3"), ("s2",), None),
+    ReductionKind.BONDAGE: _Spec(_HEXAGON, _S3, _PATH3, ("s1", "s3"), ("s2",), None, _S3, (("s2",),)),
     ReductionKind.TOTAL_BONDAGE: _Spec(
-        _FIVE,
-        ("s1", "s2", "s3", "s4", "s5", "s6"),
+        _FIVE, _S6,  # part, anchor
         (("s1", "s2"), ("s1", "s4"), ("s2", "s3"), ("s2", "s5"), ("s3", "s4"), ("s4", "s5"), ("s5", "s6")),
-        ("s1", "s3"),
-        ("s2", "s5"),
-        None,
+        ("s1", "s3"), ("s2", "s5"), None,  # joined, picks, edge_end
+        _S6, (("s2", "s5"), ("s4", "s5")), held=("s5",), one_of=("v", "q"),
     ),
-    ReductionKind.REINFORCEMENT: _Spec(_HEXAGON, ("s",), (), ("s",), (), "s"),
-    ReductionKind.TOTAL_REINFORCEMENT: _Spec(_FIVE, ("s1", "s2", "s3"), _PATH3, ("s1",), ("s2",), "s2"),
+    ReductionKind.REINFORCEMENT: _Spec(_HEXAGON, ("s",), (), ("s",), (), "s", ("s",), ((),)),
+    ReductionKind.TOTAL_REINFORCEMENT: _Spec(_FIVE, _S3, _PATH3, ("s1",), ("s2",), "s2", ("s1",), ((),)),
 }
 
 
@@ -233,6 +247,37 @@ def assignment_to_witness(out: ReductionOutput, assignment: Assignment) -> Gadge
         return GadgetWitness(frozenset(chosen), None)
     literal = _literal_label(1 if assignment[1] else -1)
     return GadgetWitness(frozenset(chosen), normalize_edge(spec.edge_end, literal))
+
+
+def structure_violation(out: ReductionOutput, chosen: frozenset[str], at_exact: bool) -> str | None:
+    """The first way the minimum (total) dominating set ``chosen`` breaks the kind's lemma, or None.
+
+    At every bound: the row's ``held`` vertices, one ``one_of`` vertex per
+    variable.  At the exact bound (for the reinforcement kinds, one below
+    it on G+e): picks among ``fixed`` from ``fixed_picks``, no clause
+    vertex, two vertices per variable gadget, at most one literal.
+    """
+    spec = _SPECS[out.kind]
+    clauses, gadgets = out._shape
+    for s in spec.held:
+        if s not in chosen:
+            return f"a minimum set misses {s}"
+    for i, (_, _, one_of) in enumerate(gadgets, 1):
+        if one_of and not chosen & one_of:
+            return f"variable {i}: neither {' nor '.join(spec.one_of)} picked"
+    if not at_exact:
+        return None
+    anchor_pick = sorted(s for s in spec.fixed if s in chosen)
+    if tuple(anchor_pick) not in spec.fixed_picks:
+        return f"anchor pick {anchor_pick}"
+    if chosen & clauses:
+        return f"clause vertices {sorted(chosen & clauses)} picked"
+    for i, (gadget, literals, _) in enumerate(gadgets, 1):
+        if len(chosen & gadget) != 2:
+            return f"variable {i} gadget holds {len(chosen & gadget)} of {sorted(chosen)}"
+        if len(chosen & literals) > 1:
+            return f"both literals of variable {i} in {sorted(chosen)}"
+    return None
 
 
 def witness_to_assignment(out: ReductionOutput, vertex_set: frozenset[str] | set[str]) -> Assignment:

@@ -4,20 +4,22 @@
 measures the relevant parameters exactly, and records one pass/fail
 entry per claimed fact.  One body serves all four kinds.  Three facts
 about the kind decide every claim: closed or total neighbourhoods
-(gamma or gamma_t, exact bound 2n+1 or 2n+2), edge removal (bondage
-kinds) or edge addition (reinforcement kinds), and the structure the
-deep check asks of each minimum set.  The claims are
+(gamma or gamma_t, exact bound 2n+1 or 2n+2), and edge removal (bondage
+kinds) or edge addition (reinforcement kinds).  The claims are
 
   * the parameter: at least the exact bound, and equal to it exactly
     when satisfiable (bondage kinds), or equal to it (reinforcement),
   * every single-edge removal stays within the bound + 1 (bondage kinds),
   * perturbation value 1 exactly when the instance is satisfiable,
-  * with ``deep`` enabled, the structure of every minimum set of the
-    gadget (bondage kinds; plain bondage only at the exact bound), or of
-    the gadget plus each edge whose addition lowers the parameter by
-    exactly one (reinforcement kinds), and
+  * with ``deep`` enabled, the structure of every minimum set, and
   * a satisfying assignment maps to a witness of the exact bound, or of
     one less plus the added edge (reinforcement kinds).
+
+The deep claim has one body: it enumerates the minimum sets of the
+gadget (bondage kinds; plain bondage only at the exact bound), or of
+the gadget plus each edge whose addition lowers the parameter by
+exactly one (reinforcement kinds), and asks ``reductions.structure_violation``,
+which reads the shape from the gadget table, about each of them.
 
 A failed entry never aborts the remaining checks; the report records
 everything so a counterexample is fully diagnosable.  An enumeration
@@ -77,6 +79,7 @@ from .reductions import (
     build_reinforcement,
     build_total_bondage,
     build_total_reinforcement,
+    structure_violation,
 )
 
 DEEP_VAR_LIMIT = 4
@@ -144,129 +147,52 @@ class VerificationReport:
         return lines
 
 
-def _clause_labels(out: ReductionOutput) -> set[str]:
-    return {out.clause_label(j) for j in range(1, out.num_clauses + 1)}
-
-
-def _gadget_quota_violation(out: ReductionOutput, chosen: frozenset[str]) -> str | None:
-    """Shared per-variable structure: two picks per gadget, literals not doubled."""
-    for i in range(1, out.num_vars + 1):
-        gadget = set(out.variable_gadget(i))
-        if len(chosen & gadget) != 2:
-            return f"variable {i} gadget holds {len(chosen & gadget)} of {sorted(chosen)}"
-        if len(chosen & {out.positive_label(i), out.negative_label(i)}) > 1:
-            return f"both literals of variable {i} in {sorted(chosen)}"
-    return None
-
-
-def _exact_bound_violation(
-    out: ReductionOutput, clause_labels: set[str], chosen: frozenset[str], anchor: set[str], picks: list
-) -> str | None:
-    """A minimum set at the exact bound: an anchor pick among ``picks``, no clause vertex, gadget quotas."""
-    if chosen & anchor not in picks:
-        return f"anchor pick {sorted(chosen & anchor)}"
-    if chosen & clause_labels:
-        return f"clause vertices {sorted(chosen & clause_labels)} picked"
-    return _gadget_quota_violation(out, chosen)
-
-
-def _bondage_violation(
-    out: ReductionOutput, clause_labels: set[str], chosen: frozenset[str], at_exact: bool
-) -> str | None:
-    """Checked only at the exact bound: s2 alone from the anchor."""
-    return _exact_bound_violation(out, clause_labels, chosen, {"s1", "s2", "s3"}, [{"s2"}])
-
-
-def _total_bondage_violation(
-    out: ReductionOutput, clause_labels: set[str], chosen: frozenset[str], at_exact: bool
-) -> str | None:
-    """s5 and one of v/q per variable; at the exact bound also s2 or s4 with s5 from the anchor."""
-    if "s5" not in chosen:
-        return "a minimum set misses s5"
-    missing = next((i for i in range(1, out.num_vars + 1) if not chosen & {f"v{i}", f"q{i}"}), None)
-    if missing is not None:
-        return f"variable {missing}: neither v nor q picked"
-    if not at_exact:
-        return None
-    anchor = {f"s{k}" for k in range(1, 7)}
-    return _exact_bound_violation(out, clause_labels, chosen, anchor, [{"s2", "s5"}, {"s4", "s5"}])
-
-
-def _minimum_set_claim(out: ReductionOutput, total: bool, at_exact: bool) -> ClaimCheck:
-    """Bondage kinds: every minimum (total) dominating set of the gadget has the kind's structure."""
-    if total:
-        violation_of = _total_bondage_violation
-        expected = "every minimum total set contains s5 and one of v/q per variable" + (
-            "; at the exact bound: anchor pick {s2,s5} or {s4,s5}, two per gadget, "
-            "at most one literal per variable, no clause vertex" if at_exact else ""
-        )
-    else:
-        violation_of = _bondage_violation
-        expected = (
-            "every minimum set picks exactly s2 from the anchor, two per variable "
-            "gadget, at most one literal per variable, and no clause vertex"
-        )
-    try:
-        sets = enumerate_minimum_sets(out.graph, total=total)
-    except BudgetExceededError as exc:
-        return ClaimCheck("minimum-set-structure", expected, f"undetermined: {exc}", False)
-    clause_labels = _clause_labels(out)
-    violations = (violation_of(out, clause_labels, chosen, at_exact) for chosen in sets)
-    violation = next(filter(None, violations), None)
-    return ClaimCheck(
-        "minimum-set-structure",
-        expected,
-        violation or f"all {len(sets)} minimum sets conform",
-        violation is None,
-    )
-
-
-def _augmented_set_claim(out: ReductionOutput, total: bool, param: int) -> ClaimCheck:
-    """Reinforcement kinds: check G+e for every edge e that lowers the parameter by exactly one.
-
-    Every minimum (total) dominating set of G+e must avoid the apex and
-    the clause vertices and keep the gadget quotas.
-    """
+def _structure_claim(out: ReductionOutput, total: bool, removal: bool, param: int, exact: int) -> ClaimCheck:
+    """The deep claim: ``structure_violation`` passes every minimum set of the gadget (bondage
+    kinds), or of G+e for every edge e that lowers the parameter by exactly one (reinforcement kinds)."""
     g = out.graph
-    target = param - 1
-    apex = "s1" if total else "s"
-    sets_name = "minimum total set" if total else "minimum set"
-    expected = (
-        f"for every added edge reaching {'gamma_t' if total else 'gamma'} == {target}: "
-        f"{sets_name}s avoid {'s1' if total else 'the apex'} and clause vertices, "
-        "two per gadget, at most one literal per variable"
-    )
-    clause_labels = _clause_labels(out)
-    violation = None
-    augmenting = 0
-    sets_checked = 0
-    additions = AdditionSearch(g, total, param)
+    if removal:
+        claim_id = "minimum-set-structure"
+        graphs = [("", g)]  # (suffix naming the graph in a violation, graph)
+        if total:
+            expected = "every minimum total set contains s5 and one of v/q per variable" + (
+                "; at the exact bound: anchor pick {s2,s5} or {s4,s5}, two per gadget, "
+                "at most one literal per variable, no clause vertex" if param == exact else ""
+            )
+        else:
+            expected = (
+                "every minimum set picks exactly s2 from the anchor, two per variable "
+                "gadget, at most one literal per variable, and no clause vertex"
+            )
+    else:
+        claim_id = "augmented-minimum-set-structure"
+        additions = AdditionSearch(g, total, param)
+        # exactly one below: one added edge can lower gamma_t by 2
+        graphs = (
+            (f" (G+{edge})", g.add_edges([edge]))
+            for edge in g.complement_edges()
+            if additions.covers_after((edge,), param - 1) and not additions.covers_after((edge,), param - 2)
+        )
+        expected = (
+            f"for every added edge reaching {'gamma_t' if total else 'gamma'} == {param - 1}: "
+            f"minimum {'total set' if total else 'set'}s avoid {'s1' if total else 'the apex'} and clause vertices, "
+            "two per gadget, at most one literal per variable"
+        )
+    at_exact = not removal or param == exact
+    checked_graphs = checked_sets = 0
     try:
-        for edge in g.complement_edges():
-            # exactly one below: one added edge can lower gamma_t by 2
-            if not additions.covers_after((edge,), target) or additions.covers_after((edge,), target - 1):
-                continue
-            augmenting += 1
-            for chosen in enumerate_minimum_sets(g.add_edges([edge]), total=total):
-                sets_checked += 1
-                if apex in chosen:
-                    violation = f"{'s1' if total else 'apex'} picked in a {sets_name} of G+{edge}"
-                elif chosen & clause_labels:
-                    violation = f"clause vertices picked in a {sets_name} of G+{edge}"
-                elif quota := _gadget_quota_violation(out, chosen):
-                    violation = f"{quota} (G+{edge})"
-                if violation:
-                    break
+        for suffix, graph in graphs:
+            sets = enumerate_minimum_sets(graph, total=total)
+            checked_graphs += 1
+            checked_sets += len(sets)
+            violation = next(filter(None, (structure_violation(out, chosen, at_exact) for chosen in sets)), None)
             if violation:
-                break
+                return ClaimCheck(claim_id, expected, violation + suffix, False)
     except BudgetExceededError as exc:
-        return ClaimCheck("augmented-minimum-set-structure", expected, f"undetermined: {exc}", False)
-    return ClaimCheck(
-        "augmented-minimum-set-structure",
-        expected,
-        violation or f"{augmenting} augmenting edges, {sets_checked} sets conform",
-        violation is None,
-    )
+        return ClaimCheck(claim_id, expected, f"undetermined: {exc}", False)
+    if removal:
+        return ClaimCheck(claim_id, expected, f"all {checked_sets} minimum sets conform", True)
+    return ClaimCheck(claim_id, expected, f"{checked_graphs} augmenting edges, {checked_sets} sets conform", True)
 
 
 def _removal_sweep(
@@ -360,10 +286,7 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
     # The plain bondage structure is claimed only at the exact bound.
     deep_checked = deep and n <= DEEP_VAR_LIMIT and (total or not removal or param == exact)
     if deep_checked:
-        if removal:
-            claims.append(_minimum_set_claim(out, total, param == exact))
-        else:
-            claims.append(_augmented_set_claim(out, total, param))
+        claims.append(_structure_claim(out, total, removal, param, exact))
 
     if witness is not None:
         size = exact if removal else exact - 1

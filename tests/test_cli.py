@@ -15,6 +15,11 @@ K2_TEXT = "p graph 2 1\nv a\nv b\ne a b\n"
 C4_TEXT = "p graph 4 4\nv x1\nv x2\nv x3\nv x4\ne x1 x2\ne x2 x3\ne x3 x4\ne x1 x4\n"
 
 
+def set_stdin(monkeypatch, data: bytes):
+    """Replace stdin with a text stream over ``data`` that, like the real one, has a ``.buffer``."""
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -60,7 +65,7 @@ class TestComputeCommands:
         assert out.startswith("p graph 28 36\n")
 
     def test_gamma_from_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(P4_TEXT))
+        set_stdin(monkeypatch, P4_TEXT.encode())
         code, out, _ = run(capsys, "gamma", "-")
         assert code == 0
         assert out.splitlines()[0] == "gamma 2"
@@ -216,6 +221,20 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "utf-8" in err
 
+    def test_gamma_non_utf8_stdin(self, capsys, monkeypatch):
+        # the same bytes as the file case, read the same way
+        set_stdin(monkeypatch, b"p graph 2 1\nv caf\xe9\nv b\ne caf\xe9 b\n")
+        code, out, err = run(capsys, "gamma", "-")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "utf-8" in err
+
+    @pytest.mark.parametrize("command", ["bondage", "total-bondage"])
+    def test_removal_kinds_reject_the_null_graph(self, capsys, monkeypatch, command):
+        set_stdin(monkeypatch, b"p graph 0 0\n")
+        code, out, err = run(capsys, command, "-")
+        assert code == 2 and out == ""
+        assert err == f"error: {command.replace('-', ' ')} needs at least one edge\n"
+
     def test_gamma_t_isolated_vertex(self, capsys, tmp_path):
         path = tmp_path / "iso.graph"
         path.write_text("p graph 3 1\nv a\nv b\nv c\ne a b\n")
@@ -281,13 +300,13 @@ class TestErrors:
         for name in ("reinforcement_number", "total_reinforcement_number"):
             monkeypatch.setattr(verify_module, name, lambda *a, name=name, **kw: searched.append(name))
         for kind in ("reinforcement", "total-reinforcement"):
-            monkeypatch.setattr("sys.stdin", io.StringIO("p cnf 0 0\n"))
+            set_stdin(monkeypatch, b"p cnf 0 0\n")
             code, out, err = run(capsys, "verify", "--kind", kind, "-")
             assert code == 2 and out == ""
             assert err == f"error: {kind} needs an instance with at least 1 variable, got 0\n"
         assert searched == []
         for kind in ("bondage", "total-bondage"):
-            monkeypatch.setattr("sys.stdin", io.StringIO("p cnf 0 0\n"))
+            set_stdin(monkeypatch, b"p cnf 0 0\n")
             code, out, _ = run(capsys, "verify", "--kind", kind, "-")
             assert code == 0
             assert out.endswith("result: PASS\n")

@@ -110,6 +110,14 @@ class TestTotalBondage:
         with pytest.raises(IsolatedVertexError):
             total_bondage_number(Graph(["a", "b", "c"], [("a", "b")]))
 
+    @pytest.mark.parametrize("g", [Graph([], []), Graph(["a", "b"], [])], ids=["null", "edgeless"])
+    def test_no_edges_rejected(self, g):
+        # like bondage, total bondage is defined only for graphs with edges
+        with pytest.raises(EmptyGraphError, match="^total bondage needs at least one edge$"):
+            total_bondage_number(g)
+        with pytest.raises(EmptyGraphError, match="^bondage needs at least one edge$"):
+            bondage_number(g)
+
     @given(isolated_free_graphs(max_vertices=6))
     @settings(max_examples=50, deadline=None)
     def test_matches_brute_force(self, g):

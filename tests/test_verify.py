@@ -5,13 +5,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import UNSAT8_DIMACS
 
 import domkit
 from domkit import domination
-from domkit.cnf import CnfInstance, TooFewVariablesError, random_instance
+from domkit.cnf import CnfInstance, TooFewVariablesError, parse_dimacs, random_instance
 from domkit.domination import (
     BudgetExceededError,
     domination_number,
+    enumerate_minimum_sets,
     has_dominating_set_within,
     has_total_dominating_set_within,
     total_domination_number,
@@ -151,6 +153,60 @@ class TestVerifiers:
             for r in reports:
                 assert r.passed
                 assert (r.perturbation_value == 1) == r.satisfiable
+
+
+# Each mutation turns the first real minimum set into one that breaks the
+# kind's structure: (kind, instance, mutation, the claim's observed text).
+# The text is pinned for the bondage kinds; the reinforcement kinds' text
+# names the added edge, which depends on the enumeration order.
+REINFORCEMENT_KINDS = (ReductionKind.REINFORCEMENT, ReductionKind.TOTAL_REINFORCEMENT)
+UNSAT8 = parse_dimacs(UNSAT8_DIMACS)
+BROKEN_SETS = [
+    (ReductionKind.BONDAGE, TINY, "clause", "clause vertices ['c1'] picked"),
+    (ReductionKind.BONDAGE, TINY, "anchor", "anchor pick ['s1', 's2']"),
+    (ReductionKind.BONDAGE, TINY, "literals", "both literals of variable 1 in ['nu1', 'r2', 'r3', 's2', 'u1', 'u2', 'u3']"),
+    (ReductionKind.BONDAGE, TINY, "drop", "variable 1 gadget holds 1 of ['r2', 'r3', 's2', 'u1', 'u2', 'u3']"),
+    (ReductionKind.TOTAL_BONDAGE, TINY, "clause", "clause vertices ['c1'] picked"),
+    (ReductionKind.TOTAL_BONDAGE, TINY, "anchor", "anchor pick ['s1', 's2', 's5']"),
+    # v1 goes with the swap, and the every-bound rule is checked first
+    (ReductionKind.TOTAL_BONDAGE, TINY, "literals", "variable 1: neither v nor q picked"),
+    (ReductionKind.TOTAL_BONDAGE, TINY, "drop", "variable 1 gadget holds 1 of ['s2', 's5', 'u2', 'u3', 'v1', 'v2', 'v3']"),
+    # above the exact bound only the every-bound rule applies
+    (ReductionKind.TOTAL_BONDAGE, UNSAT8, "no s5", "a minimum set misses s5"),
+    (ReductionKind.TOTAL_BONDAGE, UNSAT8, "no v1 q1", "variable 1: neither v nor q picked"),
+] + [(kind, TINY, mutation, None) for kind in REINFORCEMENT_KINDS for mutation in ("clause", "anchor", "literals", "drop")]
+
+
+@pytest.mark.parametrize(
+    "kind, inst, mutation, observed", BROKEN_SETS, ids=[f"{case[0].value}-{case[2]}" for case in BROKEN_SETS]
+)
+def test_structure_claim_fails_on_a_broken_minimum_set(monkeypatch, kind, inst, mutation, observed):
+    out = build(kind, inst)
+    gadget = set(out.variable_gadget(1))
+    mutate = {
+        "clause": lambda s: s | {"c1"},
+        "anchor": lambda s: s | {"s" if kind is ReductionKind.REINFORCEMENT else "s1"},
+        "literals": lambda s: (s - gadget) | {"u1", "nu1"},
+        "drop": lambda s: s - {min(s & gadget)},
+        "no s5": lambda s: s - {"s5"},
+        "no v1 q1": lambda s: s - {"v1", "q1"},
+    }[mutation]
+    enumerated = []
+
+    def broken(g, total=False):
+        enumerated.append(g)
+        return [frozenset(mutate(set(enumerate_minimum_sets(g, total=total)[0])))]
+
+    monkeypatch.setattr(importlib.import_module("domkit.verify"), "enumerate_minimum_sets", broken)
+    report = verify(kind, inst, deep=True)
+    entry = next(c for c in report.claims if "structure" in c.claim_id)
+    assert report.deep_checked and not entry.passed and not report.passed
+    if observed is not None:
+        assert entry.observed == observed
+    else:
+        # the set failed on the first augmenting edge, G+e, named as a suffix
+        (edge,) = set(enumerated[0].edges) - set(out.graph.edges)
+        assert entry.observed.endswith(f" (G+{edge})")
 
 
 class TestRemovalSweep:
