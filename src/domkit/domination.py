@@ -12,9 +12,13 @@ three callbacks:
     cover, which is the answer when no smaller cover exists;
   * decide "at most k" (``_exists_cover``) returns -1, so the first
     cover ends the search;
-  * enumerate "exactly k" (``_all_minimum_covers``), run at the proven
-    optimum, records the cover and returns the same limit, with a hard
-    cap on the number of sets (used by the structural claim checks).
+  * enumerate "exactly k" (``_all_minimum_covers``), run at an optimum
+    its caller has already proven, records the cover and returns the
+    same limit, with a hard cap on the number of sets.  ``verify``'s
+    structure claim calls it on cover masks directly: at the parameter
+    it has solved, and for G + uv on the toggled masks of G, rooted at
+    u and then at v, since every set below the optimum of G that
+    dominates G + uv holds one of them.
 
 Each node makes one branch step, ``_branch``, a single pass over the
 undominated vertices.  It branches on the undominated vertex with the
@@ -238,17 +242,35 @@ def has_total_dominating_set_within(g: Graph, size: int) -> bool:
     return _exists_cover(_cover_masks(g, total=True), (1 << g.num_vertices) - 1, size) is not None
 
 
-def _all_minimum_covers(cover: tuple[int, ...], full: int, size: int, cap: int) -> list[tuple[int, ...]]:
-    """Every cover of exactly the optimum size, each found once."""
+def _all_minimum_covers(
+    cover: tuple[int, ...], full: int, size: int, cap: int, through: tuple[int, int] | None = None
+) -> list[tuple[int, ...]]:
+    """Every cover of exactly ``size`` picks, the proven optimum, each found once, in index order.
+
+    With ``through = (u, v)`` only the covers that hold u or v are
+    enumerated: one search rooted at u, then one rooted at v with u
+    banned, so the two are disjoint.  On the cover masks of G + uv at an
+    optimum below that of G, these are all the covers, since a set that
+    avoids both endpoints dominates G + uv only if it dominates G.
+    Raises BudgetExceededError past ``cap`` covers.
+    """
     results: list[tuple[int, ...]] = []
 
-    def found(chosen: list[int]) -> int:
-        if len(results) >= cap:
-            raise BudgetExceededError(f"more than {cap} minimum sets")
-        results.append(tuple(sorted(chosen)))
-        return size
+    def collect(root: list[int]) -> Callable[[list[int]], int]:
+        def found(chosen: list[int]) -> int:
+            if len(results) >= cap:
+                raise BudgetExceededError(f"more than {cap} minimum sets")
+            results.append(tuple(sorted(chosen + root)))
+            return size - len(root)
 
-    _search(cover, full, size, found)
+        return found
+
+    if through is None:
+        _search(cover, full, size, collect([]))
+    else:
+        u, v = through
+        _search(cover, full, size - 1, collect([u]), cover[u], 1 << u)
+        _search(cover, full, size - 1, collect([v]), cover[v], 1 << u | 1 << v)
     results.sort()
     return results
 

@@ -28,12 +28,14 @@ reuse what earlier searches found:
     hold as fragile, and a pair of edges neither of which it holds as
     fragile and which it does not hold as a fragile pair; so the scans
     settle all single edges, or all partners of a first edge, with one
-    AND per cover.  A candidate that isolates a vertex is never settled,
-    since it holds all that vertex's dominator edges in every cover.
-    Only the candidates left open get the toggled masks: the isolation
-    test, the covers kept since, then, below the limit, a kept cover
-    plus one dominator for each endpoint it lost, and only then a
-    search.
+    AND per cover.  A candidate that isolates a vertex (in the total
+    variant) is never settled, since it holds all that vertex's
+    dominator edges in every cover; it does not qualify either, so a
+    second mask, from the edges each vertex has left after the prefix,
+    drops it from the scan's row.  Only the candidates left in the row
+    get the toggled masks: the covers kept since, then, below the limit,
+    a kept cover plus one dominator for each endpoint it lost, and only
+    then a search.
   * Single-edge additions (``AdditionSearch``).  A set S smaller than
     the parameter does not dominate G, so it can dominate G + uv only
     through the new edge: S holds u and misses at most v in G, or the
@@ -137,7 +139,8 @@ class RemovalSearch:
     limit are kept, and every cover a search finds joins them.  For the
     scans, ``open_after`` settles whole rows of candidates at once from
     each kept cover's fragile edges and fragile pairs (see the module
-    docstring), worked out the first time a row needs the cover.
+    docstring), worked out the first time a row needs the cover, and
+    ``qualifying_after`` drops the rows' removals that isolate a vertex.
     """
 
     def __init__(self, g: Graph, total: bool, limit: int, kept: Iterable[Iterable[str]] = ()):
@@ -156,6 +159,12 @@ class RemovalSearch:
         # Per kept cover, in the same order: its fragile edges, and for each
         # edge the edges it forms a fragile pair with.
         self._fragile: list[tuple[int, dict[int, int]]] = []
+        # Total variant: the edge numbers at each vertex (only there can a removal isolate one).
+        self._incident: list[int] | None = None
+        if total:
+            self._incident = [0] * g.num_vertices
+            for (i, _), e in self._edge_ids.items():
+                self._incident[i] |= 1 << e
 
     def _summaries(self) -> list[tuple[int, dict[int, int]]]:
         """Fragile edges and pairs of each kept cover, brought up to date."""
@@ -195,6 +204,29 @@ class RemovalSearch:
             elif not fragile >> prefix[0] & 1:
                 still &= fragile | mates.get(prefix[0], 0)
         return still
+
+    def qualifying_after(self, prefix: tuple[int, ...]) -> int:
+        """Bits of the edges whose removal along with ``prefix`` leaves no vertex isolated.
+
+        Edges are numbered as in ``open_after``.  Every edge qualifies
+        in the closed variant (-1), and none when ``prefix`` alone
+        isolates a vertex.
+        """
+        if self._incident is None:
+            return -1
+        removed = _bits(prefix)
+        still = -1
+        for edges in self._incident:
+            left = edges & ~removed
+            if not left:
+                return 0
+            if not left & left - 1:  # the vertex's last edge
+                still &= ~left
+        return still
+
+    def scan_row(self, prefix: tuple[int, ...]) -> int:
+        """The edges a first-hit scan still has to try after ``prefix``: open and qualifying."""
+        return self.open_after(prefix) & self.qualifying_after(prefix)
 
     def covers_after(self, edges: Iterable[Edge]) -> bool | None:
         """Whether G minus ``edges`` has a cover within the limit.
@@ -353,7 +385,7 @@ def _removal_number(g: Graph, total: bool, max_k: int | None, start: DomResult |
     start = _parameter(g, total, start)
     search = RemovalSearch(g, total, start.value, kept=[start.witness])
     return _first_hit(
-        g, start.value, sorted(g.edges), max_k, search.open_after, lambda edges: search.covers_after(edges) is False
+        g, start.value, sorted(g.edges), max_k, search.scan_row, lambda edges: search.covers_after(edges) is False
     )
 
 

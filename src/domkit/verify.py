@@ -19,7 +19,21 @@ The deep claim has one body: it enumerates the minimum sets of the
 gadget (bondage kinds; plain bondage only at the exact bound), or of
 the gadget plus each edge whose addition lowers the parameter by
 exactly one (reinforcement kinds), and asks ``reductions.structure_violation``,
-which reads the shape from the gadget table, about each of them.
+which reads the shape from the gadget table, about each of them.  It
+starts from what ``verify`` has already proven, so no optimum is solved
+again and no graph is copied:
+
+  * each enumeration runs at the known optimum, on cover masks: the
+    parameter for the gadget, and one less for G+e, which the window
+    test that picks e proves (a set of one less exists, none of two less);
+  * G+uv is the gadget's cover masks with uv joined, and its
+    enumeration is rooted at the added edge: the sets that hold u, then
+    those that hold v but not u, since a set smaller than the parameter
+    dominates G+uv only through uv;
+  * the augmenting edges are sought from the single-edge addition
+    scan's first hit on: that scan tried the complement edges in the
+    same order, so none before its hit lowers the parameter, and when
+    it found none there is nothing to enumerate.
 
 A failed entry never aborts the remaining checks; the report records
 everything so a counterexample is fully diagnosable.  An enumeration
@@ -49,10 +63,12 @@ from dataclasses import dataclass, field
 from .cnf import CnfInstance, TooFewVariablesError, random_instance, solve_sat
 # ``perfbench/tracing.py`` wraps the solver and builder names below in this
 # module's namespace while it runs, so ``verify`` looks each one up at call
-# time, and the two ``has_*_within`` names stay imported although nothing
-# here calls them.
+# time, and the ``has_*_within`` and ``enumerate_minimum_sets`` names stay
+# imported although nothing here calls them.
 from .domination import (  # noqa: F401
     BudgetExceededError,
+    _all_minimum_covers,
+    _cover_masks,
     domination_number,
     enumerate_minimum_sets,
     has_dominating_set_within,
@@ -64,8 +80,10 @@ from .domination import (  # noqa: F401
 from .graph import Graph
 from .perturbation import (
     AdditionSearch,
+    PerturbResult,
     RemovalSearch,
     _first_hit,
+    _toggled,
     bondage_number,
     reinforcement_number,
     total_bondage_number,
@@ -83,6 +101,7 @@ from .reductions import (
 )
 
 DEEP_VAR_LIMIT = 4
+DEEP_SET_CAP = 100_000  # minimum sets per enumerated graph
 
 
 @dataclass
@@ -147,13 +166,21 @@ class VerificationReport:
         return lines
 
 
-def _structure_claim(out: ReductionOutput, total: bool, removal: bool, param: int, exact: int) -> ClaimCheck:
+def _structure_claim(
+    out: ReductionOutput, total: bool, removal: bool, param: int, exact: int, pert: PerturbResult
+) -> ClaimCheck:
     """The deep claim: ``structure_violation`` passes every minimum set of the gadget (bondage
-    kinds), or of G+e for every edge e that lowers the parameter by exactly one (reinforcement kinds)."""
+    kinds), or of G+e for every edge e that lowers the parameter by exactly one (reinforcement kinds).
+
+    ``param`` is the gadget's proven parameter and ``pert`` the result of
+    the single-edge perturbation scan.
+    """
     g = out.graph
+    cover = _cover_masks(g, total)
     if removal:
         claim_id = "minimum-set-structure"
-        graphs = [("", g)]  # (suffix naming the graph in a violation, graph)
+        # (suffix naming the graph in a violation, its cover masks, the added edge's endpoints, its optimum)
+        graphs = [("", cover, None, param)]
         if total:
             expected = "every minimum total set contains s5 and one of v/q per variable" + (
                 "; at the exact bound: anchor pick {s2,s5} or {s4,s5}, two per gadget, "
@@ -167,10 +194,12 @@ def _structure_claim(out: ReductionOutput, total: bool, removal: bool, param: in
     else:
         claim_id = "augmented-minimum-set-structure"
         additions = AdditionSearch(g, total, param)
+        edges = g.complement_edges()  # in the scan's order; none before its first hit lowers the parameter
+        first = edges.index(pert.witness[0]) if pert.witness else len(edges)
         # exactly one below: one added edge can lower gamma_t by 2
         graphs = (
-            (f" (G+{edge})", g.add_edges([edge]))
-            for edge in g.complement_edges()
+            (f" (G+{edge})", *_toggled(g, cover, [edge]), param - 1)
+            for edge in edges[first:]
             if additions.covers_after((edge,), param - 1) and not additions.covers_after((edge,), param - 2)
         )
         expected = (
@@ -180,11 +209,13 @@ def _structure_claim(out: ReductionOutput, total: bool, removal: bool, param: in
         )
     at_exact = not removal or param == exact
     checked_graphs = checked_sets = 0
+    full = (1 << g.num_vertices) - 1
     try:
-        for suffix, graph in graphs:
-            sets = enumerate_minimum_sets(graph, total=total)
+        for suffix, masks, through, size in graphs:
+            covers = _all_minimum_covers(tuple(masks), full, size, DEEP_SET_CAP, through)
             checked_graphs += 1
-            checked_sets += len(sets)
+            checked_sets += len(covers)
+            sets = (frozenset(map(g.label_at, chosen)) for chosen in covers)
             violation = next(filter(None, (structure_violation(out, chosen, at_exact) for chosen in sets)), None)
             if violation:
                 return ClaimCheck(claim_id, expected, violation + suffix, False)
@@ -207,7 +238,7 @@ def _removal_sweep(
     """
     search = RemovalSearch(g, total, bound, kept=[witness])
     first = _first_hit(
-        g, bound, sorted(g.edges), 1, search.open_after, lambda edges: search.covers_after(edges) is False
+        g, bound, sorted(g.edges), 1, search.scan_row, lambda edges: search.covers_after(edges) is False
     )
     swept = sum(not total or min(g.degree(a), g.degree(b)) >= 2 for a, b in g.edges)
     return (first.witness[0] if first.witness else None), swept
@@ -286,7 +317,7 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
     # The plain bondage structure is claimed only at the exact bound.
     deep_checked = deep and n <= DEEP_VAR_LIMIT and (total or not removal or param == exact)
     if deep_checked:
-        claims.append(_structure_claim(out, total, removal, param, exact))
+        claims.append(_structure_claim(out, total, removal, param, exact, pert))
 
     if witness is not None:
         size = exact if removal else exact - 1

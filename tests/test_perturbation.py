@@ -384,6 +384,31 @@ def test_edge_pair_removals_match_graph_copies():
                         assert search.covers_after(pair) == expected, (total, pair, limit, g.edges)
 
 
+def test_qualifying_rows_match_graph_copies():
+    """After every prefix of up to two edges, the scan row drops exactly the removals that isolate a vertex.
+
+    The isolating removals are those whose graph copy has isolated
+    vertices, in the total variant only; ``scan_row`` is the open row
+    with them cleared.
+    """
+    rng = random.Random(1999)
+    for _ in range(120):
+        g = random_graph(rng, rng.randint(2, 7), rng.uniform(0.2, 0.7))
+        edges = sorted(g.edges)
+        for total in (False, True):
+            if not edges or total and g.isolated_vertices():
+                continue
+            search = RemovalSearch(g, total, 1)
+            for k in range(3):
+                for prefix in combinations(range(len(edges)), k):
+                    row = search.qualifying_after(prefix)
+                    assert search.scan_row(prefix) == search.open_after(prefix) & row
+                    for f in set(range(len(edges))) - set(prefix):
+                        reduced = g.remove_edges([edges[i] for i in prefix] + [edges[f]])
+                        isolating = total and bool(reduced.isolated_vertices())
+                        assert row >> f & 1 != isolating, (total, prefix, f, g.edges)
+
+
 def test_edge_pair_additions_match_graph_copies():
     """Every pair of missing edges and every limit, decided on joined masks, equals a copied-graph search.
 

@@ -12,6 +12,8 @@ from domkit import domination
 from domkit.cnf import CnfInstance, TooFewVariablesError, parse_dimacs, random_instance
 from domkit.domination import (
     BudgetExceededError,
+    _all_minimum_covers,
+    _cover_masks,
     domination_number,
     enumerate_minimum_sets,
     has_dominating_set_within,
@@ -19,6 +21,7 @@ from domkit.domination import (
     total_domination_number,
 )
 from domkit.graph import Graph
+from domkit.perturbation import AdditionSearch, _toggled, reinforcement_number, total_reinforcement_number
 from domkit.reductions import KindMismatchError, ReductionKind, build
 from domkit.verify import ClaimCheck, VerificationReport, _removal_sweep, fuzz, verify
 
@@ -105,7 +108,8 @@ class TestVerifiers:
 
     @pytest.mark.parametrize("kind", list(ReductionKind))
     def test_parameter_is_solved_once(self, monkeypatch, kind):
-        # the perturbation search starts from verify's own gamma / gamma_t
+        # the perturbation search starts from verify's own gamma / gamma_t,
+        # and the deep claim enumerates at it (or one below, on G+e)
         solved = []
         minimum_cover = domination._minimum_cover
 
@@ -114,8 +118,11 @@ class TestVerifiers:
             return minimum_cover(*args)
 
         monkeypatch.setattr(domination, "_minimum_cover", counted)
-        assert verify(kind, random_instance(4, 8, 1)).passed
-        assert len(solved) == 1
+        for deep in (False, True):
+            solved.clear()
+            report = verify(kind, random_instance(4, 8, 1), deep=deep)
+            assert report.passed and report.deep_checked == deep
+            assert len(solved) == 1, deep
 
     @pytest.mark.parametrize("kind", list(ReductionKind))
     def test_enumeration_cap_gives_an_undetermined_claim(self, monkeypatch, kind):
@@ -125,7 +132,7 @@ class TestVerifiers:
             raise BudgetExceededError("more than 7 minimum sets")
 
         # ``domkit.verify`` is the function; the module has to be looked up
-        monkeypatch.setattr(importlib.import_module("domkit.verify"), "enumerate_minimum_sets", capped)
+        monkeypatch.setattr(importlib.import_module("domkit.verify"), "_all_minimum_covers", capped)
         report = verify(kind, TINY, deep=True)
         assert report.deep_checked and not report.passed
         assert claim_ids(report) == claim_ids(full)
@@ -191,13 +198,15 @@ def test_structure_claim_fails_on_a_broken_minimum_set(monkeypatch, kind, inst, 
         "no s5": lambda s: s - {"s5"},
         "no v1 q1": lambda s: s - {"v1", "q1"},
     }[mutation]
+    g = out.graph
     enumerated = []
 
-    def broken(g, total=False):
-        enumerated.append(g)
-        return [frozenset(mutate(set(enumerate_minimum_sets(g, total=total)[0])))]
+    def broken(cover, full, size, cap, through=None):
+        enumerated.append(through)
+        first = {g.label_at(i) for i in _all_minimum_covers(cover, full, size, cap, through)[0]}
+        return [tuple(sorted(map(g.index_of, mutate(first))))]
 
-    monkeypatch.setattr(importlib.import_module("domkit.verify"), "enumerate_minimum_sets", broken)
+    monkeypatch.setattr(importlib.import_module("domkit.verify"), "_all_minimum_covers", broken)
     report = verify(kind, inst, deep=True)
     entry = next(c for c in report.claims if "structure" in c.claim_id)
     assert report.deep_checked and not entry.passed and not report.passed
@@ -205,8 +214,65 @@ def test_structure_claim_fails_on_a_broken_minimum_set(monkeypatch, kind, inst, 
         assert entry.observed == observed
     else:
         # the set failed on the first augmenting edge, G+e, named as a suffix
-        (edge,) = set(enumerated[0].edges) - set(out.graph.edges)
-        assert entry.observed.endswith(f" (G+{edge})")
+        u, v = enumerated[0]
+        assert entry.observed.endswith(f" (G+{(g.label_at(u), g.label_at(v))})")
+
+
+# The deep claim's enumerations, against ``enumerate_minimum_sets`` on graph
+# copies; random_instance(3, 13, seed) is satisfiable for seed 0, not for 3.
+DEEP_ORACLE_INSTANCES = {
+    "tiny": TINY, "unsat8": UNSAT8, "seed0": random_instance(3, 13, 0), "seed3": random_instance(3, 13, 3)
+}
+
+
+@pytest.mark.parametrize("kind", list(ReductionKind))
+@pytest.mark.parametrize("name", list(DEEP_ORACLE_INSTANCES))
+def test_deep_enumerations_match_graph_copies(kind, name):
+    """At the known optimum, and rooted at the added edge on toggled masks, for every augmenting edge.
+
+    The augmenting edges are those whose copy G+e has a set one below
+    the parameter but none two below; on the bondage gadgets too, though
+    ``verify`` enumerates G+e only for the reinforcement kinds.
+    """
+    g = build(kind, DEEP_ORACLE_INSTANCES[name]).graph
+    total = kind in (ReductionKind.TOTAL_BONDAGE, ReductionKind.TOTAL_REINFORCEMENT)
+    within = has_total_dominating_set_within if total else has_dominating_set_within
+    cover, full = _cover_masks(g, total), (1 << g.num_vertices) - 1
+    param = (total_domination_number(g) if total else domination_number(g)).value
+
+    def labelled(covers):
+        return [frozenset(map(g.label_at, chosen)) for chosen in covers]
+
+    assert labelled(_all_minimum_covers(cover, full, param, 10**5)) == enumerate_minimum_sets(g, total)
+    for edge in g.complement_edges():
+        copy = g.add_edges([edge])
+        if within(copy, param - 1) and not within(copy, param - 2):
+            masks, through = _toggled(g, cover, [edge])
+            rooted = _all_minimum_covers(tuple(masks), full, param - 1, 10**5, tuple(through))
+            assert labelled(rooted) == enumerate_minimum_sets(copy, total), (kind, edge)
+
+
+@pytest.mark.parametrize("kind", REINFORCEMENT_KINDS)
+@pytest.mark.parametrize("name", list(DEEP_ORACLE_INSTANCES))
+def test_augmenting_edge_scan_starts_at_the_first_hit(monkeypatch, kind, name):
+    """The deep claim's window tests start at r's witness edge, and do not run when r > 1."""
+    asked = []
+
+    class Counted(AdditionSearch):
+        def covers_after(self, edges, limit):
+            asked.append(edges)
+            return super().covers_after(edges, limit)
+
+    monkeypatch.setattr(importlib.import_module("domkit.verify"), "AdditionSearch", Counted)
+    report = verify(kind, DEEP_ORACLE_INSTANCES[name], deep=True)
+    assert report.passed and report.deep_checked
+    if report.satisfiable:
+        solve = reinforcement_number if kind is ReductionKind.REINFORCEMENT else total_reinforcement_number
+        assert asked[0] == solve(build(kind, DEEP_ORACLE_INSTANCES[name]).graph, max_k=1).witness
+    else:
+        assert asked == []
+        entry = next(c for c in report.claims if "structure" in c.claim_id)
+        assert entry.observed.startswith("0 augmenting edges")
 
 
 class TestRemovalSweep:
