@@ -102,7 +102,8 @@ def _cover_masks(g: Graph, total: bool) -> tuple[int, ...]:
     return tuple(mask | (1 << i) for i, mask in enumerate(adj))
 
 
-def _greedy_cover(cover: tuple[int, ...], full: int) -> list[int]:
+def _greedy_cover(cover: tuple[int, ...]) -> list[int]:
+    full = (1 << len(cover)) - 1
     dominated = 0
     chosen: list[int] = []
     while dominated != full:
@@ -153,15 +154,15 @@ def _branch(cover: tuple[int, ...], undom: int, banned: int) -> tuple[int | None
 
 def _search(
     cover: tuple[int, ...],
-    full: int,
     limit: int,
     found: Callable[[list[int]], int],
     dominated: int = 0,
     banned: int = 0,
     by_gain: bool = False,
 ) -> list[int] | None:
-    """Branch and bound over covers of ``full & ~dominated`` by at most ``limit`` picks.
+    """Branch and bound over covers, by at most ``limit`` picks, of the vertices outside ``dominated``.
 
+    ``cover`` has one mask per vertex, so a cover dominates every vertex.
     Vertices in ``banned`` are never picked.  Each cover reached, as a
     list of its picks in branch order, goes to ``found``, which returns
     the limit for the rest of the search: the search stops once the depth
@@ -170,6 +171,7 @@ def _search(
     order, or with ``by_gain`` by descending number of newly dominated
     vertices (lowest index among ties).
     """
+    full = (1 << len(cover)) - 1
     chosen: list[int] = []
     last: list[int] | None = None
 
@@ -212,16 +214,14 @@ def _stop(chosen: list[int]) -> int:
     return -1
 
 
-def _minimum_cover(cover: tuple[int, ...], full: int) -> list[int]:
+def _minimum_cover(cover: tuple[int, ...]) -> list[int]:
     """Indices of a minimum cover; the witness is deterministic."""
-    greedy = _greedy_cover(cover, full)
-    best = _search(cover, full, len(greedy) - 1, _smaller)
+    greedy = _greedy_cover(cover)
+    best = _search(cover, len(greedy) - 1, _smaller)
     return sorted(greedy if best is None else best)
 
 
-def _exists_cover(
-    cover: tuple[int, ...], full: int, limit: int, dominated: int = 0, banned: int = 0
-) -> list[int] | None:
+def _exists_cover(cover: tuple[int, ...], limit: int, dominated: int = 0, banned: int = 0) -> list[int] | None:
     """Indices of some cover of size at most ``limit``, or None.
 
     The search starts from ``dominated``: vertices already covered by
@@ -229,21 +229,21 @@ def _exists_cover(
     Vertices in ``banned`` are never chosen.  No caller shows the cover,
     so the search branches by gain.
     """
-    return _search(cover, full, limit, _stop, dominated, banned, by_gain=True)
+    return _search(cover, limit, _stop, dominated, banned, by_gain=True)
 
 
 def has_dominating_set_within(g: Graph, size: int) -> bool:
     """Whether some dominating set of at most ``size`` vertices exists."""
-    return _exists_cover(_cover_masks(g, total=False), (1 << g.num_vertices) - 1, size) is not None
+    return _exists_cover(_cover_masks(g, total=False), size) is not None
 
 
 def has_total_dominating_set_within(g: Graph, size: int) -> bool:
     """Whether some total dominating set of at most ``size`` vertices exists."""
-    return _exists_cover(_cover_masks(g, total=True), (1 << g.num_vertices) - 1, size) is not None
+    return _exists_cover(_cover_masks(g, total=True), size) is not None
 
 
 def _all_minimum_covers(
-    cover: tuple[int, ...], full: int, size: int, cap: int, through: tuple[int, int] | None = None
+    cover: tuple[int, ...], size: int, cap: int, through: tuple[int, int] | None = None
 ) -> list[tuple[int, ...]]:
     """Every cover of exactly ``size`` picks, the proven optimum, each found once, in index order.
 
@@ -266,18 +266,18 @@ def _all_minimum_covers(
         return found
 
     if through is None:
-        _search(cover, full, size, collect([]))
+        _search(cover, size, collect([]))
     else:
         u, v = through
-        _search(cover, full, size - 1, collect([u]), cover[u], 1 << u)
-        _search(cover, full, size - 1, collect([v]), cover[v], 1 << u | 1 << v)
+        _search(cover, size - 1, collect([u]), cover[u], 1 << u)
+        _search(cover, size - 1, collect([v]), cover[v], 1 << u | 1 << v)
     results.sort()
     return results
 
 
 def domination_number(g: Graph) -> DomResult:
     """The minimum size of a dominating set, with one witness."""
-    chosen = _minimum_cover(_cover_masks(g, total=False), (1 << g.num_vertices) - 1)
+    chosen = _minimum_cover(_cover_masks(g, total=False))
     return DomResult(len(chosen), frozenset(g.label_at(i) for i in chosen))
 
 
@@ -286,7 +286,7 @@ def total_domination_number(g: Graph) -> DomResult:
 
     Raises IsolatedVertexError when the graph has isolated vertices.
     """
-    chosen = _minimum_cover(_cover_masks(g, total=True), (1 << g.num_vertices) - 1)
+    chosen = _minimum_cover(_cover_masks(g, total=True))
     return DomResult(len(chosen), frozenset(g.label_at(i) for i in chosen))
 
 
@@ -296,7 +296,5 @@ def enumerate_minimum_sets(g: Graph, total: bool = False, cap: int = 100_000) ->
     Raises BudgetExceededError when more than ``cap`` sets exist.
     """
     cover = _cover_masks(g, total)
-    full = (1 << g.num_vertices) - 1
-    optimum = len(_minimum_cover(cover, full))
-    covers = _all_minimum_covers(cover, full, optimum, cap)
+    covers = _all_minimum_covers(cover, len(_minimum_cover(cover)), cap)
     return [frozenset(g.label_at(i) for i in chosen) for chosen in covers]

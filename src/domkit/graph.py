@@ -157,9 +157,6 @@ class Graph:
     def has_edge(self, a: str, b: str) -> bool:
         return normalize_edge(a, b) in self._edge_set
 
-    def degree(self, v: str) -> int:
-        return self._adj[self.index_of(v)].bit_count()
-
     def open_neighbors(self, v: str) -> set[str]:
         """All vertices adjacent to v."""
         mask = self._adj[self.index_of(v)]

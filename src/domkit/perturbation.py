@@ -7,10 +7,12 @@ are tried in ascending cardinality and, within one size, in
 lexicographic order of the normalized edge list, so witnesses are
 deterministic and the first hit is provably minimum.
 
-One loop, ``_first_hit``, walks the candidate sets; ``verify``'s sweep
-of single-edge removals runs it too.  No candidate set gets a graph
-copy.  Each is decided on the cover bitmasks of the unperturbed graph,
-with the candidate's edges toggled at their endpoints, and the searches
+One loop, ``_first_hit``, walks the candidate sets of a search, which
+owns the scan: its ``candidates`` in scan order, the ``row`` of those
+still open after a prefix, and the ``hit`` test; ``verify``'s sweep of
+single-edge removals runs it too.  No candidate set gets a graph copy.
+Each is decided on the cover bitmasks of the unperturbed graph, with
+the candidate's edges toggled at their endpoints, and the searches
 reuse what earlier searches found:
 
   * Removals (``RemovalSearch``).  A cover of G - R is also a cover of
@@ -30,12 +32,13 @@ reuse what earlier searches found:
     settle all single edges, or all partners of a first edge, with one
     AND per cover.  A candidate that isolates a vertex (in the total
     variant) is never settled, since it holds all that vertex's
-    dominator edges in every cover; it does not qualify either, so a
-    second mask, from the edges each vertex has left after the prefix,
-    drops it from the scan's row.  Only the candidates left in the row
-    get the toggled masks: the covers kept since, then, below the limit,
-    a kept cover plus one dominator for each endpoint it lost, and only
-    then a search.
+    dominator edges in every cover; it does not qualify either, and
+    ``qualifying_after``, the one owner of that rule, drops it from the
+    scan's row with a second mask, from the edges each vertex has left
+    after the prefix.  Only the candidates left in the row get the
+    toggled masks: the covers kept since, then, below the limit, a kept
+    cover plus one dominator for each endpoint it lost, and only then a
+    search.
   * Single-edge additions (``AdditionSearch``).  A set S smaller than
     the parameter does not dominate G, so it can dominate G + uv only
     through the new edge: S holds u and misses at most v in G, or the
@@ -70,7 +73,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Iterable
 
 # ``perfbench/tracing.py`` wraps the ``has_*_within`` names here while it
 # runs, so they stay imported although nothing here calls them.
@@ -133,27 +136,30 @@ def _toggled(g: Graph, cover: tuple[int, ...], edges: Iterable[Edge]) -> tuple[l
 
 
 class RemovalSearch:
-    """Decides whether G - R keeps a (total) dominating set of at most ``limit`` vertices.
+    """Decides whether G - R keeps a (total) dominating set of at most ``base`` vertices.
 
-    ``kept`` seeds the store of known covers of G; those within the
-    limit are kept, and every cover a search finds joins them.  For the
-    scans, ``open_after`` settles whole rows of candidates at once from
-    each kept cover's fragile edges and fragile pairs (see the module
-    docstring), worked out the first time a row needs the cover, and
-    ``qualifying_after`` drops the rows' removals that isolate a vertex.
+    As a scan, its ``candidates`` are the edges of G, sorted, and ``hit``
+    accepts a removal that leaves no cover within ``base``.  ``kept``
+    seeds the store of known covers of G; those within ``base`` are
+    kept, and every cover a search finds joins them.  ``row`` is the
+    candidates that are both open and qualifying: ``open_after`` settles
+    whole rows at once from each kept cover's fragile edges and fragile
+    pairs (see the module docstring), worked out the first time a row
+    needs the cover, and ``qualifying_after`` drops the removals that
+    isolate a vertex.
     """
 
-    def __init__(self, g: Graph, total: bool, limit: int, kept: Iterable[Iterable[str]] = ()):
-        self._graph = g
+    def __init__(self, g: Graph, total: bool, base: int, kept: Iterable[Iterable[str]] = ()):
+        self.graph = g
+        self.base = base
+        self.candidates = sorted(g.edges)
         self._cover = _cover_masks(g, total)
-        self._full = (1 << g.num_vertices) - 1
-        self._limit = limit
-        # A seeded cover larger than the limit proves nothing about it.
+        # A seeded cover larger than ``base`` proves nothing about it.
         seeds = (_bits(g.index_of(v) for v in chosen) for chosen in kept)
-        self._kept = [mask for mask in seeds if mask.bit_count() <= limit]
-        # Edge numbers, as positions in ``sorted(g.edges)``, by endpoint indices in either order.
+        self._kept = [mask for mask in seeds if mask.bit_count() <= base]
+        # Edge numbers, as positions in ``candidates``, by endpoint indices in either order.
         self._edge_ids: dict[tuple[int, int], int] = {}
-        for e, (a, b) in enumerate(sorted(g.edges)):
+        for e, (a, b) in enumerate(self.candidates):
             i, j = g.index_of(a), g.index_of(b)
             self._edge_ids[i, j] = self._edge_ids[j, i] = e
         # Per kept cover, in the same order: its fragile edges, and for each
@@ -190,7 +196,7 @@ class RemovalSearch:
     def open_after(self, prefix: tuple[int, ...]) -> int:
         """Bits of the edges that no kept cover yet settles when removed along with ``prefix``.
 
-        Edges are numbered by their position in ``sorted(g.edges)``.  A
+        Edges are numbered by their position in ``candidates``.  A
         settled edge set keeps a cover within the limit, so it is not
         a hit.  Only prefixes of at most one edge are looked at;
         after a longer one, every edge is open (-1).
@@ -224,20 +230,23 @@ class RemovalSearch:
                 still &= ~left
         return still
 
-    def scan_row(self, prefix: tuple[int, ...]) -> int:
+    def row(self, prefix: tuple[int, ...]) -> int:
         """The edges a first-hit scan still has to try after ``prefix``: open and qualifying."""
         return self.open_after(prefix) & self.qualifying_after(prefix)
 
-    def covers_after(self, edges: Iterable[Edge]) -> bool | None:
-        """Whether G minus ``edges`` has a cover within the limit.
+    def hit(self, edges: tuple[Edge, ...]) -> bool:
+        """Whether removing ``edges`` leaves no cover within ``base``."""
+        return not self.covers_after(edges)
 
-        None when the removal leaves a vertex that nothing can dominate
-        (an isolated vertex, in the total variant): such sets do not
-        qualify as candidates.
+    def covers_after(self, edges: Iterable[Edge]) -> bool:
+        """Whether G minus ``edges`` has a cover within ``base``.
+
+        False when the removal leaves an isolated vertex (total variant),
+        which nothing can dominate; ``row`` never offers such a removal.
         """
-        cover, touched = _toggled(self._graph, self._cover, edges)
+        cover, touched = _toggled(self.graph, self._cover, edges)
         if any(cover[i] == 0 for i in touched):
-            return None
+            return False
         for chosen in reversed(self._kept):
             if all(cover[i] & chosen for i in touched):
                 return True
@@ -246,10 +255,10 @@ class RemovalSearch:
             for i in touched:
                 if not cover[i] & chosen:
                     chosen |= cover[i] & -cover[i]
-            if chosen.bit_count() <= self._limit:
+            if chosen.bit_count() <= self.base:
                 self._kept.append(chosen)
                 return True
-        found = _exists_cover(tuple(cover), self._full, self._limit)
+        found = _exists_cover(tuple(cover), self.base)
         if found is None:
             return False
         self._kept.append(_bits(found))
@@ -259,30 +268,37 @@ class RemovalSearch:
 class AdditionSearch:
     """Decides whether G plus missing edges has a (total) dominating set within ``limit``.
 
-    ``base`` is the unperturbed parameter.  Each added edge lowers the
-    domination number by at most 1 and the total domination number by
-    at most 2, so only limits in that window reach a search: the
-    forced-endpoint test for one edge, the joined cover masks for more.
+    As a scan, its ``candidates`` are the missing edges of G, sorted,
+    ``row`` keeps every one open, and ``hit`` accepts an addition that
+    leaves a cover below ``base``, the unperturbed parameter.  Each
+    added edge lowers the domination number by at most 1 and the total
+    domination number by at most 2, so only limits in that window reach
+    a search: the forced-endpoint test for one edge, the joined cover
+    masks for more.
     """
 
     def __init__(self, g: Graph, total: bool, base: int):
-        self._graph = g
+        self.graph = g
+        self.base = base
+        self.candidates = g.complement_edges()
         self._total = total
         self._cover = _cover_masks(g, total)
-        self._full = (1 << g.num_vertices) - 1
-        self._base = base
         # (x, limit) -> members other than x of sets of at most ``limit``
         # vertices that dominate everything but x; None when no such set exists
         self._partners: dict[tuple[int, int], int | None] = {}
         # x -> the vertices w with cover[w] a subset of cover[x], made on first use
         self._dead: dict[int, int] = {}
 
-    def open_after(self, prefix: tuple[int, ...]) -> int:
-        """Every candidate is open: additions are settled only by ``covers_after``."""
+    def row(self, prefix: tuple[int, ...]) -> int:
+        """Every candidate is open: additions are settled only by ``hit``."""
         return -1
 
+    def hit(self, edges: tuple[Edge, ...]) -> bool:
+        """Whether adding ``edges`` leaves a cover smaller than ``base``."""
+        return self.covers_after(edges, self.base - 1)
+
     def _search(self, limit: int, dominated: int, banned: int) -> list[int] | None:
-        return _exists_cover(self._cover, self._full, limit, dominated, banned)
+        return _exists_cover(self._cover, limit, dominated, banned)
 
     def _dead_with(self, x: int) -> int:
         """The vertices left without a dominator once every dominator of x is barred."""
@@ -318,15 +334,15 @@ class AdditionSearch:
 
     def covers_after(self, edges: tuple[Edge, ...], limit: int) -> bool:
         """Whether G plus the missing ``edges`` has a cover of at most ``limit`` vertices."""
-        if limit >= self._base:
+        if limit >= self.base:
             return True
-        if limit < max(1, self._base - len(edges) * (2 if self._total else 1)):
+        if limit < max(1, self.base - len(edges) * (2 if self._total else 1)):
             return False
         if len(edges) > 1:
-            cover, _ = _toggled(self._graph, self._cover, edges)
-            return _exists_cover(tuple(cover), self._full, limit) is not None
+            cover, _ = _toggled(self.graph, self._cover, edges)
+            return _exists_cover(tuple(cover), limit) is not None
         (a, b), = edges
-        u, v = self._graph.index_of(a), self._graph.index_of(b)
+        u, v = self.graph.index_of(a), self.graph.index_of(b)
         if self._misses_only(u, v, limit) or self._misses_only(v, u, limit):
             return True
         if not self._total or limit < 2:
@@ -342,34 +358,28 @@ class AdditionSearch:
         return self._search(limit - 2, near | 1 << u | 1 << v, near) is not None
 
 
-def _first_hit(
-    g: Graph,
-    base: int,
-    candidates: list[Edge],
-    max_k: int | None,
-    open_after: Callable[[tuple[int, ...]], int],
-    hit: Callable[[tuple[Edge, ...]], bool],
-) -> PerturbResult:
-    """The first candidate set, by size and then lexicographically, that ``hit`` accepts.
+def _first_hit(search: RemovalSearch | AdditionSearch, max_k: int | None) -> PerturbResult:
+    """The first set of ``search.candidates``, by size and then lexicographically, that ``search.hit`` accepts.
 
     A set of k candidates is a prefix of k - 1 and one later candidate;
-    ``open_after(prefix)`` gives, as bits over the candidate positions,
+    ``search.row(prefix)`` gives, as bits over the candidate positions,
     the last candidates that are not already known to miss (-1: all).
     """
+    candidates = search.candidates
     count = len(candidates)
     if max_k is None:  # every size while an exhaustive scan stays desk-scale
-        max_k = count if g.num_edges <= 12 else 2
+        max_k = count if search.graph.num_edges <= 12 else 2
     for k in range(1, min(max_k, count) + 1):
         for prefix in combinations(range(count), k - 1):
             head = tuple(candidates[i] for i in prefix)
             first = prefix[-1] + 1 if prefix else 0
-            still = open_after(prefix)
+            still = search.row(prefix)
             lasts = range(first, count) if still == -1 else iter_bits(still & ((1 << count) - (1 << first)))
             for last in lasts:
                 subset = head + (candidates[last],)
-                if hit(subset):
-                    return PerturbResult(k, subset, base)
-    return PerturbResult(None, None, base)
+                if search.hit(subset):
+                    return PerturbResult(k, subset, search.base)
+    return PerturbResult(None, None, search.base)
 
 
 def _parameter(g: Graph, total: bool, start: DomResult | None) -> DomResult:
@@ -383,20 +393,14 @@ def _removal_number(g: Graph, total: bool, max_k: int | None, start: DomResult |
     if g.num_edges == 0:
         raise EmptyGraphError(f"{'total ' if total else ''}bondage needs at least one edge")
     start = _parameter(g, total, start)
-    search = RemovalSearch(g, total, start.value, kept=[start.witness])
-    return _first_hit(
-        g, start.value, sorted(g.edges), max_k, search.scan_row, lambda edges: search.covers_after(edges) is False
-    )
+    return _first_hit(RemovalSearch(g, total, start.value, kept=[start.witness]), max_k)
 
 
 def _addition_number(g: Graph, total: bool, max_k: int | None, start: DomResult | None) -> PerturbResult:
     base = _parameter(g, total, start).value
     if base <= (2 if total else 1):
         return PerturbResult(0, None, base)
-    search = AdditionSearch(g, total, base)
-    return _first_hit(
-        g, base, g.complement_edges(), max_k, search.open_after, lambda edges: search.covers_after(edges, base - 1)
-    )
+    return _first_hit(AdditionSearch(g, total, base), max_k)
 
 
 def bondage_number(g: Graph, max_k: int | None = None, *, start: DomResult | None = None) -> PerturbResult:

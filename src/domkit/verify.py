@@ -194,7 +194,7 @@ def _structure_claim(
     else:
         claim_id = "augmented-minimum-set-structure"
         additions = AdditionSearch(g, total, param)
-        edges = g.complement_edges()  # in the scan's order; none before its first hit lowers the parameter
+        edges = additions.candidates  # in the scan's order; none before its first hit lowers the parameter
         first = edges.index(pert.witness[0]) if pert.witness else len(edges)
         # exactly one below: one added edge can lower gamma_t by 2
         graphs = (
@@ -209,10 +209,9 @@ def _structure_claim(
         )
     at_exact = not removal or param == exact
     checked_graphs = checked_sets = 0
-    full = (1 << g.num_vertices) - 1
     try:
         for suffix, masks, through, size in graphs:
-            covers = _all_minimum_covers(tuple(masks), full, size, DEEP_SET_CAP, through)
+            covers = _all_minimum_covers(tuple(masks), size, DEEP_SET_CAP, through)
             checked_graphs += 1
             checked_sets += len(covers)
             sets = (frozenset(map(g.label_at, chosen)) for chosen in covers)
@@ -237,10 +236,8 @@ def _removal_sweep(
     qualifying removals).
     """
     search = RemovalSearch(g, total, bound, kept=[witness])
-    first = _first_hit(
-        g, bound, sorted(g.edges), 1, search.scan_row, lambda edges: search.covers_after(edges) is False
-    )
-    swept = sum(not total or min(g.degree(a), g.degree(b)) >= 2 for a, b in g.edges)
+    first = _first_hit(search, 1)
+    swept = (search.qualifying_after(()) & (1 << g.num_edges) - 1).bit_count()
     return (first.witness[0] if first.witness else None), swept
 
 
@@ -375,6 +372,7 @@ def fuzz(
         # process pool machinery (~1.5 MB of memory) for serial callers.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Every worker is started at the first submit, needed or not.
+        with ProcessPoolExecutor(max_workers=min(jobs, trials)) as pool:
             return list(pool.map(_fuzz_trial, trial_args))
     return [_fuzz_trial(args) for args in trial_args]

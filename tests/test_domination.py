@@ -266,7 +266,7 @@ class TestStartingMasks:
                 None,
             )
             for limit in range(n + 2):
-                got = _exists_cover(cover, full, limit, dominated, banned)
+                got = _exists_cover(cover, limit, dominated, banned)
                 if smallest is None or smallest > limit:
                     assert got is None, (trial, limit)
                     misses += 1

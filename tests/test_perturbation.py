@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,9 @@ from domkit.graph import Graph
 from domkit.perturbation import (
     AdditionSearch,
     EmptyGraphError,
+    PerturbResult,
     RemovalSearch,
+    _first_hit,
     bondage_number,
     reinforcement_number,
     total_bondage_number,
@@ -210,6 +213,62 @@ class TestSeededSweep:
                 ), trial
 
 
+class ScriptedSearch:
+    """A search for ``_first_hit`` with five candidates, a fixed table of rows, and a ``hit`` that records its calls."""
+
+    candidates = list("abcde")
+    base = 7
+    # Bits over the candidate positions; a prefix missing here leaves every candidate open.
+    rows = {(): 0b10110, (1,): 0b00100, (0, 2): 0b01000}
+
+    def __init__(self, num_edges, accept=None):
+        self.graph = SimpleNamespace(num_edges=num_edges)
+        self.accept = accept
+        self.asked = []
+
+    def row(self, prefix):
+        return self.rows.get(prefix, -1)
+
+    def hit(self, edges):
+        self.asked.append(edges)
+        return edges == self.accept
+
+
+def scripted_order(max_k):
+    """Sets of at most ``max_k`` candidates whose last is open in the others' row, by size, then lexicographically."""
+    return [
+        tuple(ScriptedSearch.candidates[i] for i in chosen)
+        for k in range(1, max_k + 1)
+        for chosen in combinations(range(5), k)
+        if ScriptedSearch.rows.get(chosen[:-1], -1) >> chosen[-1] & 1
+    ]
+
+
+class TestFirstHit:
+    """``_first_hit`` on its own, through the scan protocol: ``candidates``, ``row``, ``hit`` and ``base``."""
+
+    def test_hit_sees_only_open_sets_in_scan_order(self):
+        search = ScriptedSearch(num_edges=5)
+        assert _first_hit(search, 3) == PerturbResult(None, None, 7)
+        assert search.asked == scripted_order(3)
+        assert search.asked == sorted(search.asked, key=lambda edges: (len(edges), edges))
+        # the rows closed a and d alone, b's partners but c, and every last candidate after a, c but d
+        assert {("a",), ("d",), ("b", "d"), ("b", "e"), ("a", "c", "e")}.isdisjoint(search.asked)
+        assert {("b",), ("b", "c"), ("a", "c", "d"), ("a", "d", "e")} <= set(search.asked)
+
+    def test_first_accepted_set_comes_back_with_the_base(self):
+        search = ScriptedSearch(num_edges=5, accept=("a", "c", "d"))
+        assert _first_hit(search, None) == PerturbResult(3, ("a", "c", "d"), 7)
+        order = scripted_order(3)
+        assert search.asked == order[: order.index(("a", "c", "d")) + 1]
+
+    @pytest.mark.parametrize("num_edges, sizes", [(12, 5), (13, 2)])
+    def test_unbounded_scan_tries_every_size_only_on_small_graphs(self, num_edges, sizes):
+        search = ScriptedSearch(num_edges)
+        assert _first_hit(search, None) == PerturbResult(None, None, 7)
+        assert search.asked == scripted_order(sizes)
+
+
 def sat_and_unsat_instances():
     """The first satisfiable and the first unsatisfiable random n=3, m=13 instance."""
     instances = [random_instance(3, 13, seed) for seed in range(20)]
@@ -311,7 +370,7 @@ def test_single_edge_searches_match_graph_copies():
             for edge in sorted(g.edges):
                 reduced = g.remove_edges([edge])
                 for limit, search in removals:
-                    expected = None if total and reduced.isolated_vertices() else within(reduced, limit)
+                    expected = False if total and reduced.isolated_vertices() else within(reduced, limit)
                     assert search.covers_after([edge]) == expected, (total, edge, limit, g.edges)
 
 
@@ -379,7 +438,7 @@ def test_edge_pair_removals_match_graph_copies():
                     pair = (first, edges[f])
                     reduced = g.remove_edges(pair)
                     for (limit, search), row in zip(removals, rows):
-                        expected = None if total and reduced.isolated_vertices() else within(reduced, limit)
+                        expected = False if total and reduced.isolated_vertices() else within(reduced, limit)
                         assert row >> f & 1 or expected, (total, pair, limit, "settled by the masks")
                         assert search.covers_after(pair) == expected, (total, pair, limit, g.edges)
 
@@ -388,7 +447,7 @@ def test_qualifying_rows_match_graph_copies():
     """After every prefix of up to two edges, the scan row drops exactly the removals that isolate a vertex.
 
     The isolating removals are those whose graph copy has isolated
-    vertices, in the total variant only; ``scan_row`` is the open row
+    vertices, in the total variant only; ``row`` is the open row
     with them cleared.
     """
     rng = random.Random(1999)
@@ -402,7 +461,7 @@ def test_qualifying_rows_match_graph_copies():
             for k in range(3):
                 for prefix in combinations(range(len(edges)), k):
                     row = search.qualifying_after(prefix)
-                    assert search.scan_row(prefix) == search.open_after(prefix) & row
+                    assert search.row(prefix) == search.open_after(prefix) & row
                     for f in set(range(len(edges))) - set(prefix):
                         reduced = g.remove_edges([edges[i] for i in prefix] + [edges[f]])
                         isolating = total and bool(reduced.isolated_vertices())

@@ -1,3 +1,4 @@
+import concurrent.futures
 import importlib
 import os
 import subprocess
@@ -201,9 +202,9 @@ def test_structure_claim_fails_on_a_broken_minimum_set(monkeypatch, kind, inst, 
     g = out.graph
     enumerated = []
 
-    def broken(cover, full, size, cap, through=None):
+    def broken(cover, size, cap, through=None):
         enumerated.append(through)
-        first = {g.label_at(i) for i in _all_minimum_covers(cover, full, size, cap, through)[0]}
+        first = {g.label_at(i) for i in _all_minimum_covers(cover, size, cap, through)[0]}
         return [tuple(sorted(map(g.index_of, mutate(first))))]
 
     monkeypatch.setattr(importlib.import_module("domkit.verify"), "_all_minimum_covers", broken)
@@ -237,18 +238,18 @@ def test_deep_enumerations_match_graph_copies(kind, name):
     g = build(kind, DEEP_ORACLE_INSTANCES[name]).graph
     total = kind in (ReductionKind.TOTAL_BONDAGE, ReductionKind.TOTAL_REINFORCEMENT)
     within = has_total_dominating_set_within if total else has_dominating_set_within
-    cover, full = _cover_masks(g, total), (1 << g.num_vertices) - 1
+    cover = _cover_masks(g, total)
     param = (total_domination_number(g) if total else domination_number(g)).value
 
     def labelled(covers):
         return [frozenset(map(g.label_at, chosen)) for chosen in covers]
 
-    assert labelled(_all_minimum_covers(cover, full, param, 10**5)) == enumerate_minimum_sets(g, total)
+    assert labelled(_all_minimum_covers(cover, param, 10**5)) == enumerate_minimum_sets(g, total)
     for edge in g.complement_edges():
         copy = g.add_edges([edge])
         if within(copy, param - 1) and not within(copy, param - 2):
             masks, through = _toggled(g, cover, [edge])
-            rooted = _all_minimum_covers(tuple(masks), full, param - 1, 10**5, tuple(through))
+            rooted = _all_minimum_covers(tuple(masks), param - 1, 10**5, tuple(through))
             assert labelled(rooted) == enumerate_minimum_sets(copy, total), (kind, edge)
 
 
@@ -390,6 +391,30 @@ class TestFuzz:
         assert [r.seed for r in serial] == [r.seed for r in parallel]
         assert [r.passed for r in serial] == [r.passed for r in parallel]
         assert [r.parameter_value for r in serial] == [r.parameter_value for r in parallel]
+
+    def test_workers_never_outnumber_trials(self, monkeypatch):
+        # A serial stand-in for the pool: it records how many workers fuzz
+        # asks for, and starts no process.
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        reports = fuzz(ReductionKind.BONDAGE, 3, 3, 2, 7, jobs=64)
+        assert asked == [2]
+        serial = fuzz(ReductionKind.BONDAGE, 3, 3, 2, 7)
+        assert [r.to_lines() for r in reports] == [r.to_lines() for r in serial]
 
     def test_too_few_variables(self):
         with pytest.raises(TooFewVariablesError):
