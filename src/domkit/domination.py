@@ -1,24 +1,28 @@
 """Exact minimum dominating set and total dominating set computation.
 
-The solver is one branch and bound over vertex bitmasks, ``_search``:
-it looks for covers of at most ``limit`` picks, hands each cover it
-reaches to a callback, which returns the limit for the rest of the
-search, and returns the last cover it reached.  The three modes are
-three callbacks:
+The solver is one branch and bound over vertex bitmasks, ``_search``.
+It asks one question at a fixed ``limit``, which covers have at most
+``limit`` picks, and returns the first one it reaches; given a
+``found`` callback, it hands each cover it reaches to that instead and
+stops at the first one accepted.  Two questions are asked of it:
 
-  * optimize (``_minimum_cover``) returns the cover's size minus one,
-    so only strictly smaller covers follow and the last one is minimum;
-    the starting limit is one below the size of a greedy max-coverage
-    cover, which is the answer when no smaller cover exists;
-  * decide "at most k" (``_exists_cover``) returns -1, so the first
-    cover ends the search;
+  * decide "at most k" (``_exists_cover``) takes the first cover;
   * enumerate "exactly k" (``_all_minimum_covers``), run at an optimum
-    its caller has already proven, records the cover and returns the
-    same limit, with a hard cap on the number of sets.  ``verify``'s
+    its caller has already proven, records every cover and accepts
+    none, with a hard cap on the number of sets.  ``verify``'s
     structure claim calls it on cover masks directly: at the parameter
     it has solved, and for G + uv on the toggled masks of G, rooted at
     u and then at v, since every set below the optimum of G that
     dominates G + uv holds one of them.
+
+γ and γ_t (``_minimum_cover``) are decide refutations plus one witness
+search.  From a greedy cover, decide "one pick fewer than the last cover
+found" until that fails.  The witness is then the greedy cover if it was
+minimum, else the first cover an index-order search reaches at the
+optimum.  It does not move with the limit: the search tree does not
+depend on it, and the bound cuts only subtrees with no cover within it,
+so every index-order search at or above the optimum reaches this cover
+before any other minimum one.
 
 Each node makes one branch step, ``_branch``, a single pass over the
 undominated vertices.  It branches on the undominated vertex with the
@@ -26,16 +30,17 @@ fewest allowed dominators (lowest index among ties); branches are made
 disjoint by forbidding, inside the t-th branch, the dominators tried
 before it, so every vertex set is reachable along exactly one path,
 whatever order the dominators are tried in.  One child loop tries
-them; only its order depends on the mode:
+them; only its order depends on the question:
 
-  * optimize tries them in index order, because its witness (the last
-    cover reached) is pinned, and so is its node count; so does
-    enumerate, which reaches every cover in any order and sorts them;
+  * the witness search tries them in index order, because its witness
+    (the first minimum cover reached) is pinned; so does enumerate,
+    which reaches every cover in any order and sorts them;
   * decide tries them by descending gain, the number of vertices each
     newly dominates (lowest index among ties).  Its cover is never
-    shown, only kept for reuse by ``perturbation``, so it may be any
-    qualifying cover, and the greediest branch tends to reach one first:
-    on the searches ``verify`` makes, this about halves the nodes.
+    shown, only measured by ``_minimum_cover`` or kept for reuse by
+    ``perturbation``, so it may be any qualifying cover, and the
+    greediest branch tends to reach one first: on the searches
+    ``verify`` makes, this about halves the nodes.
 
 The same pass gives the lower bound, a packing: taken in order of
 (dominator count, index), the undominated vertices whose allowed
@@ -155,38 +160,35 @@ def _branch(cover: tuple[int, ...], undom: int, banned: int) -> tuple[int | None
 def _search(
     cover: tuple[int, ...],
     limit: int,
-    found: Callable[[list[int]], int],
     dominated: int = 0,
     banned: int = 0,
     by_gain: bool = False,
+    found: Callable[[list[int]], bool] | None = None,
 ) -> list[int] | None:
     """Branch and bound over covers, by at most ``limit`` picks, of the vertices outside ``dominated``.
 
     ``cover`` has one mask per vertex, so a cover dominates every vertex.
-    Vertices in ``banned`` are never picked.  Each cover reached, as a
-    list of its picks in branch order, goes to ``found``, which returns
-    the limit for the rest of the search: the search stops once the depth
-    of every open node has reached it.  Returns the last cover reached,
-    or None.  Each node tries its branch vertex's dominators in index
-    order, or with ``by_gain`` by descending number of newly dominated
-    vertices (lowest index among ties).
+    Vertices in ``banned`` are never picked, and ``limit`` never changes.
+    Returns the first cover reached, as a list of its picks in branch
+    order, or None.  Given ``found``, every cover reached goes to it
+    instead, and the search stops at, and returns, the first cover for
+    which ``found`` returns True.  Each node tries its branch
+    vertex's dominators in index order, or with ``by_gain`` by
+    descending number of newly dominated vertices (lowest index among
+    ties).
     """
     full = (1 << len(cover)) - 1
     chosen: list[int] = []
-    last: list[int] | None = None
 
-    def dfs(dominated: int, banned: int) -> None:
-        nonlocal limit, last
+    def dfs(dominated: int, banned: int) -> bool:
         if dominated == full:
-            last = list(chosen)
-            limit = found(last)
-            return
+            return found is None or found(chosen)
         depth = len(chosen)
         if depth >= limit:
-            return
+            return False
         branch_cands, need = _branch(cover, full & ~dominated, banned)
         if branch_cands is None or depth + need > limit:
-            return
+            return False
         order = iter_bits(branch_cands)
         if by_gain:
             undom = ~dominated
@@ -194,31 +196,28 @@ def _search(
         tried = 0
         for u in order:
             chosen.append(u)
-            dfs(dominated | cover[u], banned | tried)
+            if dfs(dominated | cover[u], banned | tried):
+                return True
             chosen.pop()
-            if depth >= limit:
-                return
             tried |= 1 << u
+        return False
 
-    dfs(dominated, banned)
-    return last
-
-
-def _smaller(chosen: list[int]) -> int:
-    """Optimize: only strictly smaller covers may follow."""
-    return len(chosen) - 1
-
-
-def _stop(chosen: list[int]) -> int:
-    """Decide: the first cover ends the search."""
-    return -1
+    return chosen if dfs(dominated, banned) else None
 
 
 def _minimum_cover(cover: tuple[int, ...]) -> list[int]:
-    """Indices of a minimum cover; the witness is deterministic."""
+    """Indices of a minimum cover; the witness is deterministic (see the module docstring).
+
+    The null graph's greedy cover is empty, and any search on it finds
+    the empty cover, so the decide loop ends at size 0.
+    """
     greedy = _greedy_cover(cover)
-    best = _search(cover, len(greedy) - 1, _smaller)
-    return sorted(greedy if best is None else best)
+    size = len(greedy)
+    while size and (smaller := _exists_cover(cover, size - 1)) is not None:
+        size = len(smaller)
+    if size == len(greedy):
+        return sorted(greedy)
+    return sorted(_search(cover, size))
 
 
 def _exists_cover(cover: tuple[int, ...], limit: int, dominated: int = 0, banned: int = 0) -> list[int] | None:
@@ -226,10 +225,10 @@ def _exists_cover(cover: tuple[int, ...], limit: int, dominated: int = 0, banned
 
     The search starts from ``dominated``: vertices already covered by
     choices made outside it, which the returned indices need not cover.
-    Vertices in ``banned`` are never chosen.  No caller shows the cover,
-    so the search branches by gain.
+    Vertices in ``banned`` are never chosen.  The cover is kept for
+    reuse or only measured, never shown, so the search branches by gain.
     """
-    return _search(cover, limit, _stop, dominated, banned, by_gain=True)
+    return _search(cover, limit, dominated, banned, by_gain=True)
 
 
 def has_dominating_set_within(g: Graph, size: int) -> bool:
@@ -256,21 +255,19 @@ def _all_minimum_covers(
     """
     results: list[tuple[int, ...]] = []
 
-    def collect(root: list[int]) -> Callable[[list[int]], int]:
-        def found(chosen: list[int]) -> int:
-            if len(results) >= cap:
-                raise BudgetExceededError(f"more than {cap} minimum sets")
-            results.append(tuple(sorted(chosen + root)))
-            return size - len(root)
-
-        return found
+    def found(chosen: list[int]) -> bool:
+        if len(results) >= cap:
+            raise BudgetExceededError(f"more than {cap} minimum sets")
+        results.append(tuple(sorted(chosen + root)))
+        return False
 
     if through is None:
-        _search(cover, size, collect([]))
+        roots = [([], 0, 0)]
     else:
         u, v = through
-        _search(cover, size - 1, collect([u]), cover[u], 1 << u)
-        _search(cover, size - 1, collect([v]), cover[v], 1 << u | 1 << v)
+        roots = [([u], cover[u], 1 << u), ([v], cover[v], 1 << u | 1 << v)]
+    for root, dominated, banned in roots:
+        _search(cover, size - len(root), dominated, banned, found=found)
     results.sort()
     return results
 

@@ -36,9 +36,9 @@ reuse what earlier searches found:
     ``qualifying_after``, the one owner of that rule, drops it from the
     scan's row with a second mask, from the edges each vertex has left
     after the prefix.  Only the candidates left in the row get the
-    toggled masks: the covers kept since, then, below the limit, a kept
-    cover plus one dominator for each endpoint it lost, and only then a
-    search.
+    toggled masks: in one pass over the covers kept since, newest first,
+    each plus one dominator for each endpoint it lost (none, if it
+    survives), until one fits the limit, and only then a search.
   * Single-edge additions (``AdditionSearch``).  A set S smaller than
     the parameter does not dominate G, so it can dominate G + uv only
     through the new edge: S holds u and misses at most v in G, or the
@@ -247,16 +247,16 @@ class RemovalSearch:
         cover, touched = _toggled(self.graph, self._cover, edges)
         if any(cover[i] == 0 for i in touched):
             return False
+        # A kept cover plus one dominator for each endpoint it lost, if that
+        # fits; a cover that lost none survives as it is.
         for chosen in reversed(self._kept):
-            if all(cover[i] & chosen for i in touched):
-                return True
-        # Repair: one dominator for each endpoint a kept cover lost, if that fits.
-        for chosen in reversed(self._kept):
+            repaired = chosen
             for i in touched:
-                if not cover[i] & chosen:
-                    chosen |= cover[i] & -cover[i]
-            if chosen.bit_count() <= self.base:
-                self._kept.append(chosen)
+                if not cover[i] & repaired:
+                    repaired |= cover[i] & -cover[i]
+            if repaired.bit_count() <= self.base:
+                if repaired != chosen:
+                    self._kept.append(repaired)
                 return True
         found = _exists_cover(tuple(cover), self.base)
         if found is None:

@@ -1,4 +1,6 @@
+import faulthandler
 import itertools
+import os
 
 import pytest
 
@@ -16,6 +18,25 @@ UNSAT8_DIMACS = "p cnf 3 8\n" + "\n".join(
     " ".join(str(s * v) for s, v in zip(signs, (1, 2, 3))) + " 0"
     for signs in itertools.product((1, -1), repeat=3)
 ) + "\n"
+
+
+# The slowest test takes a few seconds; one that runs past this has a search that never ends.
+WATCHDOG_SECONDS = 120
+# The run's stderr: pytest captures fd 2 while a test runs, and would lose what the watchdog writes.
+_stderr_fd = 2
+
+
+def pytest_configure(config):
+    global _stderr_fd
+    _stderr_fd = os.dup(2)
+
+
+@pytest.fixture(autouse=True)
+def watchdog():
+    """Past WATCHDOG_SECONDS, dump every thread's traceback and exit, so a hang fails the run at once."""
+    faulthandler.dump_traceback_later(WATCHDOG_SECONDS, exit=True, file=_stderr_fd)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

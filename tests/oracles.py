@@ -3,10 +3,14 @@
 Everything here recomputes from first principles: full subset
 enumeration over neighbor masks rebuilt from the raw edge list.  None
 of it shares search code with the package, so agreement between the
-two is meaningful evidence.  The one exception is ``scan_perturbation``,
-the reference for perturbation witnesses: it shares the package's
-bounded search, but decides every candidate edge set on its own copy of
-the graph, with none of the perturbation module's shortcuts.
+two is meaningful evidence.  There are two exceptions.
+``scan_perturbation``, the reference for perturbation witnesses, shares
+the package's bounded search, but decides every candidate edge set on
+its own copy of the graph, with none of the perturbation module's
+shortcuts.  ``reference_minimum_cover``, the reference for γ and γ_t
+witnesses, shares the package's branch step and greedy cover, but finds
+the optimum by one search that lowers its limit at every cover it
+reaches, not by decide searches at fixed limits.
 """
 
 from __future__ import annotations
@@ -15,12 +19,14 @@ from itertools import combinations
 
 from domkit.cnf import CnfInstance
 from domkit.domination import (
+    _branch,
+    _greedy_cover,
     domination_number,
     has_dominating_set_within,
     has_total_dominating_set_within,
     total_domination_number,
 )
-from domkit.graph import Graph
+from domkit.graph import Graph, iter_bits
 
 
 def _neighbor_masks(labels: tuple[str, ...], edges) -> list[int]:
@@ -188,6 +194,45 @@ def scan_perturbation(g: Graph, kind: str, max_k: int | None = None):
             elif within(g.add_edges(subset), base - 1):
                 return k, subset, base
     return None, None, base
+
+
+def reference_minimum_cover(cover: tuple[int, ...]) -> list[int]:
+    """Indices of the minimum cover that a shrinking-limit search ends on.
+
+    One index-order branch and bound, started one pick below the greedy
+    cover, lowers its limit to one below each cover it reaches, so only
+    strictly smaller covers follow and the last one reached is minimum;
+    the greedy cover is the answer when none is reached.
+    """
+    full = (1 << len(cover)) - 1
+    greedy = _greedy_cover(cover)
+    limit = len(greedy) - 1
+    chosen: list[int] = []
+    last = greedy
+
+    def dfs(dominated: int, banned: int) -> None:
+        nonlocal limit, last
+        if dominated == full:
+            last = list(chosen)
+            limit = len(chosen) - 1
+            return
+        depth = len(chosen)
+        if depth >= limit:
+            return
+        branch_cands, need = _branch(cover, full & ~dominated, banned)
+        if branch_cands is None or depth + need > limit:
+            return
+        tried = 0
+        for u in iter_bits(branch_cands):
+            chosen.append(u)
+            dfs(dominated | cover[u], banned | tried)
+            chosen.pop()
+            if depth >= limit:
+                return
+            tried |= 1 << u
+
+    dfs(0, 0)
+    return sorted(last)
 
 
 def brute_solve(inst: CnfInstance) -> dict[int, bool] | None:

@@ -2,12 +2,13 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from domkit.domination import (
     BudgetExceededError,
     IsolatedVertexError,
     _branch,
+    _cover_masks,
     _exists_cover,
     domination_number,
     enumerate_minimum_sets,
@@ -26,6 +27,7 @@ from oracles import (
     oracle_dominates,
     path_graph,
     random_graph,
+    reference_minimum_cover,
     star_graph,
 )
 from strategies import graphs, isolated_free_graphs
@@ -119,6 +121,34 @@ class TestTotalDominationNumber:
         gamma = domination_number(g).value
         gamma_t = total_domination_number(g).value
         assert gamma <= gamma_t <= 2 * gamma
+
+
+def assert_reference_witness(g: Graph, total: bool) -> None:
+    """The (total) domination witness is the one the shrinking-limit reference search ends on."""
+    solve = total_domination_number if total else domination_number
+    if total and g.isolated_vertices():
+        with pytest.raises(IsolatedVertexError):
+            solve(g)
+        return
+    chosen = reference_minimum_cover(_cover_masks(g, total))
+    assert solve(g).witness == frozenset(g.label_at(i) for i in chosen)
+
+
+class TestWitnessContract:
+    """γ and γ_t witnesses, on random graphs, equal those of the shrinking-limit reference search."""
+
+    @given(graphs(min_vertices=0, max_vertices=14))
+    @example(Graph([], []))
+    @example(Graph([f"x{i}" for i in range(1, 6)], []))
+    @settings(max_examples=150, deadline=None)
+    def test_witnesses_match_reference(self, g):
+        assert_reference_witness(g, total=False)
+        assert_reference_witness(g, total=True)
+
+    @given(isolated_free_graphs(max_vertices=14))
+    @settings(max_examples=150, deadline=None)
+    def test_total_witnesses_match_reference(self, g):
+        assert_reference_witness(g, total=True)
 
 
 class TestMonotonicity:
