@@ -85,7 +85,8 @@ def parse_dimacs(text: str) -> CnfInstance:
     clause are allowed).
     """
     header: tuple[int, int] | None = None
-    tokens: list[str] = []
+    clauses: list[tuple[int, ...]] = []
+    current: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -105,24 +106,20 @@ def parse_dimacs(text: str) -> CnfInstance:
             continue
         if header is None:
             raise DimacsSyntaxError(f"line {lineno}: clause before 'p cnf' header")
-        tokens.extend(line.split())
+        for tok in line.split():
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise DimacsSyntaxError(f"unexpected token {tok!r} in clause data") from None
+            if lit == 0:
+                clauses.append(tuple(current))
+                current = []
+            else:
+                current.append(lit)
 
     if header is None:
         raise DimacsSyntaxError("missing 'p cnf <n> <m>' header")
     num_vars, num_clauses = header
-
-    clauses: list[tuple[int, ...]] = []
-    current: list[int] = []
-    for tok in tokens:
-        try:
-            lit = int(tok)
-        except ValueError:
-            raise DimacsSyntaxError(f"unexpected token {tok!r} in clause data") from None
-        if lit == 0:
-            clauses.append(tuple(current))
-            current = []
-        else:
-            current.append(lit)
     if current:
         raise DimacsSyntaxError("last clause is not terminated by 0")
     if len(clauses) != num_clauses:
@@ -167,48 +164,36 @@ def _simplify(clauses: list[tuple[int, ...]], lit: int) -> list[tuple[int, ...]]
     return out
 
 
-def _dpll(clauses: list[tuple[int, ...]], assignment: Assignment) -> bool:
-    while True:
-        changed = False
-        # unit propagation
-        unit = next((c[0] for c in clauses if len(c) == 1), None)
-        if unit is not None:
-            assignment[abs(unit)] = unit > 0
-            reduced = _simplify(clauses, unit)
-            if reduced is None:
-                return False
-            clauses = reduced
-            continue
-        # pure literal elimination
-        polarity: dict[int, int] = {}
-        for clause in clauses:
-            for lit in clause:
-                polarity[abs(lit)] = polarity.get(abs(lit), 0) | (1 if lit > 0 else 2)
-        pure = next((v for v in sorted(polarity) if polarity[v] != 3), None)
-        if pure is not None:
+def _dpll(clauses: list[tuple[int, ...]]) -> Assignment | None:
+    """Values that satisfy ``clauses`` for the variables the search sets, or None."""
+    assignment: Assignment = {}
+    while clauses:
+        lit = next((c[0] for c in clauses if len(c) == 1), None)
+        if lit is None:
+            polarity: dict[int, int] = {}
+            for clause in clauses:
+                for x in clause:
+                    polarity[abs(x)] = polarity.get(abs(x), 0) | (1 if x > 0 else 2)
+            pure = min((v for v, sides in polarity.items() if sides != 3), default=None)
+            if pure is None:
+                break
             lit = pure if polarity[pure] == 1 else -pure
-            assignment[abs(lit)] = lit > 0
-            reduced = _simplify(clauses, lit)
-            if reduced is None:
-                return False
-            clauses = reduced
-            changed = True
-        if not changed:
-            break
-
+        assignment[abs(lit)] = lit > 0
+        reduced = _simplify(clauses, lit)
+        if reduced is None:
+            return None
+        clauses = reduced
     if not clauses:
-        return True
+        return assignment
 
-    var = min(abs(lit) for clause in clauses for lit in clause if abs(lit) not in assignment)
-    for value in (True, False):
-        trial = dict(assignment)
-        trial[var] = value
-        reduced = _simplify(clauses, var if value else -var)
-        if reduced is not None and _dpll(reduced, trial):
-            assignment.clear()
-            assignment.update(trial)
-            return True
-    return False
+    # simplified clauses hold only unset variables
+    var = min(abs(lit) for clause in clauses for lit in clause)
+    for lit in (var, -var):
+        reduced = _simplify(clauses, lit)
+        rest = None if reduced is None else _dpll(reduced)
+        if rest is not None:
+            return {**assignment, var: lit > 0, **rest}
+    return None
 
 
 def solve_sat(inst: CnfInstance) -> Assignment | None:
@@ -218,12 +203,10 @@ def solve_sat(inst: CnfInstance) -> Assignment | None:
     on the lowest-index unassigned variable, true before false.  The
     result is total: variables untouched by the search are set false.
     """
-    assignment: Assignment = {}
-    if not _dpll([tuple(c) for c in inst.clauses], assignment):
+    assignment = _dpll(list(inst.clauses))
+    if assignment is None:
         return None
-    for v in range(1, inst.num_vars + 1):
-        assignment.setdefault(v, False)
-    return dict(sorted(assignment.items()))
+    return {v: assignment.get(v, False) for v in range(1, inst.num_vars + 1)}
 
 
 def random_instance(num_vars: int, num_clauses: int, seed: int) -> CnfInstance:

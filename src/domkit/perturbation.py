@@ -297,9 +297,6 @@ class AdditionSearch:
         """Whether adding ``edges`` leaves a cover smaller than ``base``."""
         return self.covers_after(edges, self.base - 1)
 
-    def _search(self, limit: int, dominated: int, banned: int) -> list[int] | None:
-        return _exists_cover(self._cover, limit, dominated, banned)
-
     def _dead_with(self, x: int) -> int:
         """The vertices left without a dominator once every dominator of x is barred."""
         if x not in self._dead:
@@ -319,14 +316,14 @@ class AdditionSearch:
             if self._dead_with(x) & ~(1 << x):
                 found = None
             else:
-                found = self._search(limit, 1 << x, self._cover[x])
+                found = _exists_cover(self._cover, limit, 1 << x, self._cover[x])
             self._partners[key] = None if found is None else _bits(found) & ~(1 << x)
         partners = self._partners[key]
         if partners is None:
             return False
         if partners >> u & 1:
             return True
-        found = self._search(limit - 1, self._cover[u] | 1 << x, self._cover[x])
+        found = _exists_cover(self._cover, limit - 1, self._cover[u] | 1 << x, self._cover[x])
         if found is None:
             return False
         self._partners[key] = partners | (_bits(found) | 1 << u) & ~(1 << x)
@@ -355,7 +352,7 @@ class AdditionSearch:
         near = self._cover[u] | self._cover[v]
         if (self._dead_with(u) | self._dead_with(v)) & ~(near | 1 << u | 1 << v):
             return False
-        return self._search(limit - 2, near | 1 << u | 1 << v, near) is not None
+        return _exists_cover(self._cover, limit - 2, near | 1 << u | 1 << v, near) is not None
 
 
 def _first_hit(search: RemovalSearch | AdditionSearch, max_k: int | None) -> PerturbResult:

@@ -11,6 +11,9 @@ shortcuts.  ``reference_minimum_cover``, the reference for γ and γ_t
 witnesses, shares the package's branch step and greedy cover, but finds
 the optimum by one search that lowers its limit at every cover it
 reaches, not by decide searches at fixed limits.
+``reference_solve_sat``, the reference for satisfying assignments, is a
+copy of the former DPLL oracle, which pins the assignment the package's
+solver must return, not only its verdict.
 """
 
 from __future__ import annotations
@@ -243,6 +246,81 @@ def brute_solve(inst: CnfInstance) -> dict[int, bool] | None:
         if all(any(assignment[abs(lit)] == (lit > 0) for lit in clause) for clause in inst.clauses):
             return assignment
     return None
+
+
+def _reference_simplify(clauses: list[tuple[int, ...]], lit: int) -> list[tuple[int, ...]] | None:
+    out: list[tuple[int, ...]] = []
+    for clause in clauses:
+        if lit in clause:
+            continue
+        if -lit in clause:
+            reduced = tuple(x for x in clause if x != -lit)
+            if not reduced:
+                return None
+            out.append(reduced)
+        else:
+            out.append(clause)
+    return out
+
+
+def _reference_dpll(clauses: list[tuple[int, ...]], assignment: dict[int, bool]) -> bool:
+    while True:
+        changed = False
+        # unit propagation
+        unit = next((c[0] for c in clauses if len(c) == 1), None)
+        if unit is not None:
+            assignment[abs(unit)] = unit > 0
+            reduced = _reference_simplify(clauses, unit)
+            if reduced is None:
+                return False
+            clauses = reduced
+            continue
+        # pure literal elimination
+        polarity: dict[int, int] = {}
+        for clause in clauses:
+            for lit in clause:
+                polarity[abs(lit)] = polarity.get(abs(lit), 0) | (1 if lit > 0 else 2)
+        pure = next((v for v in sorted(polarity) if polarity[v] != 3), None)
+        if pure is not None:
+            lit = pure if polarity[pure] == 1 else -pure
+            assignment[abs(lit)] = lit > 0
+            reduced = _reference_simplify(clauses, lit)
+            if reduced is None:
+                return False
+            clauses = reduced
+            changed = True
+        if not changed:
+            break
+
+    if not clauses:
+        return True
+
+    var = min(abs(lit) for clause in clauses for lit in clause if abs(lit) not in assignment)
+    for value in (True, False):
+        trial = dict(assignment)
+        trial[var] = value
+        reduced = _reference_simplify(clauses, var if value else -var)
+        if reduced is not None and _reference_dpll(reduced, trial):
+            assignment.clear()
+            assignment.update(trial)
+            return True
+    return False
+
+
+def reference_solve_sat(inst: CnfInstance) -> dict[int, bool] | None:
+    """The assignment DPLL finds, or None.
+
+    Unit propagation first, then the lowest pure literal, repeated until
+    neither applies; then a branch on the lowest-index unassigned
+    variable, true before false.  Variables the search never sets are
+    false.
+    """
+    assignment: dict[int, bool] = {}
+    if not _reference_dpll([tuple(c) for c in inst.clauses], assignment):
+        return None
+    for v in range(1, inst.num_vars + 1):
+        assignment.setdefault(v, False)
+    return dict(sorted(assignment.items()))
 
 
 # small named graphs used throughout the tests

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -17,7 +19,7 @@ from domkit.cnf import (
     solve_sat,
     to_dimacs,
 )
-from oracles import brute_solve
+from oracles import brute_solve, reference_solve_sat
 from strategies import cnf_instances
 
 
@@ -72,6 +74,11 @@ class TestParsing:
     def test_syntax_errors(self, text):
         with pytest.raises(DimacsSyntaxError):
             parse_dimacs(text)
+
+    def test_first_fault_in_file_order(self):
+        # the bad token comes before the repeated header, so it is reported
+        with pytest.raises(DimacsSyntaxError, match="unexpected token 'x' in clause data"):
+            parse_dimacs("p cnf 3 1\n1 x 3 0\np cnf 3 1\n")
 
     def test_serializer_round_trip(self):
         inst = parse_dimacs(FIG_DIMACS)
@@ -140,6 +147,27 @@ class TestSolver:
             assert (model is None) == (brute is None), f"seed {seed}"
             if model is not None:
                 assert evaluate(inst, model)
+
+
+class TestAssignmentContract:
+    """``solve_sat`` returns the reference DPLL's assignment, not just its verdict.
+
+    Reports print the edge a reinforcement witness adds, and the
+    assignment picks it, so a different satisfying assignment is a
+    different report.
+    """
+
+    @given(cnf_instances(max_vars=8, max_clauses=30))
+    @settings(max_examples=200)
+    def test_matches_reference(self, inst):
+        assert solve_sat(inst) == reference_solve_sat(inst)
+
+    def test_matches_reference_seeded(self):
+        rng = random.Random(16)
+        for _ in range(300):
+            n = rng.randint(3, 12)
+            inst = random_instance(n, rng.randint(0, int(5.5 * n)), rng.randrange(1 << 30))
+            assert solve_sat(inst) == reference_solve_sat(inst), to_dimacs(inst)
 
 
 class TestRandomInstance:
