@@ -222,11 +222,14 @@ def reference_minimum_cover(cover: tuple[int, ...]) -> list[int]:
         depth = len(chosen)
         if depth >= limit:
             return
-        branch_cands, need = _branch(cover, full & ~dominated, banned)
-        if branch_cands is None or depth + need > limit:
+        packing = _branch(cover, full & ~dominated, banned)
+        if packing is None:
+            return
+        classes, _ = packing
+        if depth + len(classes) > limit:
             return
         tried = 0
-        for u in iter_bits(branch_cands):
+        for u in iter_bits(classes[0]):
             chosen.append(u)
             dfs(dominated | cover[u], banned | tried)
             chosen.pop()

@@ -4,12 +4,16 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings
 
+from domkit import domination
+from domkit.cnf import CnfInstance
 from domkit.domination import (
     BudgetExceededError,
     IsolatedVertexError,
+    _all_minimum_covers,
     _branch,
     _cover_masks,
     _exists_cover,
+    _search,
     domination_number,
     enumerate_minimum_sets,
     has_dominating_set_within,
@@ -18,7 +22,8 @@ from domkit.domination import (
     is_total_dominating_set,
     total_domination_number,
 )
-from domkit.graph import Graph, UnknownVertexError
+from domkit.graph import Graph, UnknownVertexError, iter_bits
+from domkit.reductions import build
 from oracles import (
     brute_domination_number,
     brute_minimum_sets,
@@ -230,7 +235,7 @@ class TestBranchStep:
 
     def test_matches_brute_force(self):
         rng = random.Random(3)
-        checked = pruned = 0
+        checked = pruned = spared = 0
         for trial in range(600):
             n = rng.randint(1, 10)
             g = random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
@@ -245,27 +250,67 @@ class TestBranchStep:
                 continue
             banned = {u for u in range(n) if rng.random() < 0.25}
             cover = tuple(sum(1 << u for u in dom) for dom in dominators)
-            cands, need = _branch(cover, sum(1 << v for v in undom), sum(1 << u for u in banned))
+            packing = _branch(cover, sum(1 << v for v in undom), sum(1 << u for u in banned))
             allowed = {v: dominators[v] - banned for v in undom}
             if any(not allowed[v] for v in undom):
-                assert cands is None
+                assert packing is None
                 pruned += 1
                 continue
-            assert cands is not None
+            assert packing is not None
+            classes, spare = packing
             fewest = min(undom, key=lambda v: (len(allowed[v]), v))
-            assert cands == sum(1 << u for u in allowed[fewest])
+            assert classes[0] == sum(1 << u for u in allowed[fewest])
             pool = sorted(set(range(n)) - banned)
             smallest = next(
                 k for k in range(1, len(pool) + 1)
                 if any(all(allowed[v] & set(picks) for v in undom) for picks in combinations(pool, k))
             )
-            assert 1 <= need <= smallest
+            assert 1 <= len(classes) <= smallest
+            # The packing: pairwise disjoint classes, each some undominated
+            # vertex's allowed dominators, that every other one meets.
+            sets = [set(iter_bits(c)) for c in classes]
+            assert all(not a & b for a, b in combinations(sets, 2))
+            assert all(any(allowed[v] == c for v in undom) for c in sets)
+            assert all(any(allowed[v] & c for c in sets) for v in undom)
+            reach = set().union(*allowed.values())
+            assert spare == sum(1 << u for u in reach - set().union(*sets))
+            spared += spare != 0
             checked += 1
-        assert checked > 200 and pruned > 20
+        assert checked > 200 and pruned > 20 and spared > 100
+
+
+def random_start(rng: random.Random, closed: bool, max_vertices: int = 12):
+    """Cover masks of a random graph, random nonempty ``dominated`` and ``banned`` starts, and the allowed picks."""
+    n = rng.randint(1, max_vertices)
+    g = random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
+    adj = g.adjacency_masks()
+    cover = tuple(mask | (1 << v) if closed else mask for v, mask in enumerate(adj))
+    dominated = sum(1 << v for v in range(n) if rng.random() < 0.3) or 1 << rng.randrange(n)
+    banned = sum(1 << v for v in range(n) if rng.random() < 0.25) or 1 << rng.randrange(n)
+    return cover, dominated, banned, [u for u in range(n) if not banned >> u & 1]
+
+
+def brute_covers(cover, dominated, pool, sizes):
+    """Every pick set from ``pool`` with a size in ``sizes`` that covers the rest, smallest first."""
+    full = (1 << len(cover)) - 1
+    found = []
+    for k in sizes:
+        for picks in combinations(pool, k):
+            reached = dominated
+            for u in picks:
+                reached |= cover[u]
+            if reached == full:
+                found.append(picks)
+    return found
+
+
+def smallest_cover(cover, dominated, pool):
+    """The fewest picks from ``pool`` that cover the rest, or None."""
+    return next((k for k in range(len(pool) + 1) if brute_covers(cover, dominated, pool, [k])), None)
 
 
 class TestStartingMasks:
-    """The decide search from nonzero starting masks against brute force.
+    """Decide and enumerate searches from nonzero starting masks against brute force.
 
     ``dominated`` and ``banned`` are how the perturbation deciders start
     a search part-way; the public entry points always pass zero.
@@ -275,27 +320,9 @@ class TestStartingMasks:
         rng = random.Random(5)
         hits = misses = 0
         for trial in range(400):
-            n = rng.randint(1, 10)
-            g = random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
-            adj = g.adjacency_masks()
-            closed = trial % 2 == 0
-            cover = tuple(mask | (1 << v) if closed else mask for v, mask in enumerate(adj))
-            full = (1 << n) - 1
-            dominated = sum(1 << v for v in range(n) if rng.random() < 0.3) or 1 << rng.randrange(n)
-            banned = sum(1 << v for v in range(n) if rng.random() < 0.25) or 1 << rng.randrange(n)
-            pool = [u for u in range(n) if not banned >> u & 1]
-
-            def covers(picks):
-                reached = dominated
-                for u in picks:
-                    reached |= cover[u]
-                return reached == full
-
-            smallest = next(
-                (k for k in range(len(pool) + 1) if any(covers(picks) for picks in combinations(pool, k))),
-                None,
-            )
-            for limit in range(n + 2):
+            cover, dominated, banned, pool = random_start(rng, closed=trial % 2 == 0)
+            smallest = smallest_cover(cover, dominated, pool)
+            for limit in range(len(cover) + 2):
                 got = _exists_cover(cover, limit, dominated, banned)
                 if smallest is None or smallest > limit:
                     assert got is None, (trial, limit)
@@ -304,6 +331,84 @@ class TestStartingMasks:
                 assert got is not None, (trial, limit)
                 assert len(got) <= limit
                 assert not any(banned >> u & 1 for u in got)
-                assert covers(got)
+                assert brute_covers(cover, dominated, sorted(got), [len(got)])
                 hits += 1
         assert hits > 500 and misses > 500
+
+    def test_enumeration_matches_brute_force(self):
+        """Every cover within the limit that no smaller one reaches is reached, each exactly once.
+
+        At the optimum these are all the covers, and every node on a
+        cover's path is tight.  One pick above it, tight nodes sit deeper,
+        and a search may also reach a cover with a pick to spare.  Both are
+        where a ban could lose a cover.
+        """
+        rng = random.Random(8)
+        enumerated = 0
+        for trial in range(300):
+            cover, dominated, banned, pool = random_start(rng, closed=trial % 2 == 0)
+            smallest = smallest_cover(cover, dominated, pool)
+            if smallest is None:
+                continue
+            for limit in (smallest, smallest + 1):
+                got: list[tuple[int, ...]] = []
+                _search(cover, limit, dominated, banned, found=lambda chosen: got.append(tuple(sorted(chosen))))
+                every = brute_covers(cover, dominated, pool, range(limit + 1))
+                minimal = [c for c in every if not any(set(d) < set(c) for d in every)]
+                assert len(set(got)) == len(got), (trial, limit)
+                assert set(minimal) <= set(got) <= set(every), (trial, limit)
+                if limit == smallest:
+                    assert sorted(got) == every
+                enumerated += len(got)
+        assert enumerated > 1000
+
+
+class TestAllMinimumCovers:
+    """``_all_minimum_covers`` at the brute-force optimum, whole and rooted at a vertex pair."""
+
+    def test_matches_brute_force(self):
+        rng = random.Random(11)
+        for trial in range(150):
+            n = rng.randint(1, 11)
+            g = random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
+            total = trial % 2 == 1
+            if total and g.isolated_vertices():
+                continue
+            cover = _cover_masks(g, total)
+            expected = sorted(tuple(sorted(g.index_of(v) for v in s)) for s in brute_minimum_sets(g, total))
+            size = len(expected[0])
+            assert _all_minimum_covers(cover, size, 10**6) == expected
+            if n >= 2:
+                u, v = rng.sample(range(n), 2)
+                through = [c for c in expected if u in c or v in c]
+                assert _all_minimum_covers(cover, size, 10**6, (u, v)) == through, trial
+
+
+# An unsatisfiable n = 8, m = 34 instance: random_clauses(random.Random(2), 8, 34)
+# of perfbench/workloads.py, written out.
+UNSAT_N8_CLAUSES = (
+    (1, 7, -8), (3, 5, -8), (-4, -6, -7), (-4, -5, -6), (-3, 4, -6), (2, 3, 5), (3, -5, -7),
+    (-4, -7, -8), (3, -4, -6), (5, 6, 8), (-4, 6, -8), (4, 6, -8), (-3, 5, 8), (3, -6, -7),
+    (-2, -3, 7), (-1, 2, 5), (2, 5, -7), (-1, 4, 6), (1, -4, 6), (1, -3, -7), (1, -4, 5),
+    (-1, -3, -8), (3, 4, -5), (-1, -3, 4), (-1, -4, 6), (-3, 5, 7), (-3, 6, 7), (1, 3, 6),
+    (-2, -6, -8), (2, 4, -6), (3, -6, 8), (1, -4, 7), (1, 2, 7), (-3, 4, -8),
+)
+
+
+# Nodes without tight-packing propagation: 52,179 and 125,696.
+@pytest.mark.parametrize("kind, max_nodes", [("bondage", 1_000), ("total-bondage", 60_000)])
+def test_tight_refutation_node_bound(monkeypatch, kind, max_nodes):
+    """The unsat gadgets' refutations at the exact bound stay cheap: the packing is tight from the root."""
+    total = kind == "total-bondage"
+    calls = 0
+    branch = domination._branch
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return branch(*args)
+
+    monkeypatch.setattr(domination, "_branch", counted)
+    g = build(kind, CnfInstance(8, UNSAT_N8_CLAUSES)).graph
+    assert _exists_cover(_cover_masks(g, total), 2 * 8 + 1 + total) is None
+    assert calls <= max_nodes
