@@ -15,14 +15,29 @@ stops at the first one accepted.  Two questions are asked of it:
     u and then at v, since every set below the optimum of G that
     dominates G + uv holds one of them.
 
-γ and γ_t (``_minimum_cover``) are decide refutations plus one witness
-search.  From a greedy cover, decide "one pick fewer than the last cover
-found" until that fails.  The witness is then the greedy cover if it was
-minimum, else the first cover an index-order search reaches at the
-optimum.  It does not move with the limit: the search tree does not
-depend on it, and the bound cuts only subtrees with no cover within it,
-so every index-order search at or above the optimum reaches this cover
-before any other minimum one.
+γ and γ_t (``_minimum_cover``) are decide refutations plus a descent
+that pins the witness.  From a greedy cover, decide "one pick fewer than
+the last cover found" until that fails.  The witness is then the greedy
+cover if it was minimum, else the first cover that the index-order tree
+reaches at the optimum: the tree of ``_branch`` steps that branch on
+their first class, in index order, without propagation.  It does not
+move with the limit, since the tree does not depend on it, so every
+index-order search at or above the optimum reaches this cover before
+any other minimum one.
+
+The descent walks that tree from the root without searching it.  At
+each node it knows a minimum cover below the node, at first the last
+one decide found.  That cover lies below exactly one child, the one
+through its smallest pick in the branch set: each later child bans that
+pick, and each earlier one picks a vertex it does not hold.  Each
+earlier sibling, in index order, gets one decide call from its own
+state, with the siblings before it banned, at the picks left.  The
+first call that succeeds gives the new known cover, and the descent
+follows that sibling; a refuted sibling is banned for the rest.
+Decide's bound and propagation cut only subtrees with no cover, so a
+subtree holds a cover within the optimum exactly when its call
+succeeds: the descent follows the first such child at every node, and
+ends on the tree's first cover.
 
 Each node makes one branch step, ``_branch``, a single pass over the
 undominated vertices.  It branches on the undominated vertex with the
@@ -32,13 +47,12 @@ before it, so every vertex set is reachable along exactly one path,
 whatever order the dominators are tried in.  One child loop tries
 them; only its order depends on the question:
 
-  * the witness search tries them in index order, because its witness
-    (the first minimum cover reached) is pinned; so does enumerate,
-    which reaches every cover in any order and sorts them;
+  * enumerate tries them in index order; it reaches every cover in any
+    order and sorts them;
   * decide tries them by descending gain, the number of vertices each
     newly dominates (lowest index among ties).  Its cover is never
-    shown, only measured by ``_minimum_cover`` or kept for reuse by
-    ``perturbation``, so it may be any qualifying cover, and the
+    shown, only measured or followed by ``_minimum_cover`` or kept for
+    reuse by ``perturbation``, so it may be any qualifying cover, and the
     greediest branch tends to reach one first: on the searches
     ``verify`` makes, this about halves the nodes.
 
@@ -61,9 +75,10 @@ no cover within the limit, so decide finds a cover exactly when it did
 without the rule, and enumerate reaches the same covers, which it
 sorts.  The gadgets' refutations at the exact bound are tight from the
 root; on them the rule takes hundreds of times fewer nodes for plain
-bondage and several times fewer for total bondage.  The witness search
-skips the rule: it changes which vertex a node branches on, so the
-first minimum cover it reaches, the pinned witness, could move.
+bondage and several times fewer for total bondage.  The descent's own
+nodes do not propagate, because the rule changes which vertex a node
+branches on and so would move the pinned witness; its decide calls do,
+since they only tell whether a subtree holds a cover.
 
 Domination uses closed neighborhoods (a chosen vertex covers itself);
 total domination uses open neighborhoods, so a vertex never covers
@@ -232,13 +247,10 @@ def _search(
     which ``found`` returns True.  Each node tries its branch
     vertex's dominators in index order, or with ``by_gain`` by
     descending number of newly dominated vertices (lowest index among
-    ties).  Decide (``by_gain``) and enumerate (``found``) searches
-    propagate at tight nodes (see the module docstring); the witness
-    search, which has neither, does not, so its first cover stays put.
+    ties), and propagates when tight (see the module docstring).
     """
     full = (1 << len(cover)) - 1
     chosen: list[int] = []
-    tighten = by_gain or found is not None
 
     def dfs(dominated: int, banned: int) -> bool:
         if dominated == full:
@@ -257,7 +269,7 @@ def _search(
         branch_cands = classes[0]
         # Classes are kept by ascending size, so before any ban no vertex's
         # dominators are a strict subset of one: without spare, nothing to propagate.
-        if spare and tighten and depth + need == limit:
+        if spare and depth + need == limit:
             banned = _tighten(cover, undom, banned, classes, spare)
             if banned is None:
                 return False
@@ -280,16 +292,35 @@ def _search(
 def _minimum_cover(cover: tuple[int, ...]) -> list[int]:
     """Indices of a minimum cover; the witness is deterministic (see the module docstring).
 
-    The null graph's greedy cover is empty, and any search on it finds
-    the empty cover, so the decide loop ends at size 0.
+    The null graph's greedy cover is empty, so no decide call is made.
     """
-    greedy = _greedy_cover(cover)
-    size = len(greedy)
-    while size and (smaller := _exists_cover(cover, size - 1)) is not None:
-        size = len(smaller)
-    if size == len(greedy):
+    greedy = best = _greedy_cover(cover)
+    while best and (smaller := _exists_cover(cover, len(best) - 1)) is not None:
+        best = smaller
+    if best is greedy:
         return sorted(greedy)
-    return sorted(_search(cover, size))
+    # The descent (see the module docstring); ``known`` holds the picks
+    # below the node of a minimum cover, so it marks a child to follow.
+    full = (1 << len(cover)) - 1
+    size = len(best)
+    known = sum(1 << u for u in best)
+    chosen: list[int] = []
+    dominated = banned = 0
+    while dominated != full:
+        classes, _ = _branch(cover, full & ~dominated, banned)
+        tried = 0
+        for u in iter_bits(classes[0]):
+            if known >> u & 1:
+                break
+            rest = _exists_cover(cover, size - len(chosen) - 1, dominated | cover[u], banned | tried)
+            if rest is not None:
+                known = sum(1 << w for w in rest)
+                break
+            tried |= 1 << u
+        chosen.append(u)
+        dominated |= cover[u]
+        banned |= tried
+    return sorted(chosen)
 
 
 def _exists_cover(cover: tuple[int, ...], limit: int, dominated: int = 0, banned: int = 0) -> list[int] | None:

@@ -13,6 +13,7 @@ from domkit.domination import (
     _branch,
     _cover_masks,
     _exists_cover,
+    _greedy_cover,
     _search,
     domination_number,
     enumerate_minimum_sets,
@@ -154,6 +155,37 @@ class TestWitnessContract:
     @settings(max_examples=150, deadline=None)
     def test_total_witnesses_match_reference(self, g):
         assert_reference_witness(g, total=True)
+
+
+def sparse_graph(rng: random.Random, n: int) -> Graph:
+    """G(n, 2n), 2n distinct edges drawn uniformly, redrawn until no vertex is isolated."""
+    while True:
+        edges: set[tuple[int, int]] = set()
+        while len(edges) < 2 * n:
+            a, b = rng.sample(range(n), 2)
+            edges.add((min(a, b), max(a, b)))
+        if len({v for edge in edges for v in edge}) == n:
+            break
+    labels = [f"x{v}" for v in range(n)]
+    return Graph(labels, [(labels[a], labels[b]) for a, b in sorted(edges)])
+
+
+@pytest.mark.parametrize("total", [False, True], ids=["closed", "total"])
+def test_descent_witnesses_match_reference(total):
+    """Witnesses on sparse graphs of 16 to 40 vertices, where greedy often misses the optimum.
+
+    Only there does ``_minimum_cover`` descend; the hypothesis graphs
+    above are small enough that greedy is nearly always minimum.
+    """
+    rng = random.Random(16)
+    descents = 0
+    for n in range(16, 41):
+        for _ in range(6):
+            g = sparse_graph(rng, n)
+            assert_reference_witness(g, total)
+            cover = _cover_masks(g, total)
+            descents += len(_greedy_cover(cover)) > len(reference_minimum_cover(cover))
+    assert descents >= 20
 
 
 class TestMonotonicity:
@@ -395,20 +427,34 @@ UNSAT_N8_CLAUSES = (
 )
 
 
+def count_branch_steps(monkeypatch) -> list[int]:
+    """Patch ``_branch`` to count its calls; the count is the one item of the returned list."""
+    calls = [0]
+    branch = domination._branch
+
+    def counted(*args):
+        calls[0] += 1
+        return branch(*args)
+
+    monkeypatch.setattr(domination, "_branch", counted)
+    return calls
+
+
 # Nodes without tight-packing propagation: 52,179 and 125,696.
 @pytest.mark.parametrize("kind, max_nodes", [("bondage", 1_000), ("total-bondage", 60_000)])
 def test_tight_refutation_node_bound(monkeypatch, kind, max_nodes):
     """The unsat gadgets' refutations at the exact bound stay cheap: the packing is tight from the root."""
     total = kind == "total-bondage"
-    calls = 0
-    branch = domination._branch
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return branch(*args)
-
-    monkeypatch.setattr(domination, "_branch", counted)
+    calls = count_branch_steps(monkeypatch)
     g = build(kind, CnfInstance(8, UNSAT_N8_CLAUSES)).graph
     assert _exists_cover(_cover_masks(g, total), 2 * 8 + 1 + total) is None
-    assert calls <= max_nodes
+    assert calls[0] <= max_nodes
+
+
+# Nodes with an unpropagated index-order witness search: 242,435 and 147,054.
+@pytest.mark.parametrize("kind", ["total-bondage", "total-reinforcement"])
+def test_witness_descent_node_bound(monkeypatch, kind):
+    """γ of the total gadgets, where greedy misses the optimum, finds its witness by descent, not by search."""
+    calls = count_branch_steps(monkeypatch)
+    assert domination_number(build(kind, CnfInstance(8, UNSAT_N8_CLAUSES)).graph).value == 16
+    assert calls[0] <= 40_000
