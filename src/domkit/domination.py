@@ -6,7 +6,8 @@ It asks one question at a fixed ``limit``, which covers have at most
 ``found`` callback, it hands each cover it reaches to that instead and
 stops at the first one accepted.  Two questions are asked of it:
 
-  * decide "at most k" (``_exists_cover``) takes the first cover;
+  * decide "at most k" takes the first cover: ``_minimum_cover``,
+    ``has_*_within`` and ``perturbation`` ask it with no callback;
   * enumerate "exactly k" (``_all_minimum_covers``), run at an optimum
     its caller has already proven, records every cover and accepts
     none, with a hard cap on the number of sets.  ``verify``'s
@@ -44,17 +45,16 @@ undominated vertices.  It branches on the undominated vertex with the
 fewest allowed dominators (lowest index among ties); branches are made
 disjoint by forbidding, inside the t-th branch, the dominators tried
 before it, so every vertex set is reachable along exactly one path,
-whatever order the dominators are tried in.  One child loop tries
-them; only its order depends on the question:
-
-  * enumerate tries them in index order; it reaches every cover in any
-    order and sorts them;
-  * decide tries them by descending gain, the number of vertices each
-    newly dominates (lowest index among ties).  Its cover is never
-    shown, only measured or followed by ``_minimum_cover`` or kept for
-    reuse by ``perturbation``, so it may be any qualifying cover, and the
-    greediest branch tends to reach one first: on the searches
-    ``verify`` makes, this about halves the nodes.
+whatever order the dominators are tried in.  Every node tries them in
+one order, by descending gain, the number of vertices each newly
+dominates (lowest index among ties): the greediest branch tends to reach
+a cover first, and on the searches ``verify`` makes this about halves
+the decide nodes.  No search's order shows in a result.  Decide's cover
+is only measured, followed by the descent or kept for reuse by
+``perturbation``, so it may be any qualifying cover; enumerate reaches
+every cover whatever the order, and sorts them.  Only the descent walks
+index order, because the witness contract names the first cover of the
+index-order tree.
 
 The same pass gives the lower bound, a packing: taken in order of
 (dominator count, index), the undominated vertices whose allowed
@@ -234,7 +234,6 @@ def _search(
     limit: int,
     dominated: int = 0,
     banned: int = 0,
-    by_gain: bool = False,
     found: Callable[[list[int]], bool] | None = None,
 ) -> list[int] | None:
     """Branch and bound over covers, by at most ``limit`` picks, of the vertices outside ``dominated``.
@@ -244,10 +243,10 @@ def _search(
     Returns the first cover reached, as a list of its picks in branch
     order, or None.  Given ``found``, every cover reached goes to it
     instead, and the search stops at, and returns, the first cover for
-    which ``found`` returns True.  Each node tries its branch
-    vertex's dominators in index order, or with ``by_gain`` by
-    descending number of newly dominated vertices (lowest index among
-    ties), and propagates when tight (see the module docstring).
+    which ``found`` returns True.  Each node tries its branch vertex's
+    dominators by descending number of newly dominated vertices (lowest
+    index among ties), and propagates when tight (see the module
+    docstring).
     """
     full = (1 << len(cover)) - 1
     chosen: list[int] = []
@@ -274,11 +273,8 @@ def _search(
             if banned is None:
                 return False
             branch_cands = min(classes, key=int.bit_count)
-        order = iter_bits(branch_cands)
-        if by_gain:
-            order = sorted(order, key=lambda u: -(cover[u] & undom).bit_count())
         tried = 0
-        for u in order:
+        for u in sorted(iter_bits(branch_cands), key=lambda u: -(cover[u] & undom).bit_count()):
             chosen.append(u)
             if dfs(dominated | cover[u], banned | tried):
                 return True
@@ -295,7 +291,7 @@ def _minimum_cover(cover: tuple[int, ...]) -> list[int]:
     The null graph's greedy cover is empty, so no decide call is made.
     """
     greedy = best = _greedy_cover(cover)
-    while best and (smaller := _exists_cover(cover, len(best) - 1)) is not None:
+    while best and (smaller := _search(cover, len(best) - 1)) is not None:
         best = smaller
     if best is greedy:
         return sorted(greedy)
@@ -312,7 +308,7 @@ def _minimum_cover(cover: tuple[int, ...]) -> list[int]:
         for u in iter_bits(classes[0]):
             if known >> u & 1:
                 break
-            rest = _exists_cover(cover, size - len(chosen) - 1, dominated | cover[u], banned | tried)
+            rest = _search(cover, size - len(chosen) - 1, dominated | cover[u], banned | tried)
             if rest is not None:
                 known = sum(1 << w for w in rest)
                 break
@@ -323,25 +319,14 @@ def _minimum_cover(cover: tuple[int, ...]) -> list[int]:
     return sorted(chosen)
 
 
-def _exists_cover(cover: tuple[int, ...], limit: int, dominated: int = 0, banned: int = 0) -> list[int] | None:
-    """Indices of some cover of size at most ``limit``, or None.
-
-    The search starts from ``dominated``: vertices already covered by
-    choices made outside it, which the returned indices need not cover.
-    Vertices in ``banned`` are never chosen.  The cover is kept for
-    reuse or only measured, never shown, so the search branches by gain.
-    """
-    return _search(cover, limit, dominated, banned, by_gain=True)
-
-
 def has_dominating_set_within(g: Graph, size: int) -> bool:
     """Whether some dominating set of at most ``size`` vertices exists."""
-    return _exists_cover(_cover_masks(g, total=False), size) is not None
+    return _search(_cover_masks(g, total=False), size) is not None
 
 
 def has_total_dominating_set_within(g: Graph, size: int) -> bool:
     """Whether some total dominating set of at most ``size`` vertices exists."""
-    return _exists_cover(_cover_masks(g, total=True), size) is not None
+    return _search(_cover_masks(g, total=True), size) is not None
 
 
 def _all_minimum_covers(

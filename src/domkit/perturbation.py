@@ -80,7 +80,7 @@ from typing import Iterable
 from .domination import (  # noqa: F401
     DomResult,
     _cover_masks,
-    _exists_cover,
+    _search,
     domination_number,
     has_dominating_set_within,
     has_total_dominating_set_within,
@@ -258,7 +258,7 @@ class RemovalSearch:
                 if repaired != chosen:
                     self._kept.append(repaired)
                 return True
-        found = _exists_cover(tuple(cover), self.base)
+        found = _search(tuple(cover), self.base)
         if found is None:
             return False
         self._kept.append(_bits(found))
@@ -316,14 +316,14 @@ class AdditionSearch:
             if self._dead_with(x) & ~(1 << x):
                 found = None
             else:
-                found = _exists_cover(self._cover, limit, 1 << x, self._cover[x])
+                found = _search(self._cover, limit, 1 << x, self._cover[x])
             self._partners[key] = None if found is None else _bits(found) & ~(1 << x)
         partners = self._partners[key]
         if partners is None:
             return False
         if partners >> u & 1:
             return True
-        found = _exists_cover(self._cover, limit - 1, self._cover[u] | 1 << x, self._cover[x])
+        found = _search(self._cover, limit - 1, self._cover[u] | 1 << x, self._cover[x])
         if found is None:
             return False
         self._partners[key] = partners | (_bits(found) | 1 << u) & ~(1 << x)
@@ -337,7 +337,7 @@ class AdditionSearch:
             return False
         if len(edges) > 1:
             cover, _ = _toggled(self.graph, self._cover, edges)
-            return _exists_cover(tuple(cover), limit) is not None
+            return _search(tuple(cover), limit) is not None
         (a, b), = edges
         u, v = self.graph.index_of(a), self.graph.index_of(b)
         if self._misses_only(u, v, limit) or self._misses_only(v, u, limit):
@@ -352,7 +352,7 @@ class AdditionSearch:
         near = self._cover[u] | self._cover[v]
         if (self._dead_with(u) | self._dead_with(v)) & ~(near | 1 << u | 1 << v):
             return False
-        return _exists_cover(self._cover, limit - 2, near | 1 << u | 1 << v, near) is not None
+        return _search(self._cover, limit - 2, near | 1 << u | 1 << v, near) is not None
 
 
 def _first_hit(search: RemovalSearch | AdditionSearch, max_k: int | None) -> PerturbResult:
@@ -370,9 +370,7 @@ def _first_hit(search: RemovalSearch | AdditionSearch, max_k: int | None) -> Per
         for prefix in combinations(range(count), k - 1):
             head = tuple(candidates[i] for i in prefix)
             first = prefix[-1] + 1 if prefix else 0
-            still = search.row(prefix)
-            lasts = range(first, count) if still == -1 else iter_bits(still & ((1 << count) - (1 << first)))
-            for last in lasts:
+            for last in iter_bits(search.row(prefix) & ((1 << count) - (1 << first))):
                 subset = head + (candidates[last],)
                 if search.hit(subset):
                     return PerturbResult(k, subset, search.base)

@@ -12,7 +12,6 @@ from domkit.domination import (
     _all_minimum_covers,
     _branch,
     _cover_masks,
-    _exists_cover,
     _greedy_cover,
     _search,
     domination_number,
@@ -355,7 +354,7 @@ class TestStartingMasks:
             cover, dominated, banned, pool = random_start(rng, closed=trial % 2 == 0)
             smallest = smallest_cover(cover, dominated, pool)
             for limit in range(len(cover) + 2):
-                got = _exists_cover(cover, limit, dominated, banned)
+                got = _search(cover, limit, dominated, banned)
                 if smallest is None or smallest > limit:
                     assert got is None, (trial, limit)
                     misses += 1
@@ -447,7 +446,7 @@ def test_tight_refutation_node_bound(monkeypatch, kind, max_nodes):
     total = kind == "total-bondage"
     calls = count_branch_steps(monkeypatch)
     g = build(kind, CnfInstance(8, UNSAT_N8_CLAUSES)).graph
-    assert _exists_cover(_cover_masks(g, total), 2 * 8 + 1 + total) is None
+    assert _search(_cover_masks(g, total), 2 * 8 + 1 + total) is None
     assert calls[0] <= max_nodes
 
 

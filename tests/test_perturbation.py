@@ -9,7 +9,7 @@ from domkit import domination, perturbation
 from domkit.cnf import random_instance
 from domkit.domination import (
     IsolatedVertexError,
-    _exists_cover as exists_cover,
+    _search,
     domination_number,
     has_dominating_set_within,
     has_total_dominating_set_within,
@@ -387,9 +387,9 @@ def test_single_edge_additions_match_graph_copies_on_gadgets(monkeypatch):
 
     def counted(*args, **kwargs):
         searches.append(None)
-        return exists_cover(*args, **kwargs)
+        return _search(*args, **kwargs)
 
-    monkeypatch.setattr(perturbation, "_exists_cover", counted)
+    monkeypatch.setattr(perturbation, "_search", counted)
     dead_with = AdditionSearch._dead_with
     for kind, total in (("reinforcement", False), ("total-reinforcement", True)):
         for inst in (sat, unsat):

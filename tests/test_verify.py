@@ -276,6 +276,35 @@ def test_augmenting_edge_scan_starts_at_the_first_hit(monkeypatch, kind, name):
         assert entry.observed.startswith("0 augmenting edges")
 
 
+# Twice the enumeration's branch steps over the four kinds (bondage, total
+# bondage, reinforcement, total reinforcement): 42 + 192 + 252 + 615 on TINY,
+# 0 + 760 + 0 + 0 on UNSAT8.
+@pytest.mark.parametrize("inst, max_steps", [(TINY, 2 * 1101), (UNSAT8, 2 * 760)], ids=["tiny", "unsat8"])
+def test_deep_enumeration_step_bound(monkeypatch, inst, max_steps):
+    """The deep claim's enumerations stay cheap: ``_branch`` calls made inside ``_all_minimum_covers``."""
+    steps = [0]
+    inside = [False]
+    branch = domination._branch
+
+    def counted_branch(*args):
+        if inside[0]:
+            steps[0] += 1
+        return branch(*args)
+
+    def counted_enumeration(*args):
+        inside[0] = True
+        try:
+            return _all_minimum_covers(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(domination, "_branch", counted_branch)
+    monkeypatch.setattr(importlib.import_module("domkit.verify"), "_all_minimum_covers", counted_enumeration)
+    for kind in ReductionKind:
+        assert verify(kind, inst, deep=True).passed
+    assert steps[0] <= max_steps
+
+
 class TestRemovalSweep:
     """``_removal_sweep`` against one graph copy per edge."""
 
