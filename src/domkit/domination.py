@@ -12,9 +12,8 @@ stops at the first one accepted.  Two questions are asked of it:
     its caller has already proven, records every cover and accepts
     none, with a hard cap on the number of sets.  ``verify``'s
     structure claim calls it on cover masks directly: at the parameter
-    it has solved, and for G + uv on the toggled masks of G, rooted at
-    u and then at v, since every set below the optimum of G that
-    dominates G + uv holds one of them.
+    it has solved, and on the toggled masks of G + e at the optimum
+    that its window test proved for G + e.
 
 γ and γ_t (``_minimum_cover``) are decide refutations plus a descent
 that pins the witness.  From a greedy cover, decide "one pick fewer than
@@ -329,33 +328,22 @@ def has_total_dominating_set_within(g: Graph, size: int) -> bool:
     return _search(_cover_masks(g, total=True), size) is not None
 
 
-def _all_minimum_covers(
-    cover: tuple[int, ...], size: int, cap: int, through: tuple[int, int] | None = None
-) -> list[tuple[int, ...]]:
-    """Every cover of exactly ``size`` picks, the proven optimum, each found once, in index order.
+def _all_minimum_covers(cover: tuple[int, ...], size: int, cap: int) -> list[tuple[int, ...]]:
+    """Every cover of exactly ``size`` picks, each found once, in index order.
 
-    With ``through = (u, v)`` only the covers that hold u or v are
-    enumerated: one search rooted at u, then one rooted at v with u
-    banned, so the two are disjoint.  On the cover masks of G + uv at an
-    optimum below that of G, these are all the covers, since a set that
-    avoids both endpoints dominates G + uv only if it dominates G.
-    Raises BudgetExceededError past ``cap`` covers.
+    ``size`` must be the proven optimum of ``cover``: the search reaches
+    every cover within it, and only at the optimum are those exactly
+    the minimum ones.  Raises BudgetExceededError past ``cap`` covers.
     """
     results: list[tuple[int, ...]] = []
 
     def found(chosen: list[int]) -> bool:
         if len(results) >= cap:
             raise BudgetExceededError(f"more than {cap} minimum sets")
-        results.append(tuple(sorted(chosen + root)))
+        results.append(tuple(sorted(chosen)))
         return False
 
-    if through is None:
-        roots = [([], 0, 0)]
-    else:
-        u, v = through
-        roots = [([u], cover[u], 1 << u), ([v], cover[v], 1 << u | 1 << v)]
-    for root, dominated, banned in roots:
-        _search(cover, size - len(root), dominated, banned, found=found)
+    _search(cover, size, found=found)
     results.sort()
     return results
 

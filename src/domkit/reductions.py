@@ -78,8 +78,6 @@ class ReductionOutput:
     kind: ReductionKind
     graph: Graph
     roles: dict[str, str]
-    num_vars: int
-    num_clauses: int
     instance: CnfInstance
 
     def variable_gadget(self, i: int) -> tuple[str, ...]:
@@ -91,7 +89,7 @@ class ReductionOutput:
         """For ``structure_violation``: clause vertices; per variable its gadget, literals and ``one_of`` vertices."""
         one_of = _SPECS[self.kind].one_of
         gadgets = []
-        for i in range(1, self.num_vars + 1):
+        for i in range(1, self.instance.num_vars + 1):
             gadget = frozenset(self.variable_gadget(i))
             literals = frozenset(v for v in gadget if self.roles[v] in (ROLE_LITERAL_POS, ROLE_LITERAL_NEG))
             gadgets.append((gadget, literals, frozenset(f"{p}{i}" for p in one_of)))
@@ -175,7 +173,7 @@ def build(kind: ReductionKind | str, inst: CnfInstance) -> ReductionOutput:
     roles.update(dict.fromkeys(spec.anchor, ROLE_ANCHOR))
     edges.extend(spec.anchor_edges)
     edges.extend((f"c{j}", s) for j in range(1, inst.num_clauses + 1) for s in spec.joined)
-    return ReductionOutput(kind, Graph(roles, edges), roles, inst.num_vars, inst.num_clauses, inst)
+    return ReductionOutput(kind, Graph(roles, edges), roles, inst)
 
 
 def build_bondage(inst: CnfInstance) -> ReductionOutput:
@@ -234,7 +232,7 @@ def assignment_to_witness(out: ReductionOutput, assignment: Assignment) -> Gadge
     edge s2-to-literal).  The added edge always ends at the chosen
     literal vertex of variable 1, the lowest-index true literal.
     """
-    n = out.num_vars
+    n = out.instance.num_vars
     spec = _SPECS[out.kind]
     if n == 0 and spec.edge_end is not None:
         raise TooFewVariablesError(f"{out.kind.value} needs an instance with at least 1 variable, got {n}")
@@ -282,4 +280,4 @@ def structure_violation(out: ReductionOutput, chosen: frozenset[str], at_exact: 
 
 def witness_to_assignment(out: ReductionOutput, vertex_set: frozenset[str] | set[str]) -> Assignment:
     """Read an assignment off a dominating set: variable i is true iff u<i> was picked."""
-    return {i: f"u{i}" in vertex_set for i in range(1, out.num_vars + 1)}
+    return {i: f"u{i}" in vertex_set for i in range(1, out.instance.num_vars + 1)}

@@ -26,10 +26,7 @@ again and no graph is copied:
   * each enumeration runs at the known optimum, on cover masks: the
     parameter for the gadget, and one less for G+e, which the window
     test that picks e proves (a set of one less exists, none of two less);
-  * G+uv is the gadget's cover masks with uv joined, and its
-    enumeration is rooted at the added edge: the sets that hold u, then
-    those that hold v but not u, since a set smaller than the parameter
-    dominates G+uv only through uv;
+  * G+e is the gadget's cover masks with e joined;
   * the augmenting edges are sought from the single-edge addition
     scan's first hit on: that scan tried the complement edges in the
     same order, so none before its hit lowers the parameter, and when
@@ -179,8 +176,8 @@ def _structure_claim(
     cover = _cover_masks(g, total)
     if removal:
         claim_id = "minimum-set-structure"
-        # (suffix naming the graph in a violation, its cover masks, the added edge's endpoints, its optimum)
-        graphs = [("", cover, None, param)]
+        # (suffix naming the graph in a violation, its cover masks, its optimum)
+        graphs = [("", cover, param)]
         if total:
             expected = "every minimum total set contains s5 and one of v/q per variable" + (
                 "; at the exact bound: anchor pick {s2,s5} or {s4,s5}, two per gadget, "
@@ -198,7 +195,7 @@ def _structure_claim(
         first = edges.index(pert.witness[0]) if pert.witness else len(edges)
         # exactly one below: one added edge can lower gamma_t by 2
         graphs = (
-            (f" (G+{edge})", *_toggled(g, cover, [edge]), param - 1)
+            (f" (G+{edge})", _toggled(g, cover, [edge])[0], param - 1)
             for edge in edges[first:]
             if additions.covers_after((edge,), param - 1) and not additions.covers_after((edge,), param - 2)
         )
@@ -210,8 +207,8 @@ def _structure_claim(
     at_exact = not removal or param == exact
     checked_graphs = checked_sets = 0
     try:
-        for suffix, masks, through, size in graphs:
-            covers = _all_minimum_covers(tuple(masks), size, DEEP_SET_CAP, through)
+        for suffix, masks, size in graphs:
+            covers = _all_minimum_covers(tuple(masks), size, DEEP_SET_CAP)
             checked_graphs += 1
             checked_sets += len(covers)
             sets = (frozenset(map(g.label_at, chosen)) for chosen in covers)

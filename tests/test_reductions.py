@@ -1,8 +1,16 @@
 import pytest
 from hypothesis import given, settings
 
-from domkit.cnf import CnfInstance, solve_sat
-from domkit.domination import is_dominating_set, is_total_dominating_set
+from domkit.cnf import CnfInstance, evaluate, random_instance, solve_sat
+from domkit.domination import (
+    domination_number,
+    enumerate_minimum_sets,
+    has_dominating_set_within,
+    has_total_dominating_set_within,
+    is_dominating_set,
+    is_total_dominating_set,
+    total_domination_number,
+)
 from domkit.reductions import (
     ROLE_ANCHOR,
     ROLE_AUX,
@@ -198,3 +206,35 @@ class TestWitnessConverters:
             else:
                 assert is_dominating_set(target, witness.vertices)
             assert witness_to_assignment(out, witness.vertices) == model
+
+    @pytest.mark.parametrize("seed, expected_sets", [(0, 426), (1, 284)])
+    def test_every_minimum_set_reads_back_a_satisfying_assignment(self, seed, expected_sets):
+        """The converse direction: each minimum set at the exact bound maps to a model.
+
+        That is every minimum set of the gadget (bondage kinds), or of G+e
+        for every edge e that lowers the parameter by exactly one
+        (reinforcement kinds), each on its own graph copy.
+        """
+        inst = random_instance(3, 13, seed)
+        assert solve_sat(inst) is not None
+        checked = 0
+        for kind in ReductionKind:
+            out = build(kind, inst)
+            total = kind in (ReductionKind.TOTAL_BONDAGE, ReductionKind.TOTAL_REINFORCEMENT)
+            size = 2 * inst.num_vars + 1 + total
+            if kind in (ReductionKind.BONDAGE, ReductionKind.TOTAL_BONDAGE):
+                parameter = total_domination_number if total else domination_number
+                assert parameter(out.graph).value == size
+                graphs = [out.graph]
+            else:
+                size -= 1
+                within = has_total_dominating_set_within if total else has_dominating_set_within
+                copies = (out.graph.add_edges([edge]) for edge in out.graph.complement_edges())
+                graphs = [copy for copy in copies if within(copy, size) and not within(copy, size - 1)]
+                assert graphs
+            for graph in graphs:
+                for chosen in enumerate_minimum_sets(graph, total):
+                    assert len(chosen) == size
+                    assert evaluate(inst, witness_to_assignment(out, chosen)), (kind, sorted(chosen))
+                    checked += 1
+        assert checked == expected_sets

@@ -202,9 +202,9 @@ def test_structure_claim_fails_on_a_broken_minimum_set(monkeypatch, kind, inst, 
     g = out.graph
     enumerated = []
 
-    def broken(cover, size, cap, through=None):
-        enumerated.append(through)
-        first = {g.label_at(i) for i in _all_minimum_covers(cover, size, cap, through)[0]}
+    def broken(cover, size, cap):
+        enumerated.append(cover)
+        first = {g.label_at(i) for i in _all_minimum_covers(cover, size, cap)[0]}
         return [tuple(sorted(map(g.index_of, mutate(first))))]
 
     monkeypatch.setattr(importlib.import_module("domkit.verify"), "_all_minimum_covers", broken)
@@ -214,8 +214,10 @@ def test_structure_claim_fails_on_a_broken_minimum_set(monkeypatch, kind, inst, 
     if observed is not None:
         assert entry.observed == observed
     else:
-        # the set failed on the first augmenting edge, G+e, named as a suffix
-        u, v = enumerated[0]
+        # the set failed on the first augmenting edge, G+e, named as a suffix;
+        # e's endpoints are the two vertices whose masks differ from G's
+        total = kind is ReductionKind.TOTAL_REINFORCEMENT
+        u, v = (i for i, (a, b) in enumerate(zip(enumerated[0], _cover_masks(g, total))) if a != b)
         assert entry.observed.endswith(f" (G+{(g.label_at(u), g.label_at(v))})")
 
 
@@ -229,7 +231,7 @@ DEEP_ORACLE_INSTANCES = {
 @pytest.mark.parametrize("kind", list(ReductionKind))
 @pytest.mark.parametrize("name", list(DEEP_ORACLE_INSTANCES))
 def test_deep_enumerations_match_graph_copies(kind, name):
-    """At the known optimum, and rooted at the added edge on toggled masks, for every augmenting edge.
+    """At the known optimum: the gadget's masks, and the toggled masks of G+e for every augmenting edge e.
 
     The augmenting edges are those whose copy G+e has a set one below
     the parameter but none two below; on the bondage gadgets too, though
@@ -248,9 +250,9 @@ def test_deep_enumerations_match_graph_copies(kind, name):
     for edge in g.complement_edges():
         copy = g.add_edges([edge])
         if within(copy, param - 1) and not within(copy, param - 2):
-            masks, through = _toggled(g, cover, [edge])
-            rooted = _all_minimum_covers(tuple(masks), param - 1, 10**5, tuple(through))
-            assert labelled(rooted) == enumerate_minimum_sets(copy, total), (kind, edge)
+            masks, _ = _toggled(g, cover, [edge])
+            covers = _all_minimum_covers(tuple(masks), param - 1, 10**5)
+            assert labelled(covers) == enumerate_minimum_sets(copy, total), (kind, edge)
 
 
 @pytest.mark.parametrize("kind", REINFORCEMENT_KINDS)
@@ -278,8 +280,14 @@ def test_augmenting_edge_scan_starts_at_the_first_hit(monkeypatch, kind, name):
 
 # Twice the enumeration's branch steps over the four kinds (bondage, total
 # bondage, reinforcement, total reinforcement): 42 + 192 + 252 + 615 on TINY,
-# 0 + 760 + 0 + 0 on UNSAT8.
-@pytest.mark.parametrize("inst, max_steps", [(TINY, 2 * 1101), (UNSAT8, 2 * 760)], ids=["tiny", "unsat8"])
+# 0 + 760 + 0 + 0 on UNSAT8, and 33 + 576 + 280 + 1995 on random_instance(4, 8, 1),
+# whose reinforcement kinds enumerate G+e for 22 and 19 augmenting edges: a G+e
+# whose search is not tight from the root would show there.
+@pytest.mark.parametrize(
+    "inst, max_steps",
+    [(TINY, 2 * 1101), (UNSAT8, 2 * 760), (random_instance(4, 8, 1), 2 * 2884)],
+    ids=["tiny", "unsat8", "sat4x8"],
+)
 def test_deep_enumeration_step_bound(monkeypatch, inst, max_steps):
     """The deep claim's enumerations stay cheap: ``_branch`` calls made inside ``_all_minimum_covers``."""
     steps = [0]
