@@ -7,13 +7,15 @@ It asks one question at a fixed ``limit``, which covers have at most
 stops at the first one accepted.  Two questions are asked of it:
 
   * decide "at most k" takes the first cover: ``_minimum_cover``,
-    ``has_*_within`` and ``perturbation`` ask it with no callback;
+    ``has_*_within`` and ``perturbation`` ask it with no callback, and
+    so does ``verify``'s structure claim above the exact bound, once per
+    every-bound fact with that fact's vertices banned;
   * enumerate "exactly k" (``_all_minimum_covers``), run at an optimum
     its caller has already proven, records every cover and accepts
     none, with a hard cap on the number of sets.  ``verify``'s
-    structure claim calls it on cover masks directly: at the parameter
-    it has solved, and on the toggled masks of G + e at the optimum
-    that its window test proved for G + e.
+    structure claim at the exact bound calls it on cover masks
+    directly: at the parameter it has solved, and on the toggled masks
+    of G + e at the optimum that its window test proved for G + e.
 
 γ and γ_t (``_minimum_cover``) are decide refutations plus a descent
 that pins the witness.  From a greedy cover, decide "one pick fewer than

@@ -30,6 +30,8 @@ minimum set, which ``structure_violation`` checks: at the exact bound,
 fixed anchor picks, two vertices per variable gadget, at most one
 literal (so ``witness_to_assignment`` reads an assignment back) and no
 clause vertex; for total bondage, at every bound, s5 and one of v/q.
+``every_bound_facts`` lists the every-bound half as vertex sets, for a
+caller that refutes each one by a search instead of listing the sets.
 """
 
 from __future__ import annotations
@@ -245,6 +247,16 @@ def assignment_to_witness(out: ReductionOutput, assignment: Assignment) -> Gadge
         return GadgetWitness(frozenset(chosen), None)
     literal = _literal_label(1 if assignment[1] else -1)
     return GadgetWitness(frozenset(chosen), normalize_edge(spec.edge_end, literal))
+
+
+def every_bound_facts(out: ReductionOutput) -> list[frozenset[str]]:
+    """The vertex sets that every minimum set meets, at every bound: each ``held`` vertex, each variable's ``one_of``.
+
+    In the order ``structure_violation`` checks them, so a minimum set
+    that meets the facts before one and misses that one is named by it.
+    """
+    _, gadgets = out._shape
+    return [frozenset((s,)) for s in _SPECS[out.kind].held] + [one_of for _, _, one_of in gadgets if one_of]
 
 
 def structure_violation(out: ReductionOutput, chosen: frozenset[str], at_exact: bool) -> str | None:

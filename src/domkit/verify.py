@@ -15,17 +15,23 @@ kinds) or edge addition (reinforcement kinds).  The claims are
   * a satisfying assignment maps to a witness of the exact bound, or of
     one less plus the added edge (reinforcement kinds).
 
-The deep claim has one body: it enumerates the minimum sets of the
-gadget (bondage kinds; plain bondage only at the exact bound), or of
-the gadget plus each edge whose addition lowers the parameter by
-exactly one (reinforcement kinds), and asks ``reductions.structure_violation``,
-which reads the shape from the gadget table, about each of them.  It
-starts from what ``verify`` has already proven, so no optimum is solved
-again and no graph is copied:
+The deep claim checks the shape that the gadget table gives each
+kind's minimum sets.  At the exact bound it enumerates the minimum sets
+of the gadget (bondage kinds), or of the gadget plus each edge whose
+addition lowers the parameter by exactly one (reinforcement kinds), and
+asks ``reductions.structure_violation`` about each of them.  Above the
+exact bound (total bondage on an
+unsatisfiable instance; plain bondage claims no structure there) only
+the every-bound facts apply, ``reductions.every_bound_facts``: each is
+refuted by one decide at the parameter with the fact's vertices banned,
+1 + n searches instead of a list of every minimum set.  The claim starts
+from what ``verify`` has already proven, so no optimum is solved again
+and no graph is copied:
 
-  * each enumeration runs at the known optimum, on cover masks: the
+  * each search runs at the known optimum, on cover masks: the
     parameter for the gadget, and one less for G+e, which the window
     test that picks e proves (a set of one less exists, none of two less);
+    at the optimum a cover found is a minimum set;
   * G+e is the gadget's cover masks with e joined;
   * the augmenting edges are sought from the single-edge addition
     scan's first hit on: that scan tried the complement edges in the
@@ -43,12 +49,18 @@ stop at one edge because the equivalences only ever need to distinguish
 already solved, and none of them copies the graph per candidate.  The
 removal sweep is the single-edge stage of ``perturbation._first_hit``,
 run at the bound on a ``RemovalSearch`` seeded with the parameter's
-witness, so kept covers settle most edges without a search; the deep
-check picks its augmenting edges with the forced-endpoint test of
-``perturbation.AdditionSearch``.  See that module for both.
+witness, so kept covers settle most edges without a search.  When the
+parameter is one above the exact bound, as on an unsatisfiable
+instance, that is the first stage of the removal scan itself, with the
+same bound and seed, so the sweep's first breaking edge is the scan's
+witness when b = 1 (b_t = 1) and none otherwise, and the sweep is not
+run again.  The deep check picks its augmenting edges with the
+forced-endpoint test of ``perturbation.AdditionSearch``.  See that
+module for both.
 
-Deep checks enumerate every minimum set, which grows combinatorially,
-so they only run for instances with at most ``DEEP_VAR_LIMIT`` variables.
+Deep checks at the exact bound enumerate every minimum set, which grows
+combinatorially, so they only run for instances with at most
+``DEEP_VAR_LIMIT`` variables.
 """
 
 from __future__ import annotations
@@ -66,6 +78,7 @@ from .domination import (  # noqa: F401
     BudgetExceededError,
     _all_minimum_covers,
     _cover_masks,
+    _search,
     domination_number,
     enumerate_minimum_sets,
     has_dominating_set_within,
@@ -94,6 +107,7 @@ from .reductions import (
     build_reinforcement,
     build_total_bondage,
     build_total_reinforcement,
+    every_bound_facts,
     structure_violation,
 )
 
@@ -163,21 +177,39 @@ class VerificationReport:
         return lines
 
 
+def _every_bound_violation(out: ReductionOutput, cover: tuple[int, ...], param: int) -> str | None:
+    """Refute each of ``every_bound_facts`` by one decide at ``param``, with the fact's vertices banned.
+
+    ``param`` is the proven optimum, so a cover found within it is a
+    minimum set that misses the fact, and ``structure_violation`` names
+    it.  The facts come in that function's order, and every minimum set
+    meets those refuted before, so the name is the fact's.  Returns that
+    name, or None when every decide is refuted.
+    """
+    g = out.graph
+    for fact in every_bound_facts(out):
+        found = _search(cover, param, 0, sum(1 << g.index_of(v) for v in fact))
+        if found is not None:
+            return structure_violation(out, frozenset(map(g.label_at, found)), False)
+    return None
+
+
 def _structure_claim(
     out: ReductionOutput, total: bool, removal: bool, param: int, exact: int, pert: PerturbResult
 ) -> ClaimCheck:
-    """The deep claim: ``structure_violation`` passes every minimum set of the gadget (bondage
-    kinds), or of G+e for every edge e that lowers the parameter by exactly one (reinforcement kinds).
+    """The deep claim: every minimum set of the gadget (bondage kinds), or of G+e for every edge e
+    that lowers the parameter by exactly one (reinforcement kinds), has the kind's structure.
 
     ``param`` is the gadget's proven parameter and ``pert`` the result of
-    the single-edge perturbation scan.
+    the single-edge perturbation scan.  At the exact bound (for G+e, one
+    below it) every minimum set is enumerated and ``structure_violation``
+    asked about each; away from it only the every-bound facts apply, and
+    each is refuted by one decide (``_every_bound_violation``).
     """
     g = out.graph
     cover = _cover_masks(g, total)
     if removal:
         claim_id = "minimum-set-structure"
-        # (suffix naming the graph in a violation, its cover masks, its optimum)
-        graphs = [("", cover, param)]
         if total:
             expected = "every minimum total set contains s5 and one of v/q per variable" + (
                 "; at the exact bound: anchor pick {s2,s5} or {s4,s5}, two per gadget, "
@@ -188,6 +220,12 @@ def _structure_claim(
                 "every minimum set picks exactly s2 from the anchor, two per variable "
                 "gadget, at most one literal per variable, and no clause vertex"
             )
+        if param != exact:
+            violation = _every_bound_violation(out, cover, param)
+            refuted = f"all {len(every_bound_facts(out))} constrained decides refuted"
+            return ClaimCheck(claim_id, expected, violation or refuted, violation is None)
+        # (suffix naming the graph in a violation, its cover masks, its optimum)
+        graphs = [("", cover, param)]
     else:
         claim_id = "augmented-minimum-set-structure"
         additions = AdditionSearch(g, total, param)
@@ -204,7 +242,6 @@ def _structure_claim(
             f"minimum {'total set' if total else 'set'}s avoid {'s1' if total else 'the apex'} and clause vertices, "
             "two per gadget, at most one literal per variable"
         )
-    at_exact = not removal or param == exact
     checked_graphs = checked_sets = 0
     try:
         for suffix, masks, size in graphs:
@@ -212,7 +249,7 @@ def _structure_claim(
             checked_graphs += 1
             checked_sets += len(covers)
             sets = (frozenset(map(g.label_at, chosen)) for chosen in covers)
-            violation = next(filter(None, (structure_violation(out, chosen, at_exact) for chosen in sets)), None)
+            violation = next(filter(None, (structure_violation(out, chosen, True) for chosen in sets)), None)
             if violation:
                 return ClaimCheck(claim_id, expected, violation + suffix, False)
     except BudgetExceededError as exc:
@@ -220,6 +257,11 @@ def _structure_claim(
     if removal:
         return ClaimCheck(claim_id, expected, f"all {checked_sets} minimum sets conform", True)
     return ClaimCheck(claim_id, expected, f"{checked_graphs} augmenting edges, {checked_sets} sets conform", True)
+
+
+def _qualifying_removals(search: RemovalSearch) -> int:
+    """How many single-edge removals qualify: all, or in the total variant those that isolate no vertex."""
+    return (search.qualifying_after(()) & (1 << search.graph.num_edges) - 1).bit_count()
 
 
 def _removal_sweep(
@@ -234,8 +276,7 @@ def _removal_sweep(
     """
     search = RemovalSearch(g, total, bound, kept=[witness])
     first = _first_hit(search, 1)
-    swept = (search.qualifying_after(()) & (1 << g.num_edges) - 1).bit_count()
-    return (first.witness[0] if first.witness else None), swept
+    return (first.witness[0] if first.witness else None), _qualifying_removals(search)
 
 
 def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> VerificationReport:
@@ -269,6 +310,8 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
 
     dom = parameter_number(g)
     param = dom.value
+    max_k = 2 if removal else 1
+    pert = perturbation_number(g, max_k=max_k, start=dom)
     observed = f"{param_name} = {param}"
     if removal:
         lower = ClaimCheck(f"{param_id}-lower-bound", f"{param_name} >= {exact}", observed, param >= exact)
@@ -281,7 +324,12 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
                 (param == exact) == sat,
             )
         )
-        bad_edge, swept = _removal_sweep(g, total, exact + 1, dom.witness)
+        if param == exact + 1:
+            # The scan's k = 1 stage was the sweep: the same bound and seed, the same edges in the same order.
+            bad_edge = pert.witness[0] if pert.value == 1 else None
+            swept = _qualifying_removals(RemovalSearch(g, total, param))
+        else:
+            bad_edge, swept = _removal_sweep(g, total, exact + 1, dom.witness)
         claims.append(
             ClaimCheck(
                 "edge-removal-bound",
@@ -295,8 +343,6 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
     else:
         claims.append(ClaimCheck(f"{param_id}-exact", f"{param_name} == {exact}", observed, param == exact))
 
-    max_k = 2 if removal else 1
-    pert = perturbation_number(g, max_k=max_k, start=dom)
     claims.append(
         ClaimCheck(
             f"{kind.value}-iff-sat",

@@ -11,6 +11,10 @@ shortcuts.  ``reference_minimum_cover``, the reference for γ and γ_t
 witnesses, shares the package's branch step and greedy cover, but finds
 the optimum by one search that lowers its limit at every cover it
 reaches, not by decide searches at fixed limits.
+``reference_structure_violations``, the reference for the deep claim's
+refutations, lists every minimum set with the package's enumeration and
+asks ``structure_violation`` about each, as ``verify`` itself did before
+it refuted the every-bound facts by constrained decides.
 ``reference_solve_sat``, the reference for satisfying assignments, is a
 copy of the former DPLL oracle, which pins the assignment the package's
 solver must return, not only its verdict.
@@ -25,11 +29,13 @@ from domkit.domination import (
     _branch,
     _greedy_cover,
     domination_number,
+    enumerate_minimum_sets,
     has_dominating_set_within,
     has_total_dominating_set_within,
     total_domination_number,
 )
 from domkit.graph import Graph, iter_bits
+from domkit.reductions import ReductionKind, ReductionOutput, structure_violation
 
 
 def _neighbor_masks(labels: tuple[str, ...], edges) -> list[int]:
@@ -239,6 +245,13 @@ def reference_minimum_cover(cover: tuple[int, ...]) -> list[int]:
 
     dfs(0, 0)
     return sorted(last)
+
+
+def reference_structure_violations(out: ReductionOutput, at_exact: bool) -> set[str]:
+    """What ``structure_violation`` says of each minimum set of the gadget; empty when every set conforms."""
+    total = out.kind in (ReductionKind.TOTAL_BONDAGE, ReductionKind.TOTAL_REINFORCEMENT)
+    sets = enumerate_minimum_sets(out.graph, total)
+    return {violation for chosen in sets if (violation := structure_violation(out, chosen, at_exact))}
 
 
 def brute_solve(inst: CnfInstance) -> dict[int, bool] | None:

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 from conftest import UNSAT8_DIMACS
+from oracles import reference_structure_violations
 
 import domkit
-from domkit import domination
-from domkit.cnf import CnfInstance, TooFewVariablesError, parse_dimacs, random_instance
+from domkit import domination, reductions
+from domkit.cnf import CnfInstance, TooFewVariablesError, parse_dimacs, random_instance, solve_sat
 from domkit.domination import (
     BudgetExceededError,
     _all_minimum_covers,
@@ -22,9 +23,15 @@ from domkit.domination import (
     total_domination_number,
 )
 from domkit.graph import Graph
-from domkit.perturbation import AdditionSearch, _toggled, reinforcement_number, total_reinforcement_number
+from domkit.perturbation import (
+    AdditionSearch,
+    RemovalSearch,
+    _toggled,
+    reinforcement_number,
+    total_reinforcement_number,
+)
 from domkit.reductions import KindMismatchError, ReductionKind, build
-from domkit.verify import ClaimCheck, VerificationReport, _removal_sweep, fuzz, verify
+from domkit.verify import ClaimCheck, VerificationReport, _every_bound_violation, _removal_sweep, fuzz, verify
 
 TINY = CnfInstance(3, ((1, 2, 3),))
 PATH5 = Graph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
@@ -166,7 +173,12 @@ class TestVerifiers:
 # Each mutation turns the first real minimum set into one that breaks the
 # kind's structure: (kind, instance, mutation, the claim's observed text).
 # The text is pinned for the bondage kinds; the reinforcement kinds' text
-# names the added edge, which depends on the enumeration order.
+# names the added edge, which depends on the enumeration order.  Above the
+# exact bound nothing is enumerated: each every-bound fact is refuted by a
+# decide.  There the mutation is to the kind's lemma row instead, so that the
+# decide finds a real minimum set that breaks it ("no s5": the row holds s4
+# in place of s5; "no v1 q1": the row asks for v alone, which a set holding
+# q1 but not v1 breaks).
 REINFORCEMENT_KINDS = (ReductionKind.REINFORCEMENT, ReductionKind.TOTAL_REINFORCEMENT)
 UNSAT8 = parse_dimacs(UNSAT8_DIMACS)
 BROKEN_SETS = [
@@ -180,9 +192,10 @@ BROKEN_SETS = [
     (ReductionKind.TOTAL_BONDAGE, TINY, "literals", "variable 1: neither v nor q picked"),
     (ReductionKind.TOTAL_BONDAGE, TINY, "drop", "variable 1 gadget holds 1 of ['s2', 's5', 'u2', 'u3', 'v1', 'v2', 'v3']"),
     # above the exact bound only the every-bound rule applies
-    (ReductionKind.TOTAL_BONDAGE, UNSAT8, "no s5", "a minimum set misses s5"),
-    (ReductionKind.TOTAL_BONDAGE, UNSAT8, "no v1 q1", "variable 1: neither v nor q picked"),
+    (ReductionKind.TOTAL_BONDAGE, UNSAT8, "no s5", "a minimum set misses s4"),
+    (ReductionKind.TOTAL_BONDAGE, UNSAT8, "no v1 q1", "variable 1: neither v picked"),
 ] + [(kind, TINY, mutation, None) for kind in REINFORCEMENT_KINDS for mutation in ("clause", "anchor", "literals", "drop")]
+LEMMA_MUTANTS = {"no s5": {"held": ("s4",)}, "no v1 q1": {"one_of": ("v",)}}
 
 
 @pytest.mark.parametrize(
@@ -191,23 +204,24 @@ BROKEN_SETS = [
 def test_structure_claim_fails_on_a_broken_minimum_set(monkeypatch, kind, inst, mutation, observed):
     out = build(kind, inst)
     gadget = set(out.variable_gadget(1))
-    mutate = {
-        "clause": lambda s: s | {"c1"},
-        "anchor": lambda s: s | {"s" if kind is ReductionKind.REINFORCEMENT else "s1"},
-        "literals": lambda s: (s - gadget) | {"u1", "nu1"},
-        "drop": lambda s: s - {min(s & gadget)},
-        "no s5": lambda s: s - {"s5"},
-        "no v1 q1": lambda s: s - {"v1", "q1"},
-    }[mutation]
     g = out.graph
     enumerated = []
+    if mutation in LEMMA_MUTANTS:
+        monkeypatch.setitem(reductions._SPECS, kind, reductions._SPECS[kind]._replace(**LEMMA_MUTANTS[mutation]))
+    else:
+        mutate = {
+            "clause": lambda s: s | {"c1"},
+            "anchor": lambda s: s | {"s" if kind is ReductionKind.REINFORCEMENT else "s1"},
+            "literals": lambda s: (s - gadget) | {"u1", "nu1"},
+            "drop": lambda s: s - {min(s & gadget)},
+        }[mutation]
 
-    def broken(cover, size, cap):
-        enumerated.append(cover)
-        first = {g.label_at(i) for i in _all_minimum_covers(cover, size, cap)[0]}
-        return [tuple(sorted(map(g.index_of, mutate(first))))]
+        def broken(cover, size, cap):
+            enumerated.append(cover)
+            first = {g.label_at(i) for i in _all_minimum_covers(cover, size, cap)[0]}
+            return [tuple(sorted(map(g.index_of, mutate(first))))]
 
-    monkeypatch.setattr(importlib.import_module("domkit.verify"), "_all_minimum_covers", broken)
+        monkeypatch.setattr(importlib.import_module("domkit.verify"), "_all_minimum_covers", broken)
     report = verify(kind, inst, deep=True)
     entry = next(c for c in report.claims if "structure" in c.claim_id)
     assert report.deep_checked and not entry.passed and not report.passed
@@ -280,12 +294,13 @@ def test_augmenting_edge_scan_starts_at_the_first_hit(monkeypatch, kind, name):
 
 # Twice the enumeration's branch steps over the four kinds (bondage, total
 # bondage, reinforcement, total reinforcement): 42 + 192 + 252 + 615 on TINY,
-# 0 + 760 + 0 + 0 on UNSAT8, and 33 + 576 + 280 + 1995 on random_instance(4, 8, 1),
+# none on UNSAT8 (total bondage is above its exact bound there, where the claim
+# refutes instead), and 33 + 576 + 280 + 1995 on random_instance(4, 8, 1),
 # whose reinforcement kinds enumerate G+e for 22 and 19 augmenting edges: a G+e
 # whose search is not tight from the root would show there.
 @pytest.mark.parametrize(
     "inst, max_steps",
-    [(TINY, 2 * 1101), (UNSAT8, 2 * 760), (random_instance(4, 8, 1), 2 * 2884)],
+    [(TINY, 2 * 1101), (UNSAT8, 0), (random_instance(4, 8, 1), 2 * 2884)],
     ids=["tiny", "unsat8", "sat4x8"],
 )
 def test_deep_enumeration_step_bound(monkeypatch, inst, max_steps):
@@ -311,6 +326,107 @@ def test_deep_enumeration_step_bound(monkeypatch, inst, max_steps):
     for kind in ReductionKind:
         assert verify(kind, inst, deep=True).passed
     assert steps[0] <= max_steps
+
+
+def test_every_bound_facts_are_refuted_by_one_decide_each(monkeypatch):
+    """Above the exact bound, total bondage's deep claim is 1 + n decides (s5, then each variable), no enumeration."""
+    module = importlib.import_module("domkit.verify")
+    decides, enumerations = [], []
+    search = module._search
+
+    def counted_search(*args):
+        decides.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(module, "_search", counted_search)
+    monkeypatch.setattr(module, "_all_minimum_covers", lambda *args: enumerations.append(args))
+    report = verify(ReductionKind.TOTAL_BONDAGE, UNSAT8, deep=True)
+    entry = next(c for c in report.claims if "structure" in c.claim_id)
+    assert report.passed and report.parameter_value == 2 * UNSAT8.num_vars + 3
+    assert len(decides) == 1 + UNSAT8.num_vars and enumerations == []
+    assert entry.observed == f"all {1 + UNSAT8.num_vars} constrained decides refuted"
+    # each at the optimum, from nothing dominated
+    assert {(limit, dominated) for _, limit, dominated, _ in decides} == {(report.parameter_value, 0)}
+
+
+@pytest.mark.parametrize("kind", [ReductionKind.BONDAGE, ReductionKind.TOTAL_BONDAGE])
+@pytest.mark.parametrize(
+    "inst, stages", [(UNSAT8, 1), (random_instance(3, 13, 3), 1), (TINY, 2)], ids=["unsat8", "unsat-seed3", "sat"]
+)
+def test_single_edge_removal_stage_runs_once_when_unsat(monkeypatch, kind, inst, stages):
+    """At gamma = exact + 1 the edge-removal claim is read off the scan's k = 1 stage.
+
+    At the exact bound the sweep is its own stage, so there are two.
+    """
+    row = RemovalSearch.row
+    single = []
+
+    def counted_row(self, prefix):
+        if not prefix:
+            single.append(self.base)
+        return row(self, prefix)
+
+    monkeypatch.setattr(RemovalSearch, "row", counted_row)
+    report = verify(kind, inst)
+    assert report.passed and report.satisfiable == (stages == 2)
+    assert len(single) == stages
+
+
+# Rows of total bondage's lemma: the true one, rows that some minimum set of
+# every unsatisfiable gadget below breaks, and one that every set meets.
+LEMMA_ROWS = [
+    {}, {"held": ("s4",)}, {"held": ("s6",)}, {"held": ("s5", "s1")},
+    {"one_of": ("v",)}, {"one_of": ("q",)}, {"one_of": ("p", "v", "q")},
+]
+
+
+@pytest.mark.parametrize("m", [13, 14])
+def test_refuted_facts_match_enumeration(monkeypatch, m):
+    """Above the exact bound, the decides' verdict is enumeration's, and a named violation is one a set shows."""
+    kind = ReductionKind.TOTAL_BONDAGE
+    row = reductions._SPECS[kind]
+    unsat = [inst for inst in (random_instance(3, m, seed) for seed in range(40)) if solve_sat(inst) is None][:4]
+    assert len(unsat) == 4
+    verdicts = []
+    for inst in unsat:
+        g = build(kind, inst).graph
+        param = total_domination_number(g).value
+        assert param == 2 * 3 + 3  # one above the exact bound
+        for mutant in LEMMA_ROWS:
+            monkeypatch.setitem(reductions._SPECS, kind, row._replace(**mutant))
+            out = build(kind, inst)  # its shape is read from the row once
+            expected = reference_structure_violations(out, at_exact=False)
+            violation = _every_bound_violation(out, _cover_masks(g, True), param)
+            assert (violation is None) == (not expected), (inst, mutant)
+            assert violation is None or violation in expected, (inst, mutant, violation)
+            verdicts.append(violation is None)
+    assert verdicts.count(True) == 2 * len(unsat)  # the true row and the weaker one
+
+
+# Bondage-kind gadgets with one edge dropped, for which a single-edge removal
+# breaks the bound exact + 1 on UNSAT8: a hexagon edge, an anchor edge.
+BROKEN_ROWS = {
+    ReductionKind.BONDAGE: lambda row: row._replace(part=row.part._replace(edges=row.part.edges[1:])),
+    ReductionKind.TOTAL_BONDAGE: lambda row: row._replace(anchor_edges=row.anchor_edges[1:]),
+}
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["gadget", "edge-dropped"])
+@pytest.mark.parametrize("kind", list(BROKEN_ROWS))
+def test_edge_removal_claim_read_off_the_scan_matches_the_sweep(monkeypatch, kind, broken):
+    """At gamma = exact + 1 the claim names the sweep's first breaking edge, or counts its qualifying removals."""
+    if broken:
+        monkeypatch.setitem(reductions._SPECS, kind, BROKEN_ROWS[kind](reductions._SPECS[kind]))
+    total = kind is ReductionKind.TOTAL_BONDAGE
+    exact = 2 * UNSAT8.num_vars + 1 + total
+    g = build(kind, UNSAT8).graph
+    dom = (total_domination_number if total else domination_number)(g)
+    assert dom.value == exact + 1
+    edge, swept = _removal_sweep(g, total, exact + 1, dom.witness)
+    assert (edge is not None) == broken
+    entry = next(c for c in verify(kind, UNSAT8).claims if c.claim_id == "edge-removal-bound")
+    assert entry.passed == (edge is None)
+    assert entry.observed == (f"all {swept} removals within bound" if edge is None else f"removing {edge} exceeds it")
 
 
 class TestRemovalSweep:
