@@ -58,6 +58,22 @@ run again.  The deep check picks its augmenting edges with the
 forced-endpoint test of ``perturbation.AdditionSearch``.  See that
 module for both.
 
+On a satisfiable instance the perturbation value comes from a
+certificate that ``verify`` checks first (``_certifies_one``), not from
+the scan.  For the bondage kinds it is the first anchor edge of the
+kind's table row whose removal qualifies and leaves no cover within the
+parameter: a hit of the scan's single-edge stage, so b = 1 (b_t = 1).
+For the reinforcement kinds it is the set ``assignment_to_witness``
+gives, with its added edge: it dominates G+e and is smaller than a
+parameter above the floor, so r = 1 (r_t = 1); the witness round trip
+reads the same domination check.  Each certificate is checked on the
+graph, so no value rests on the gadget lemma.  Certificates are skipped
+where the scan's witness is read: by the bondage kinds at one above the
+exact bound, where the edge-removal claim is the scan's first stage, and
+by the reinforcement kinds' deep claim, whose augmenting edges start at
+the scan's first hit.  There, on an unsatisfiable instance, and when a
+check fails, the scan runs; the value, and so the report, is the same.
+
 Deep checks at the exact bound enumerate every minimum set, which grows
 combinatorially, so they only run for instances with at most
 ``DEEP_VAR_LIMIT`` variables.
@@ -76,6 +92,7 @@ from .cnf import CnfInstance, TooFewVariablesError, random_instance, solve_sat
 # imported although nothing here calls them.
 from .domination import (  # noqa: F401
     BudgetExceededError,
+    DomResult,
     _all_minimum_covers,
     _cover_masks,
     _search,
@@ -87,10 +104,9 @@ from .domination import (  # noqa: F401
     is_total_dominating_set,
     total_domination_number,
 )
-from .graph import Graph
+from .graph import Edge, Graph
 from .perturbation import (
     AdditionSearch,
-    PerturbResult,
     RemovalSearch,
     _first_hit,
     _toggled,
@@ -100,6 +116,8 @@ from .perturbation import (
     total_reinforcement_number,
 )
 from .reductions import (
+    _SPECS,
+    GadgetWitness,
     ReductionKind,
     ReductionOutput,
     assignment_to_witness,
@@ -195,13 +213,14 @@ def _every_bound_violation(out: ReductionOutput, cover: tuple[int, ...], param: 
 
 
 def _structure_claim(
-    out: ReductionOutput, total: bool, removal: bool, param: int, exact: int, pert: PerturbResult
+    out: ReductionOutput, total: bool, removal: bool, param: int, exact: int, first_added: Edge | None
 ) -> ClaimCheck:
     """The deep claim: every minimum set of the gadget (bondage kinds), or of G+e for every edge e
     that lowers the parameter by exactly one (reinforcement kinds), has the kind's structure.
 
-    ``param`` is the gadget's proven parameter and ``pert`` the result of
-    the single-edge perturbation scan.  At the exact bound (for G+e, one
+    ``param`` is the gadget's proven parameter and ``first_added`` the
+    single-edge addition scan's first hit, None when it found none (or
+    for the bondage kinds, which add no edge).  At the exact bound (for G+e, one
     below it) every minimum set is enumerated and ``structure_violation``
     asked about each; away from it only the every-bound facts apply, and
     each is refuted by one decide (``_every_bound_violation``).
@@ -230,7 +249,7 @@ def _structure_claim(
         claim_id = "augmented-minimum-set-structure"
         additions = AdditionSearch(g, total, param)
         edges = additions.candidates  # in the scan's order; none before its first hit lowers the parameter
-        first = edges.index(pert.witness[0]) if pert.witness else len(edges)
+        first = len(edges) if first_added is None else edges.index(first_added)
         # exactly one below: one added edge can lower gamma_t by 2
         graphs = (
             (f" (G+{edge})", _toggled(g, cover, [edge])[0], param - 1)
@@ -279,6 +298,32 @@ def _removal_sweep(
     return (first.witness[0] if first.witness else None), _qualifying_removals(search)
 
 
+def _certifies_one(
+    out: ReductionOutput, total: bool, dom: DomResult, witness: GadgetWitness, dominating: bool
+) -> bool:
+    """Whether a checked certificate proves that the perturbation value of ``out.graph`` is 1.
+
+    ``dom`` is the graph's proven parameter and minimum set, ``witness``
+    the set a satisfying assignment maps to, and ``dominating`` whether
+    it dominates the gadget (plus its added edge).  Bondage kinds: the
+    first anchor edge of the kind's row whose removal qualifies and
+    leaves no cover within the parameter; it is a hit of the scan's
+    single-edge stage, so b = 1 (b_t = 1).  Reinforcement kinds: the
+    witness with its added edge, smaller than a parameter above the
+    floor, so r = 1 (r_t = 1).  False when the check fails.
+    """
+    param = dom.value
+    if witness.added_edge is not None:
+        return param > (2 if total else 1) and len(witness.vertices) < param and dominating
+    search = RemovalSearch(out.graph, total, param, kept=[dom.witness])
+    qualifying = search.qualifying_after(())
+    position = {edge: e for e, edge in enumerate(search.candidates)}
+    return any(
+        edge in position and qualifying >> position[edge] & 1 and search.hit((edge,))
+        for edge in _SPECS[out.kind].anchor_edges
+    )
+
+
 def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> VerificationReport:
     """Check every claimed gadget fact of one reduction kind on ``inst``."""
     start = time.perf_counter()
@@ -311,7 +356,18 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
     dom = parameter_number(g)
     param = dom.value
     max_k = 2 if removal else 1
-    pert = perturbation_number(g, max_k=max_k, start=dom)
+    # The plain bondage structure is claimed only at the exact bound.
+    deep_checked = deep and n <= DEEP_VAR_LIMIT and (total or not removal or param == exact)
+    if witness is not None:
+        dominating = dominates(g if removal else g.add_edges([witness.added_edge]), witness.vertices)
+    # The scan's witness is read by the edge-removal claim at exact + 1 and by the reinforcement kinds' deep claim.
+    reads_witness = param == exact + 1 if removal else deep_checked
+    pert = None
+    if witness is not None and not reads_witness and _certifies_one(out, total, dom, witness, dominating):
+        value = 1
+    else:
+        pert = perturbation_number(g, max_k=max_k, start=dom)
+        value = pert.value
     observed = f"{param_name} = {param}"
     if removal:
         lower = ClaimCheck(f"{param_id}-lower-bound", f"{param_name} >= {exact}", observed, param >= exact)
@@ -348,21 +404,18 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
             f"{kind.value}-iff-sat",
             f"{pert_name} == 1 exactly when satisfiable ({yes_no})",
             f"{pert_name} > {max_k} (no witness within bound)"
-            if pert.value is None
-            else f"{pert_name} = {pert.value}",
-            (pert.value == 1) == sat,
+            if value is None
+            else f"{pert_name} = {value}",
+            (value == 1) == sat,
         )
     )
 
-    # The plain bondage structure is claimed only at the exact bound.
-    deep_checked = deep and n <= DEEP_VAR_LIMIT and (total or not removal or param == exact)
     if deep_checked:
-        claims.append(_structure_claim(out, total, removal, param, exact, pert))
+        first_added = pert.witness[0] if not removal and pert.witness else None
+        claims.append(_structure_claim(out, total, removal, param, exact, first_added))
 
     if witness is not None:
         size = exact if removal else exact - 1
-        target = g if removal else g.add_edges([witness.added_edge])
-        dominating = dominates(target, witness.vertices)
         set_name = f"{'total ' if total else ''}dominating"
         claims.append(
             ClaimCheck(
@@ -379,7 +432,7 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
     elapsed = (time.perf_counter() - start) * 1000
     return VerificationReport(
         kind, n, inst.num_clauses, sat, param_name, param,
-        pert_name, pert.value, deep_checked, elapsed, claims,
+        pert_name, value, deep_checked, elapsed, claims,
     )
 
 

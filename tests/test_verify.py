@@ -10,10 +10,11 @@ from conftest import UNSAT8_DIMACS
 from oracles import reference_structure_violations
 
 import domkit
-from domkit import domination, reductions
+from domkit import domination, perturbation, reductions
 from domkit.cnf import CnfInstance, TooFewVariablesError, parse_dimacs, random_instance, solve_sat
 from domkit.domination import (
     BudgetExceededError,
+    DomResult,
     _all_minimum_covers,
     _cover_masks,
     domination_number,
@@ -26,13 +27,26 @@ from domkit.graph import Graph
 from domkit.perturbation import (
     AdditionSearch,
     RemovalSearch,
+    _first_hit,
     _toggled,
+    bondage_number,
     reinforcement_number,
+    total_bondage_number,
     total_reinforcement_number,
 )
 from domkit.reductions import KindMismatchError, ReductionKind, build
-from domkit.verify import ClaimCheck, VerificationReport, _every_bound_violation, _removal_sweep, fuzz, verify
+from domkit.verify import (
+    ClaimCheck,
+    VerificationReport,
+    _certifies_one,
+    _every_bound_violation,
+    _removal_sweep,
+    fuzz,
+    verify,
+)
 
+# ``domkit.verify`` is the function; the module has to be looked up
+verify_module = importlib.import_module("domkit.verify")
 TINY = CnfInstance(3, ((1, 2, 3),))
 PATH5 = Graph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
 STAR = Graph(["c", "l1", "l2", "l3", "l4"], [("c", "l1"), ("c", "l2"), ("c", "l3"), ("c", "l4")])
@@ -351,12 +365,16 @@ def test_every_bound_facts_are_refuted_by_one_decide_each(monkeypatch):
 
 @pytest.mark.parametrize("kind", [ReductionKind.BONDAGE, ReductionKind.TOTAL_BONDAGE])
 @pytest.mark.parametrize(
-    "inst, stages", [(UNSAT8, 1), (random_instance(3, 13, 3), 1), (TINY, 2)], ids=["unsat8", "unsat-seed3", "sat"]
+    "inst, sat",
+    [(UNSAT8, False), (random_instance(3, 13, 3), False), (TINY, True)],
+    ids=["unsat8", "unsat-seed3", "sat"],
 )
-def test_single_edge_removal_stage_runs_once_when_unsat(monkeypatch, kind, inst, stages):
+def test_single_edge_removal_stage_runs_once_when_unsat(monkeypatch, kind, inst, sat):
     """At gamma = exact + 1 the edge-removal claim is read off the scan's k = 1 stage.
 
-    At the exact bound the sweep is its own stage, so there are two.
+    At the exact bound, on a satisfiable instance, a checked anchor-edge
+    certificate gives the value without a scan, so the one stage is the
+    sweep's.  Either way it runs at exact + 1.
     """
     row = RemovalSearch.row
     single = []
@@ -368,8 +386,163 @@ def test_single_edge_removal_stage_runs_once_when_unsat(monkeypatch, kind, inst,
 
     monkeypatch.setattr(RemovalSearch, "row", counted_row)
     report = verify(kind, inst)
-    assert report.passed and report.satisfiable == (stages == 2)
-    assert len(single) == stages
+    assert report.passed and report.satisfiable == sat
+    assert single == [2 * inst.num_vars + 2 + (kind is ReductionKind.TOTAL_BONDAGE)]
+
+
+REMOVAL_KINDS = (ReductionKind.BONDAGE, ReductionKind.TOTAL_BONDAGE)
+PERTURBATION_NUMBERS = {
+    ReductionKind.BONDAGE: bondage_number,
+    ReductionKind.TOTAL_BONDAGE: total_bondage_number,
+    ReductionKind.REINFORCEMENT: reinforcement_number,
+    ReductionKind.TOTAL_REINFORCEMENT: total_reinforcement_number,
+}
+
+
+@pytest.fixture
+def first_hits(monkeypatch):
+    """Every ``_first_hit`` scan ``verify`` runs, the library's and the sweep's, by its search's class."""
+    scans = []
+
+    def counted(search, max_k):
+        scans.append(type(search).__name__)
+        return _first_hit(search, max_k)
+
+    monkeypatch.setattr(perturbation, "_first_hit", counted)
+    monkeypatch.setattr(verify_module, "_first_hit", counted)
+    return scans
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """``_certifies_one``'s verdicts, in call order."""
+    verdicts = []
+
+    def recorded(*args):
+        verdicts.append(_certifies_one(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(verify_module, "_certifies_one", recorded)
+    return verdicts
+
+
+def scan_path_lines(monkeypatch, kind, inst):
+    """The report with every certificate check failing, so that ``verify`` scans."""
+    with monkeypatch.context() as patch:
+        patch.setattr(verify_module, "_certifies_one", lambda *args: False)
+        return verify(kind, inst).to_lines()
+
+
+# Random satisfiable instances, n = 3..6 at m = 2n.
+SAT_CORPUS = [
+    inst
+    for n in range(3, 7)
+    for inst in [random_instance(n, 2 * n, seed) for seed in range(3)]
+    if solve_sat(inst) is not None
+]
+
+
+@pytest.mark.parametrize("kind", list(ReductionKind))
+def test_certificate_gives_the_scans_report(monkeypatch, first_hits, certificates, kind):
+    """On satisfiable instances the certificate holds, no scan but the sweep runs, and the bytes are the scan's."""
+    assert len(SAT_CORPUS) >= 10
+    for inst in SAT_CORPUS:
+        first_hits.clear()
+        report = verify(kind, inst)
+        assert report.passed and report.perturbation_value == 1
+        assert first_hits == (["RemovalSearch"] if kind in REMOVAL_KINDS else []), inst
+        assert report.to_lines() == scan_path_lines(monkeypatch, kind, inst)
+    assert certificates == [True] * len(SAT_CORPUS)
+
+
+def anchor_edges_not_hit(kind, inst):
+    """Anchor-edge candidates that no certificate may accept.
+
+    Every qualifying edge of the gadget whose removal keeps a cover
+    within gamma (gamma_t), an edge the gadget lacks, and in the total
+    variant s5-s6, whose removal isolates s6: not a hit, but no cover
+    survives it either.
+    """
+    total = kind is ReductionKind.TOTAL_BONDAGE
+    g = build(kind, inst).graph
+    search = RemovalSearch(g, total, (total_domination_number if total else domination_number)(g).value)
+    qualifying = search.qualifying_after(())
+    kept = [e for i, e in enumerate(search.candidates) if qualifying >> i & 1 and search.covers_after((e,))]
+    return tuple(kept) + (("s1", "s3"),) + ((("s5", "s6"),) if total else ())
+
+
+@pytest.mark.parametrize("kind", REMOVAL_KINDS)
+def test_removal_certificate_that_is_not_a_hit_falls_back_to_the_scan(monkeypatch, first_hits, certificates, kind):
+    """With only non-hits as anchor edges, ``verify`` scans, and reports the library's value."""
+    row = reductions._SPECS[kind]
+    for inst in (TINY, random_instance(4, 8, 1)):
+        unpatched = verify(kind, inst).to_lines()
+        first_hits.clear()
+        with monkeypatch.context() as patch:
+            # The builder keeps the true row: only the certificate's candidates change.
+            patch.setattr(verify_module, "_SPECS", {kind: row._replace(anchor_edges=anchor_edges_not_hit(kind, inst))})
+            report = verify(kind, inst)
+        assert certificates[-1] is False
+        assert first_hits == ["RemovalSearch", "RemovalSearch"]  # the scan, then the sweep
+        g = build(kind, inst).graph
+        assert report.perturbation_value == PERTURBATION_NUMBERS[kind](g, max_k=2).value == 1
+        assert report.to_lines() == unpatched
+
+
+@pytest.mark.parametrize("kind", REINFORCEMENT_KINDS)
+@pytest.mark.parametrize("corruption", ["drop", "pad"])
+def test_reinforcement_certificate_that_fails_falls_back_to_the_scan(
+    monkeypatch, first_hits, certificates, kind, corruption
+):
+    """A witness that misses a vertex of G+e, or is not smaller than the parameter, makes ``verify`` scan."""
+    for inst in (TINY, random_instance(4, 8, 1)):
+        out = build(kind, inst)
+        true = reductions.assignment_to_witness(out, solve_sat(inst))
+        # Without variable 1's literal the set misses part of its gadget; with c1 it is as large as gamma.
+        vertices = true.vertices - {"u1", "nu1"} if corruption == "drop" else true.vertices | {"c1"}
+        corrupted = reductions.GadgetWitness(vertices, true.added_edge)
+        monkeypatch.setattr(verify_module, "assignment_to_witness", lambda out, assignment: corrupted)
+        first_hits.clear()
+        report = verify(kind, inst)
+        assert certificates[-1] is False
+        assert first_hits == ["AdditionSearch"]
+        assert report.perturbation_value == PERTURBATION_NUMBERS[kind](out.graph, max_k=1).value == 1
+        round_trip = next(c for c in report.claims if c.claim_id == "witness-round-trip")
+        assert not round_trip.passed
+        assert round_trip.observed.endswith(f"dominating: {corruption == 'pad'}")
+
+
+@pytest.mark.parametrize("kind", REINFORCEMENT_KINDS)
+def test_reinforcement_certificate_needs_a_parameter_above_the_floor(kind):
+    """At the floor no edge lowers the parameter (value 0), so even an empty dominating witness proves nothing."""
+    total = kind is ReductionKind.TOTAL_REINFORCEMENT
+    out = build(kind, TINY)
+    floor = 2 if total else 1
+    witness = reductions.GadgetWitness(frozenset(), ("s1", "u1"))
+    assert not _certifies_one(out, total, DomResult(floor, frozenset()), witness, True)
+    assert _certifies_one(out, total, DomResult(floor + 1, frozenset()), witness, True)
+
+
+# Rows that move the parameter off the exact bound on a satisfiable instance:
+# one above it, where the bondage kinds read the scan's witness.
+OFF_EXACT_ROWS = {
+    ReductionKind.BONDAGE: lambda row: row._replace(anchor_edges=row.anchor_edges[1:]),
+    ReductionKind.TOTAL_BONDAGE: lambda row: row._replace(anchor_edges=row.anchor_edges[:3] + row.anchor_edges[4:]),
+    ReductionKind.TOTAL_REINFORCEMENT: lambda row: row._replace(anchor_edges=row.anchor_edges[1:]),
+}
+
+
+@pytest.mark.parametrize("kind", list(OFF_EXACT_ROWS))
+def test_report_off_the_exact_bound_is_the_scans(monkeypatch, certificates, kind):
+    """Away from the exact bound the report is the scan path's, byte for byte; the bondage kinds do not ask."""
+    monkeypatch.setitem(reductions._SPECS, kind, OFF_EXACT_ROWS[kind](reductions._SPECS[kind]))
+    total = kind in (ReductionKind.TOTAL_BONDAGE, ReductionKind.TOTAL_REINFORCEMENT)
+    for inst in (TINY, random_instance(4, 8, 1)):
+        report = verify(kind, inst)
+        assert report.satisfiable and report.parameter_value == 2 * inst.num_vars + 2 + total
+        assert report.to_lines() == scan_path_lines(monkeypatch, kind, inst)
+    if kind in REMOVAL_KINDS:
+        assert certificates == []
 
 
 # Rows of total bondage's lemma: the true one, rows that some minimum set of
