@@ -20,25 +20,36 @@ reuse what earlier searches found:
     holds no vertex's *dominator edges* E_v(C), the edges from v to its
     dominators in C (in the closed variant a vertex of C dominates
     itself and has none to lose).  Every cover a search finds is kept,
-    and a candidate that some kept cover survives is not a hit, so it
-    gets no search at all (the witness argument of Bauer, Harary,
-    Nieminen and Suffel, 1983).  For one or two edges only dominator-edge
-    sets of one or two edges matter, so each kept cover is summarised
-    by bits over the edges: its *fragile* edges (the lone dominator edge
-    of some vertex) and its *fragile pairs* (the two dominator edges of
-    a vertex with exactly two).  A cover settles an edge it does not
-    hold as fragile, and a pair of edges neither of which it holds as
-    fragile and which it does not hold as a fragile pair; so the scans
-    settle all single edges, or all partners of a first edge, with one
-    AND per cover.  A candidate that isolates a vertex (in the total
-    variant) is never settled, since it holds all that vertex's
-    dominator edges in every cover; it does not qualify either, and
-    ``qualifying_after``, the one owner of that rule, drops it from the
-    scan's row with a second mask, from the edges each vertex has left
-    after the prefix.  Only the candidates left in the row get the
-    toggled masks: in one pass over the covers kept since, newest first,
-    each plus one dominator for each endpoint it lost (none, if it
-    survives), until one fits the limit, and only then a search.
+    and a candidate that some kept cover survives, or survives once
+    repaired within the limit, is not a hit, so it gets no search at
+    all (the witness argument of Bauer, Harary, Nieminen and Suffel,
+    1983, extended by one repair step).  For one or two edges only
+    dominator-edge sets of one or two edges matter, so each kept cover
+    is summarised by bits over the edges: its *fragile* edges (the lone
+    dominator edge of some vertex), its *doubly fragile* edges (the lone
+    dominator edge of both endpoints) and its *fragile pairs* (the two
+    dominator edges of a vertex with exactly two).  A single edge is
+    settled by a cover according to its *slack*, the limit less its
+    size: with none, unless it holds the edge as fragile; with one,
+    unless it holds it as doubly fragile, since one pick restores the
+    endpoint that lost its lone dominator; with two or more, always.  A
+    pair of edges is settled by a cover that holds neither as fragile
+    and does not hold them as a fragile pair.  So the scans settle all
+    single edges, or all partners of a first edge, with one AND per
+    cover.  A candidate that isolates a vertex (in the total variant) is
+    never settled: it holds all that vertex's dominator edges in every
+    cover and leaves none to repair them with.  It does not qualify
+    either, and ``qualifying_after``, the one owner of that rule, drops
+    it from the scan's row with a second mask, from the edges each
+    vertex has left after the prefix.  Only the candidates left in the
+    row get the toggled masks, in one pass over the covers kept since,
+    newest first.  Each is repaired: plus one dominator for each
+    endpoint it lost (none, if it survives), and, when that is one pick
+    over the limit, less one redundant pick, a pick all of whose
+    dominated vertices are dominated twice.  The first repaired cover
+    that fits the limit settles the candidate and joins the kept covers,
+    as a cover of G - R is one of G; only when none fits is there a
+    search.
   * Single-edge additions (``AdditionSearch``).  A set S smaller than
     the parameter does not dominate G, so it can dominate G + uv only
     through the new edge: S holds u and misses at most v in G, or the
@@ -135,18 +146,30 @@ def _toggled(g: Graph, cover: tuple[int, ...], edges: Iterable[Edge]) -> tuple[l
     return masks, touched
 
 
+def _pruned(cover: list[int], chosen: int) -> int:
+    """``chosen`` less its first redundant pick, one that dominates only vertices dominated twice; as it is if none."""
+    once = twice = 0
+    for u in iter_bits(chosen):
+        twice |= once & cover[u]
+        once |= cover[u]
+    for u in iter_bits(chosen):
+        if not cover[u] & ~twice:
+            return chosen ^ 1 << u
+    return chosen
+
+
 class RemovalSearch:
     """Decides whether G - R keeps a (total) dominating set of at most ``base`` vertices.
 
     As a scan, its ``candidates`` are the edges of G, sorted, and ``hit``
     accepts a removal that leaves no cover within ``base``.  ``kept``
     seeds the store of known covers of G; those within ``base`` are
-    kept, and every cover a search finds joins them.  ``row`` is the
-    candidates that are both open and qualifying: ``open_after`` settles
-    whole rows at once from each kept cover's fragile edges and fragile
-    pairs (see the module docstring), worked out the first time a row
-    needs the cover, and ``qualifying_after`` drops the removals that
-    isolate a vertex.
+    kept, and every cover a search finds or a repair makes joins them.
+    ``row`` is the candidates that are both open and qualifying:
+    ``open_after`` settles whole rows at once from each kept cover's
+    slack, fragile and doubly fragile edges and fragile pairs (see the
+    module docstring), worked out the first time a row needs the cover,
+    and ``qualifying_after`` drops the removals that isolate a vertex.
     """
 
     def __init__(self, g: Graph, total: bool, base: int, kept: Iterable[Iterable[str]] = ()):
@@ -172,11 +195,11 @@ class RemovalSearch:
             for (i, _), e in self._edge_ids.items():
                 self._incident[i] |= 1 << e
 
-    def _summaries(self) -> list[tuple[int, dict[int, int]]]:
-        """Fragile edges and pairs of each kept cover, brought up to date."""
+    def _summaries(self) -> list[tuple[int, int, int, dict[int, int]]]:
+        """Slack, fragile and doubly fragile edges, and fragile pairs of each kept cover, brought up to date."""
         ids = self._edge_ids
         for chosen in self._kept[len(self._fragile):]:
-            fragile = 0
+            fragile = doubly = 0
             mates: dict[int, int] = {}
             for v, mask in enumerate(self._cover):
                 doms = mask & chosen
@@ -185,12 +208,15 @@ class RemovalSearch:
                 first = doms.bit_length() - 1
                 rest = doms ^ 1 << first
                 if not rest:
-                    fragile |= 1 << ids[v, first]
+                    # each endpoint marks its lone dominator edge once, so a second mark is the other's
+                    edge = 1 << ids[v, first]
+                    doubly |= fragile & edge
+                    fragile |= edge
                 elif not rest & rest - 1:
                     e, f = ids[v, first], ids[v, rest.bit_length() - 1]
                     mates[e] = mates.get(e, 0) | 1 << f
                     mates[f] = mates.get(f, 0) | 1 << e
-            self._fragile.append((fragile, mates))
+            self._fragile.append((self.base - chosen.bit_count(), fragile, doubly, mates))
         return self._fragile
 
     def open_after(self, prefix: tuple[int, ...]) -> int:
@@ -198,15 +224,23 @@ class RemovalSearch:
 
         Edges are numbered by their position in ``candidates``.  A
         settled edge set keeps a cover within the limit, so it is not
-        a hit.  Only prefixes of at most one edge are looked at;
+        a hit.  Alone, an edge is settled by a kept cover with no slack
+        that does not hold it as fragile, with one pick of slack that
+        does not hold it as doubly fragile, or with more, unless its
+        removal isolates a vertex (total variant), which leaves no
+        dominator to repair with.  After one edge, a pair is settled by
+        a kept cover that holds neither edge as fragile nor both as a
+        fragile pair.  Only prefixes of at most one edge are looked at;
         after a longer one, every edge is open (-1).
         """
         if len(prefix) > 1:
             return -1
         still = -1
-        for fragile, mates in self._summaries():
+        if not prefix:
+            isolating = ~self.qualifying_after(())
+        for slack, fragile, doubly, mates in self._summaries():
             if not prefix:
-                still &= fragile
+                still &= fragile if slack == 0 else doubly | isolating if slack == 1 else isolating
             elif not fragile >> prefix[0] & 1:
                 still &= fragile | mates.get(prefix[0], 0)
         return still
@@ -243,17 +277,23 @@ class RemovalSearch:
 
         False when the removal leaves an isolated vertex (total variant),
         which nothing can dominate; ``row`` never offers such a removal.
+        Otherwise one pass over the kept covers, newest first, repairs
+        each: one dominator for each endpoint it lost, and, when that is
+        one pick over ``base``, less its first redundant pick.  The first
+        that fits ``base`` answers True and, if it changed, joins the
+        kept covers; only when none fits is there a search.
         """
         cover, touched = _toggled(self.graph, self._cover, edges)
         if any(cover[i] == 0 for i in touched):
             return False
-        # A kept cover plus one dominator for each endpoint it lost, if that
-        # fits; a cover that lost none survives as it is.
+        # A cover that lost no dominator survives as it is.
         for chosen in reversed(self._kept):
             repaired = chosen
             for i in touched:
                 if not cover[i] & repaired:
                     repaired |= cover[i] & -cover[i]
+            if repaired.bit_count() == self.base + 1:
+                repaired = _pruned(cover, repaired)
             if repaired.bit_count() <= self.base:
                 if repaired != chosen:
                     self._kept.append(repaired)

@@ -49,7 +49,12 @@ stop at one edge because the equivalences only ever need to distinguish
 already solved, and none of them copies the graph per candidate.  The
 removal sweep is the single-edge stage of ``perturbation._first_hit``,
 run at the bound on a ``RemovalSearch`` seeded with the parameter's
-witness, so kept covers settle most edges without a search.  When the
+witness.  At the exact bound the witness is one pick under the sweep's
+bound, so its row settles every edge that is not the lone dominator
+edge of both its endpoints, which in the closed variant is every edge;
+each edge left gets the witness repaired (one dominator per endpoint,
+less one redundant pick), and a search only when no kept cover repairs
+within the bound.  When the
 parameter is one above the exact bound, as on an unsatisfiable
 instance, that is the first stage of the removal scan itself, with the
 same bound and seed, so the sweep's first breaking edge is the scan's
@@ -60,9 +65,11 @@ module for both.
 
 On a satisfiable instance the perturbation value comes from a
 certificate that ``verify`` checks first (``_certifies_one``), not from
-the scan.  For the bondage kinds it is the first anchor edge of the
-kind's table row whose removal qualifies and leaves no cover within the
-parameter: a hit of the scan's single-edge stage, so b = 1 (b_t = 1).
+the scan.  For the bondage kinds it is the first anchor edge whose
+removal qualifies and leaves no cover within the parameter, trying the
+edges of the kind's table row with both endpoints in the assignment's
+set first and then the rest, each in row order: a hit of the scan's
+single-edge stage, so b = 1 (b_t = 1).
 For the reinforcement kinds it is the set ``assignment_to_witness``
 gives, with its added edge: it dominates G+e and is smaller than a
 parameter above the floor, so r = 1 (r_t = 1); the witness round trip
@@ -306,8 +313,9 @@ def _certifies_one(
     ``dom`` is the graph's proven parameter and minimum set, ``witness``
     the set a satisfying assignment maps to, and ``dominating`` whether
     it dominates the gadget (plus its added edge).  Bondage kinds: the
-    first anchor edge of the kind's row whose removal qualifies and
-    leaves no cover within the parameter; it is a hit of the scan's
+    first anchor edge whose removal qualifies and leaves no cover within
+    the parameter, of the row's edges with both endpoints in ``witness``
+    and then the rest, each in row order; it is a hit of the scan's
     single-edge stage, so b = 1 (b_t = 1).  Reinforcement kinds: the
     witness with its added edge, smaller than a parameter above the
     floor, so r = 1 (r_t = 1).  False when the check fails.
@@ -318,10 +326,9 @@ def _certifies_one(
     search = RemovalSearch(out.graph, total, param, kept=[dom.witness])
     qualifying = search.qualifying_after(())
     position = {edge: e for e, edge in enumerate(search.candidates)}
-    return any(
-        edge in position and qualifying >> position[edge] & 1 and search.hit((edge,))
-        for edge in _SPECS[out.kind].anchor_edges
-    )
+    # sorted is stable: row order within each group
+    edges = sorted(_SPECS[out.kind].anchor_edges, key=lambda edge: not witness.vertices.issuperset(edge))
+    return any(edge in position and qualifying >> position[edge] & 1 and search.hit((edge,)) for edge in edges)
 
 
 def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> VerificationReport:

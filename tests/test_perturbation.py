@@ -15,7 +15,7 @@ from domkit.domination import (
     has_total_dominating_set_within,
     total_domination_number,
 )
-from domkit.graph import Graph
+from domkit.graph import Graph, iter_bits
 from domkit.perturbation import (
     AdditionSearch,
     EmptyGraphError,
@@ -36,6 +36,7 @@ from oracles import (
     brute_total_reinforcement,
     complete_graph,
     cycle_graph,
+    oracle_dominates,
     path_graph,
     random_graph,
     scan_perturbation,
@@ -346,6 +347,31 @@ def assert_single_additions_match(g, total, base, limits):
             assert additions.covers_after((edge,), limit) == expected, (total, edge, limit, g.edges)
 
 
+def removal_searches(g, total, start):
+    """(limit, search) pairs around the parameter of ``start``, unseeded and seeded.
+
+    Seeded below their limits, with one and two picks of slack, they
+    reach the slack rows and the repair of kept covers; seeded with the
+    witness plus one vertex, a cover that is not minimum, at its limit;
+    seeded above its limit, the witness must not vouch for any removal.
+    """
+    base = start.value
+    removals = [(limit, RemovalSearch(g, total, limit)) for limit in range(base - 1, base + 2)]
+    for limit in (base + 1, base + 2, base - 1):
+        removals.append((limit, RemovalSearch(g, total, limit, kept=[start.witness])))
+    extra = next((v for v in g.vertices if v not in start.witness), None)
+    if extra is not None:
+        removals.append((base + 1, RemovalSearch(g, total, base + 1, kept=[start.witness | {extra}])))
+    return removals
+
+
+def assert_kept_covers_dominate(g, total, removals):
+    """Every cover a search kept, seeded, found, repaired or pruned, dominates G."""
+    for limit, search in removals:
+        for mask in search._kept:
+            assert oracle_dominates(g, map(g.label_at, iter_bits(mask)), total), (total, limit, mask, g.edges)
+
+
 def test_single_edge_searches_match_graph_copies():
     """Every edge and every limit, decided on masks, equals the search on a copied graph.
 
@@ -362,16 +388,13 @@ def test_single_edge_searches_match_graph_copies():
             start = total_domination_number(g) if total else domination_number(g)
             base = start.value
             assert_single_additions_match(g, total, base, range(base - 3, base + 1))
-            removals = [(limit, RemovalSearch(g, total, limit)) for limit in range(base - 1, base + 2)]
-            # seeded below its limit, so it also reaches the repair of kept covers
-            removals.append((base + 1, RemovalSearch(g, total, base + 1, kept=[start.witness])))
-            # seeded above its limit: the witness must not vouch for any removal
-            removals.append((base - 1, RemovalSearch(g, total, base - 1, kept=[start.witness])))
+            removals = removal_searches(g, total, start)
             for edge in sorted(g.edges):
                 reduced = g.remove_edges([edge])
                 for limit, search in removals:
                     expected = False if total and reduced.isolated_vertices() else within(reduced, limit)
                     assert search.covers_after([edge]) == expected, (total, edge, limit, g.edges)
+            assert_kept_covers_dominate(g, total, removals)
 
 
 def test_single_edge_additions_match_graph_copies_on_gadgets(monkeypatch):
@@ -422,11 +445,7 @@ def test_edge_pair_removals_match_graph_copies():
                 continue
             within = has_total_dominating_set_within if total else has_dominating_set_within
             start = total_domination_number(g) if total else domination_number(g)
-            base = start.value
-            removals = [(limit, RemovalSearch(g, total, limit)) for limit in range(base - 1, base + 2)]
-            # seeded below and above its limit, as in the single-edge test
-            removals.append((base + 1, RemovalSearch(g, total, base + 1, kept=[start.witness])))
-            removals.append((base - 1, RemovalSearch(g, total, base - 1, kept=[start.witness])))
+            removals = removal_searches(g, total, start)
             edges = sorted(g.edges)
             for e, first in enumerate(edges):
                 alone = g.remove_edges([first])
@@ -441,6 +460,7 @@ def test_edge_pair_removals_match_graph_copies():
                         expected = False if total and reduced.isolated_vertices() else within(reduced, limit)
                         assert row >> f & 1 or expected, (total, pair, limit, "settled by the masks")
                         assert search.covers_after(pair) == expected, (total, pair, limit, g.edges)
+            assert_kept_covers_dominate(g, total, removals)
 
 
 def test_qualifying_rows_match_graph_copies():

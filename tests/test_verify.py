@@ -390,6 +390,42 @@ def test_single_edge_removal_stage_runs_once_when_unsat(monkeypatch, kind, inst,
     assert single == [2 * inst.num_vars + 2 + (kind is ReductionKind.TOTAL_BONDAGE)]
 
 
+@pytest.mark.parametrize("kind", [ReductionKind.BONDAGE, ReductionKind.TOTAL_BONDAGE])
+def test_satisfiable_removal_sweep_runs_no_search(monkeypatch, kind):
+    """On satisfiable instances the witness's slack row and the repair settle the whole sweep: no search.
+
+    The certificate tries first the anchor edges inside the assignment's
+    set, (s2, s5) for total bondage, and makes one search, the refutation
+    of its hit.
+    """
+    searches = []
+    stage = [None]
+    search = perturbation._search
+
+    def counted(*args):
+        searches.append(stage[0])
+        return search(*args)
+
+    def staged(name, run):
+        def wrapper(*args):
+            stage[0] = name
+            try:
+                return run(*args)
+            finally:
+                stage[0] = None
+
+        return wrapper
+
+    monkeypatch.setattr(perturbation, "_search", counted)
+    monkeypatch.setattr(verify_module, "_removal_sweep", staged("sweep", _removal_sweep))
+    monkeypatch.setattr(verify_module, "_certifies_one", staged("certificate", _certifies_one))
+    for seed in range(1, 11):
+        searches.clear()
+        report = verify(kind, random_instance(4, 8, seed))
+        assert report.passed and report.satisfiable, seed
+        assert searches == ["certificate"], seed
+
+
 REMOVAL_KINDS = (ReductionKind.BONDAGE, ReductionKind.TOTAL_BONDAGE)
 PERTURBATION_NUMBERS = {
     ReductionKind.BONDAGE: bondage_number,
