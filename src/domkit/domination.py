@@ -275,10 +275,7 @@ def _search(
                 return False
             branch_cands = min(classes, key=int.bit_count)
         tried = 0
-        picks = iter_bits(branch_cands)
-        if branch_cands & branch_cands - 1:  # a lone candidate needs no order
-            picks = sorted(picks, key=lambda u: -(cover[u] & undom).bit_count())
-        for u in picks:
+        for u in sorted(iter_bits(branch_cands), key=lambda u: -(cover[u] & undom).bit_count()):
             chosen.append(u)
             if dfs(dominated | cover[u], banned | tried):
                 return True

@@ -30,13 +30,12 @@ reuse what earlier searches found:
     dominator edge of both endpoints) and its *fragile pairs* (the two
     dominator edges of a vertex with exactly two).  A single edge is
     settled by a cover according to its *slack*, the limit less its
-    size: with none, unless it holds the edge as fragile; with one,
+    size: with none, unless it holds the edge as fragile; with some,
     unless it holds it as doubly fragile, since one pick restores the
-    endpoint that lost its lone dominator; with two or more, always.  A
-    pair of edges is settled by a cover that holds neither as fragile
-    and does not hold them as a fragile pair.  So the scans settle all
-    single edges, or all partners of a first edge, with one AND per
-    cover.  A candidate that isolates a vertex (in the total variant) is
+    endpoint that lost its lone dominator.  A pair of edges is settled
+    by a cover that holds neither as fragile and does not hold them as
+    a fragile pair.  So the scans settle all single edges, or all
+    partners of a first edge, with one AND per cover.  A candidate that isolates a vertex (in the total variant) is
     never settled: it holds all that vertex's dominator edges in every
     cover and leaves none to repair them with.  It does not qualify
     either, and ``qualifying_after``, the one owner of that rule, drops
@@ -185,9 +184,9 @@ class RemovalSearch:
         for e, (a, b) in enumerate(self.candidates):
             i, j = g.index_of(a), g.index_of(b)
             self._edge_ids[i, j] = self._edge_ids[j, i] = e
-        # Per kept cover, in the same order: its fragile edges, and for each
-        # edge the edges it forms a fragile pair with.
-        self._fragile: list[tuple[int, dict[int, int]]] = []
+        # Per kept cover, in the same order: its slack, fragile and doubly fragile
+        # edges, and for each edge the edges it forms a fragile pair with.
+        self._fragile: list[tuple[int, int, int, dict[int, int]]] = []
         # Total variant: the edge numbers at each vertex (only there can a removal isolate one).
         self._incident: list[int] | None = None
         if total:
@@ -225,13 +224,13 @@ class RemovalSearch:
         Edges are numbered by their position in ``candidates``.  A
         settled edge set keeps a cover within the limit, so it is not
         a hit.  Alone, an edge is settled by a kept cover with no slack
-        that does not hold it as fragile, with one pick of slack that
-        does not hold it as doubly fragile, or with more, unless its
-        removal isolates a vertex (total variant), which leaves no
-        dominator to repair with.  After one edge, a pair is settled by
-        a kept cover that holds neither edge as fragile nor both as a
-        fragile pair.  Only prefixes of at most one edge are looked at;
-        after a longer one, every edge is open (-1).
+        that does not hold it as fragile, or with slack that does not
+        hold it as doubly fragile, unless its removal isolates a vertex
+        (total variant), which leaves no dominator to repair with.
+        After one edge, a pair is settled by a kept cover that holds
+        neither edge as fragile nor both as a fragile pair.  Only
+        prefixes of at most one edge are looked at; after a longer one,
+        every edge is open (-1).
         """
         if len(prefix) > 1:
             return -1
@@ -240,7 +239,7 @@ class RemovalSearch:
             isolating = ~self.qualifying_after(())
         for slack, fragile, doubly, mates in self._summaries():
             if not prefix:
-                still &= fragile if slack == 0 else doubly | isolating if slack == 1 else isolating
+                still &= fragile if slack == 0 else doubly | isolating
             elif not fragile >> prefix[0] & 1:
                 still &= fragile | mates.get(prefix[0], 0)
         return still

@@ -350,14 +350,14 @@ def assert_single_additions_match(g, total, base, limits):
 def removal_searches(g, total, start):
     """(limit, search) pairs around the parameter of ``start``, unseeded and seeded.
 
-    Seeded below their limits, with one and two picks of slack, they
-    reach the slack rows and the repair of kept covers; seeded with the
-    witness plus one vertex, a cover that is not minimum, at its limit;
-    seeded above its limit, the witness must not vouch for any removal.
+    Seeded one pick below its limit, it reaches the slack rows and the
+    repair of kept covers; seeded with the witness plus one vertex, a
+    cover that is not minimum, at its limit; seeded above its limit,
+    the witness must not vouch for any removal.
     """
     base = start.value
     removals = [(limit, RemovalSearch(g, total, limit)) for limit in range(base - 1, base + 2)]
-    for limit in (base + 1, base + 2, base - 1):
+    for limit in (base + 1, base - 1):
         removals.append((limit, RemovalSearch(g, total, limit, kept=[start.witness])))
     extra = next((v for v in g.vertices if v not in start.witness), None)
     if extra is not None:
