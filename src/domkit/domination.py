@@ -17,15 +17,20 @@ stops at the first one accepted.  Two questions are asked of it:
     directly: at the parameter it has solved, and on the toggled masks
     of G + e at the optimum that its window test proved for G + e.
 
-γ and γ_t (``_minimum_cover``) are decide refutations plus a descent
-that pins the witness.  From a greedy cover, decide "one pick fewer than
-the last cover found" until that fails.  The witness is then the greedy
-cover if it was minimum, else the first cover that the index-order tree
-reaches at the optimum: the tree of ``_branch`` steps that branch on
-their first class, in index order, without propagation.  It does not
-move with the limit, since the tree does not depend on it, so every
-index-order search at or above the optimum reaches this cover before
-any other minimum one.
+γ and γ_t (``_minimum_cover``) are decide refutations plus, for a
+pinned witness, a descent that pins it.  From a greedy cover, decide
+"one pick fewer than the last cover found" until that fails.  Unpinned,
+the witness is the last cover found, whichever minimum set decide
+reached.  ``verify`` and the perturbation searches that solve their
+own parameter ask for that, since they use the witness only as a seed,
+and so does ``enumerate_minimum_sets``, which reads only its size.
+Pinned, the public default, the witness is the greedy cover if it was
+minimum, else the first cover that the index-order tree reaches at the
+optimum: the tree of ``_branch`` steps that branch on their first
+class, in index order, without propagation.  It does not move with the
+limit, since the tree does not depend on it, so every index-order
+search at or above the optimum reaches this cover before any other
+minimum one.
 
 The descent walks that tree from the root without searching it.  At
 each node it knows a minimum cover below the node, at first the last
@@ -51,9 +56,9 @@ one order, by descending gain, the number of vertices each newly
 dominates (lowest index among ties): the greediest branch tends to reach
 a cover first, and on the searches ``verify`` makes this about halves
 the decide nodes.  No search's order shows in a result.  Decide's cover
-is only measured, followed by the descent or kept for reuse by
-``perturbation``, so it may be any qualifying cover; enumerate reaches
-every cover whatever the order, and sorts them.  Only the descent walks
+is only measured, followed by the descent, or returned or kept as a
+seed, so it may be any qualifying cover; enumerate reaches every cover
+whatever the order, and sorts them.  Only the descent walks
 index order, because the witness contract names the first cover of the
 index-order tree.
 
@@ -286,16 +291,18 @@ def _search(
     return chosen if dfs(dominated, banned) else None
 
 
-def _minimum_cover(cover: tuple[int, ...]) -> list[int]:
-    """Indices of a minimum cover; the witness is deterministic (see the module docstring).
+def _minimum_cover(cover: tuple[int, ...], pinned: bool = True) -> list[int]:
+    """Indices of a minimum cover; pinned, the witness is deterministic (see the module docstring).
 
-    The null graph's greedy cover is empty, so no decide call is made.
+    Unpinned, the last cover the decide loop found is returned, with no
+    descent.  The null graph's greedy cover is empty, so no decide call
+    is made.
     """
     greedy = best = _greedy_cover(cover)
     while best and (smaller := _search(cover, len(best) - 1)) is not None:
         best = smaller
-    if best is greedy:
-        return sorted(greedy)
+    if best is greedy or not pinned:
+        return sorted(best)
     # The descent (see the module docstring); ``known`` holds the picks
     # below the node of a minimum cover, so it marks a child to follow.
     full = (1 << len(cover)) - 1
@@ -350,18 +357,23 @@ def _all_minimum_covers(cover: tuple[int, ...], size: int, cap: int) -> list[tup
     return results
 
 
-def domination_number(g: Graph) -> DomResult:
-    """The minimum size of a dominating set, with one witness."""
-    chosen = _minimum_cover(_cover_masks(g, total=False))
+def domination_number(g: Graph, *, pinned: bool = True) -> DomResult:
+    """The minimum size of a dominating set, with one witness.
+
+    With ``pinned`` the witness is the first cover of the index-order
+    tree (see the module docstring); without it, any minimum set, found
+    without the descent that pins it.
+    """
+    chosen = _minimum_cover(_cover_masks(g, total=False), pinned)
     return DomResult(len(chosen), frozenset(g.label_at(i) for i in chosen))
 
 
-def total_domination_number(g: Graph) -> DomResult:
-    """The minimum size of a total dominating set, with one witness.
+def total_domination_number(g: Graph, *, pinned: bool = True) -> DomResult:
+    """The minimum size of a total dominating set, with one witness, pinned or not as for ``domination_number``.
 
     Raises IsolatedVertexError when the graph has isolated vertices.
     """
-    chosen = _minimum_cover(_cover_masks(g, total=True))
+    chosen = _minimum_cover(_cover_masks(g, total=True), pinned)
     return DomResult(len(chosen), frozenset(g.label_at(i) for i in chosen))
 
 
@@ -371,5 +383,5 @@ def enumerate_minimum_sets(g: Graph, total: bool = False, cap: int = 100_000) ->
     Raises BudgetExceededError when more than ``cap`` sets exist.
     """
     cover = _cover_masks(g, total)
-    covers = _all_minimum_covers(cover, len(_minimum_cover(cover)), cap)
+    covers = _all_minimum_covers(cover, len(_minimum_cover(cover, pinned=False)), cap)
     return [frozenset(g.label_at(i) for i in chosen) for chosen in covers]

@@ -417,10 +417,14 @@ def _first_hit(search: RemovalSearch | AdditionSearch, max_k: int | None) -> Per
 
 
 def _parameter(g: Graph, total: bool, start: DomResult | None) -> DomResult:
-    """``start`` if given, else the (total) domination number of ``g``, solved here."""
+    """``start`` if given, else the (total) domination number of ``g``, solved here.
+
+    Its witness only seeds a ``RemovalSearch``, where any minimum set
+    serves, so it is solved unpinned.
+    """
     if start is not None:
         return start
-    return total_domination_number(g) if total else domination_number(g)
+    return total_domination_number(g, pinned=False) if total else domination_number(g, pinned=False)
 
 
 def _removal_number(g: Graph, total: bool, max_k: int | None, start: DomResult | None) -> PerturbResult:

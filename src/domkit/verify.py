@@ -46,10 +46,12 @@ removal searches stop at two edges (a one-edge sweep already certifies
 the removal bound, so the true value is 1 or 2), and addition searches
 stop at one edge because the equivalences only ever need to distinguish
 "1" from "more than 1".  Each starts from the parameter ``verify`` has
-already solved, and none of them copies the graph per candidate.  The
-removal sweep is the single-edge stage of ``perturbation._first_hit``,
-run at the bound on a ``RemovalSearch`` seeded with the parameter's
-witness.  At the exact bound the witness is one pick under the sweep's
+already solved, and none of them copies the graph per candidate.  That
+parameter is solved unpinned (see ``domination``): its witness only
+seeds ``RemovalSearch``, where any minimum set serves, so no descent
+pins it.  The removal sweep is the single-edge stage of
+``perturbation._first_hit``, run at the bound on a ``RemovalSearch``
+seeded with the parameter's witness.  At the exact bound the witness is one pick under the sweep's
 bound, so its row settles every edge that is not the lone dominator
 edge of both its endpoints, which in the closed variant is every edge;
 each edge left gets the witness repaired (one dominator per endpoint,
@@ -73,8 +75,10 @@ single-edge stage, so b = 1 (b_t = 1).
 For the reinforcement kinds it is the set ``assignment_to_witness``
 gives, with its added edge: it dominates G+e and is smaller than a
 parameter above the floor, so r = 1 (r_t = 1); the witness round trip
-reads the same domination check.  Each certificate is checked on the
-graph, so no value rests on the gadget lemma.  Certificates are skipped
+reads the same domination check, made on the gadget's cover masks with
+the added edge's two bits set, so no graph is copied for it.  Each
+certificate is checked on the graph, so no value rests on the gadget
+lemma.  Certificates are skipped
 where the scan's witness is read: by the bondage kinds at one above the
 exact bound, where the edge-removal claim is the scan's first stage, and
 by the reinforcement kinds' deep claim, whose augmenting edges start at
@@ -107,8 +111,6 @@ from .domination import (  # noqa: F401
     enumerate_minimum_sets,
     has_dominating_set_within,
     has_total_dominating_set_within,
-    is_dominating_set,
-    is_total_dominating_set,
     total_domination_number,
 )
 from .graph import Edge, Graph
@@ -220,20 +222,26 @@ def _every_bound_violation(out: ReductionOutput, cover: tuple[int, ...], param: 
 
 
 def _structure_claim(
-    out: ReductionOutput, total: bool, removal: bool, param: int, exact: int, first_added: Edge | None
+    out: ReductionOutput,
+    cover: tuple[int, ...],
+    total: bool,
+    removal: bool,
+    param: int,
+    exact: int,
+    first_added: Edge | None,
 ) -> ClaimCheck:
     """The deep claim: every minimum set of the gadget (bondage kinds), or of G+e for every edge e
     that lowers the parameter by exactly one (reinforcement kinds), has the kind's structure.
 
-    ``param`` is the gadget's proven parameter and ``first_added`` the
-    single-edge addition scan's first hit, None when it found none (or
-    for the bondage kinds, which add no edge).  At the exact bound (for G+e, one
+    ``cover`` is the gadget's cover masks, ``param`` its proven
+    parameter and ``first_added`` the single-edge addition scan's first
+    hit, None when it found none (or for the bondage kinds, which add no
+    edge).  At the exact bound (for G+e, one
     below it) every minimum set is enumerated and ``structure_violation``
     asked about each; away from it only the every-bound facts apply, and
     each is refuted by one decide (``_every_bound_violation``).
     """
     g = out.graph
-    cover = _cover_masks(g, total)
     if removal:
         claim_id = "minimum-set-structure"
         if total:
@@ -283,6 +291,18 @@ def _structure_claim(
     if removal:
         return ClaimCheck(claim_id, expected, f"all {checked_sets} minimum sets conform", True)
     return ClaimCheck(claim_id, expected, f"{checked_graphs} augmenting edges, {checked_sets} sets conform", True)
+
+
+def _dominates_with(g: Graph, cover: tuple[int, ...], witness: GadgetWitness) -> bool:
+    """Whether ``witness.vertices`` dominate ``g`` plus ``witness.added_edge``, read off ``g``'s cover masks.
+
+    The added edge is one the gadget lacks, so toggling it sets its two bits.
+    """
+    masks, _ = _toggled(g, cover, [witness.added_edge] if witness.added_edge else [])
+    covered = 0
+    for v in witness.vertices:
+        covered |= masks[g.index_of(v)]
+    return covered == (1 << g.num_vertices) - 1
 
 
 def _qualifying_removals(search: RemovalSearch) -> int:
@@ -345,7 +365,6 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
         ReductionKind.TOTAL_REINFORCEMENT: (build_total_reinforcement, total_reinforcement_number),
     }[kind]
     parameter_number = total_domination_number if total else domination_number
-    dominates = is_total_dominating_set if total else is_dominating_set
 
     out = builder(inst)
     g = out.graph
@@ -360,13 +379,15 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
     param_name, param_id = ("gamma_t", "gamma-t") if total else ("gamma", "gamma")
     pert_name = ("b" if removal else "r") + ("_t" if total else "")
 
-    dom = parameter_number(g)
+    # The witness only seeds ``RemovalSearch``, where any minimum set serves.
+    dom = parameter_number(g, pinned=False)
     param = dom.value
+    cover = _cover_masks(g, total)
     max_k = 2 if removal else 1
     # The plain bondage structure is claimed only at the exact bound.
     deep_checked = deep and n <= DEEP_VAR_LIMIT and (total or not removal or param == exact)
     if witness is not None:
-        dominating = dominates(g if removal else g.add_edges([witness.added_edge]), witness.vertices)
+        dominating = _dominates_with(g, cover, witness)
     # The scan's witness is read by the edge-removal claim at exact + 1 and by the reinforcement kinds' deep claim.
     reads_witness = param == exact + 1 if removal else deep_checked
     pert = None
@@ -419,7 +440,7 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
 
     if deep_checked:
         first_added = pert.witness[0] if not removal and pert.witness else None
-        claims.append(_structure_claim(out, total, removal, param, exact, first_added))
+        claims.append(_structure_claim(out, cover, total, removal, param, exact, first_added))
 
     if witness is not None:
         size = exact if removal else exact - 1

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from domkit import domination
 from domkit.cnf import parse_dimacs
 
 # the worked example instance: C1 = {u1, u2, -u3}, C2 = {-u1, u2, u4}, C3 = {-u2, u3, u4}
@@ -52,3 +53,17 @@ def fig4_instance():
 @pytest.fixture
 def unsat8_instance():
     return parse_dimacs(UNSAT8_DIMACS)
+
+
+@pytest.fixture
+def minimum_cover_calls(monkeypatch):
+    """Per ``domination._minimum_cover`` call, whether its witness is pinned."""
+    calls = []
+    minimum_cover = domination._minimum_cover
+
+    def recorded(cover, pinned=True):
+        calls.append(pinned)
+        return minimum_cover(cover, pinned)
+
+    monkeypatch.setattr(domination, "_minimum_cover", recorded)
+    return calls

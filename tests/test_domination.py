@@ -187,6 +187,46 @@ def test_descent_witnesses_match_reference(total):
     assert descents >= 20
 
 
+def assert_unpinned_minimum(g: Graph, total: bool) -> None:
+    """Unpinned, the (total) domination result has the brute-force value and a witness of that size that dominates."""
+    solve = total_domination_number if total else domination_number
+    if total and g.isolated_vertices():
+        with pytest.raises(IsolatedVertexError):
+            solve(g, pinned=False)
+        return
+    result = solve(g, pinned=False)
+    assert result.value == (brute_total_domination_number if total else brute_domination_number)(g)
+    assert len(result.witness) == result.value
+    assert oracle_dominates(g, result.witness, total)
+
+
+class TestUnpinnedSolve:
+    """γ and γ_t solved without the witness descent: minimum, whatever witness they return."""
+
+    @given(graphs(min_vertices=0, max_vertices=12))
+    @example(Graph([], []))
+    @example(Graph([f"x{i}" for i in range(1, 6)], []))
+    @example(Graph(["a", "b", "c", "d", "e", "f"], [("a", "b"), ("b", "c"), ("d", "e"), ("e", "f")]))
+    @settings(max_examples=150, deadline=None)
+    def test_unpinned_results_are_minimum(self, g):
+        assert_unpinned_minimum(g, total=False)
+        assert_unpinned_minimum(g, total=True)
+
+    @pytest.mark.parametrize("total", [False, True], ids=["closed", "total"])
+    def test_unpinned_where_greedy_misses(self, total):
+        """On sparse graphs greedy often misses the optimum, so the decide loop, not greedy, gives the witness."""
+        rng = random.Random(24)
+        misses = 0
+        for n in range(10, 15):
+            for _ in range(8):
+                g = sparse_graph(rng, n)
+                assert_unpinned_minimum(g, total)
+                assert_reference_witness(g, total)
+                cover = _cover_masks(g, total)
+                misses += len(_greedy_cover(cover)) > len(reference_minimum_cover(cover))
+        assert misses >= 4
+
+
 class TestMonotonicity:
     @given(graphs(min_vertices=2, max_vertices=7))
     @settings(max_examples=60)

@@ -304,6 +304,32 @@ def test_start_replaces_the_parameter_solve(monkeypatch):
             assert solve(g, start=start) == results[kind], (kind, g.edges)
 
 
+def test_parameter_solved_here_is_unpinned(minimum_cover_calls):
+    """Without ``start`` each kind solves the parameter once, unpinned, and answers as from the pinned witness.
+
+    Only the removal kinds read the witness, as a seed for
+    ``RemovalSearch``, where any minimum set serves.  On the bondage
+    gadgets of small satisfiable instances the unpinned witness is often
+    not the pinned one.
+    """
+    rng = random.Random(2014)
+    pool = [random_graph(rng, rng.randint(3, 7), rng.uniform(0.3, 0.7)) for _ in range(30)]
+    cases = [(g, kind) for g in pool if g.edges and not g.isolated_vertices() for kind in SOLVERS]
+    cases += [
+        (build(kind, random_instance(n, 2 * n, seed)).graph, kind)
+        for kind in ("bondage", "total-bondage")
+        for n in (3, 4, 5)
+        for seed in range(3)
+    ]
+    parameter = {kind: total_domination_number if kind.startswith("total-") else domination_number for kind in SOLVERS}
+    expected = [SOLVERS[kind](g, start=parameter[kind](g)) for g, kind in cases]
+    assert sum(parameter[kind](g, pinned=False) != parameter[kind](g) for g, kind in cases) >= 5
+    for (g, kind), result in zip(cases, expected):
+        minimum_cover_calls.clear()
+        assert SOLVERS[kind](g) == result, (kind, g.edges)
+        assert minimum_cover_calls == [False], kind
+
+
 def test_witnesses_match_reference_scan():
     """Value, witness and base equal the plain edge-subset scan's, for every kind.
 

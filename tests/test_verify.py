@@ -21,6 +21,8 @@ from domkit.domination import (
     enumerate_minimum_sets,
     has_dominating_set_within,
     has_total_dominating_set_within,
+    is_dominating_set,
+    is_total_dominating_set,
     total_domination_number,
 )
 from domkit.graph import Graph
@@ -39,6 +41,7 @@ from domkit.verify import (
     ClaimCheck,
     VerificationReport,
     _certifies_one,
+    _dominates_with,
     _every_bound_violation,
     _removal_sweep,
     fuzz,
@@ -129,22 +132,15 @@ class TestVerifiers:
         assert not report.deep_checked
 
     @pytest.mark.parametrize("kind", list(ReductionKind))
-    def test_parameter_is_solved_once(self, monkeypatch, kind):
+    def test_parameter_is_solved_once(self, minimum_cover_calls, kind):
         # the perturbation search starts from verify's own gamma / gamma_t,
-        # and the deep claim enumerates at it (or one below, on G+e)
-        solved = []
-        minimum_cover = domination._minimum_cover
-
-        def counted(*args):
-            solved.append(args)
-            return minimum_cover(*args)
-
-        monkeypatch.setattr(domination, "_minimum_cover", counted)
+        # and the deep claim enumerates at it (or one below, on G+e); its
+        # witness only seeds the removal search, so no descent pins it
         for deep in (False, True):
-            solved.clear()
+            minimum_cover_calls.clear()
             report = verify(kind, random_instance(4, 8, 1), deep=deep)
             assert report.passed and report.deep_checked == deep
-            assert len(solved) == 1, deep
+            assert minimum_cover_calls == [False], deep
 
     @pytest.mark.parametrize("kind", list(ReductionKind))
     def test_enumeration_cap_gives_an_undetermined_claim(self, monkeypatch, kind):
@@ -340,6 +336,31 @@ def test_deep_enumeration_step_bound(monkeypatch, inst, max_steps):
     for kind in ReductionKind:
         assert verify(kind, inst, deep=True).passed
     assert steps[0] <= max_steps
+
+
+class BranchBudgetExceeded(Exception):
+    pass
+
+
+# A satisfiable instance at n = 48: gamma / gamma_t and the certificate take
+# 99, 100, 1 and 99 branch steps over the four kinds.  Pinning the witness of
+# the bondage kinds' parameter by the descent takes 95,744 steps (total
+# bondage) and over 120 s (plain bondage), so a solve that pins it fails here.
+@pytest.mark.parametrize("kind", list(ReductionKind))
+def test_sat_ladder_step_bound(monkeypatch, kind):
+    """``verify`` at n = 48, m = 96 stays within 1,000 ``_branch`` calls; past that the count raises."""
+    steps = [0]
+    branch = domination._branch
+
+    def counted_branch(*args):
+        steps[0] += 1
+        if steps[0] > 1_000:
+            raise BranchBudgetExceeded(kind)
+        return branch(*args)
+
+    monkeypatch.setattr(domination, "_branch", counted_branch)
+    report = verify(kind, random_instance(48, 96, 1))
+    assert report.passed and report.satisfiable
 
 
 def test_every_bound_facts_are_refuted_by_one_decide_each(monkeypatch):
@@ -546,6 +567,37 @@ def test_reinforcement_certificate_that_fails_falls_back_to_the_scan(
         round_trip = next(c for c in report.claims if c.claim_id == "witness-round-trip")
         assert not round_trip.passed
         assert round_trip.observed.endswith(f"dominating: {corruption == 'pad'}")
+
+
+@pytest.mark.parametrize("kind", REINFORCEMENT_KINDS)
+def test_round_trip_reads_the_cover_masks(monkeypatch, kind):
+    """The witness round trip, read off the gadget's cover masks with the added edge's bits set, is G+e's verdict.
+
+    The assignment's set dominates G+e; with any one vertex dropped it is
+    smaller than gamma (gamma_t) of G+e and does not.  ``verify`` makes
+    no graph copy for the check.
+    """
+    total = kind is ReductionKind.TOTAL_REINFORCEMENT
+    dominates = is_total_dominating_set if total else is_dominating_set
+
+    def copied(*args):
+        raise AssertionError("verify copied the graph")
+
+    for inst in SAT_CORPUS:
+        out = build(kind, inst)
+        g, cover = out.graph, _cover_masks(out.graph, total)
+        true = reductions.assignment_to_witness(out, solve_sat(inst))
+        augmented = g.add_edges([true.added_edge])
+        assert _dominates_with(g, cover, true) is dominates(augmented, true.vertices) is True
+        for v in sorted(true.vertices):
+            dropped = reductions.GadgetWitness(true.vertices - {v}, true.added_edge)
+            assert _dominates_with(g, cover, dropped) is dominates(augmented, dropped.vertices) is False, v
+        with monkeypatch.context() as patch:
+            for method in ("add_edges", "remove_edges"):
+                patch.setattr(Graph, method, copied)
+            report = verify(kind, inst)
+        round_trip = next(c for c in report.claims if c.claim_id == "witness-round-trip")
+        assert round_trip.passed and round_trip.observed.endswith("dominating: True")
 
 
 @pytest.mark.parametrize("kind", REINFORCEMENT_KINDS)
