@@ -17,34 +17,18 @@ stops at the first one accepted.  Two questions are asked of it:
     directly: at the parameter it has solved, and on the toggled masks
     of G + e at the optimum that its window test proved for G + e.
 
-γ and γ_t (``_minimum_cover``) are decide refutations plus, for a
-pinned witness, a descent that pins it.  From a greedy cover, decide
-"one pick fewer than the last cover found" until that fails.  Unpinned,
-the witness is the last cover found, whichever minimum set decide
-reached.  ``verify`` and the perturbation searches that solve their
-own parameter ask for that, since they use the witness only as a seed,
-and so does ``enumerate_minimum_sets``, which reads only its size.
-Pinned, the public default, the witness is the greedy cover if it was
-minimum, else the first cover that the index-order tree reaches at the
-optimum: the tree of ``_branch`` steps that branch on their first
-class, in index order, without propagation.  It does not move with the
-limit, since the tree does not depend on it, so every index-order
-search at or above the optimum reaches this cover before any other
-minimum one.
-
-The descent walks that tree from the root without searching it.  At
-each node it knows a minimum cover below the node, at first the last
-one decide found.  That cover lies below exactly one child, the one
-through its smallest pick in the branch set: each later child bans that
-pick, and each earlier one picks a vertex it does not hold.  Each
-earlier sibling, in index order, gets one decide call from its own
-state, with the siblings before it banned, at the picks left.  The
-first call that succeeds gives the new known cover, and the descent
-follows that sibling; a refuted sibling is banned for the rest.
-Decide's bound and propagation cut only subtrees with no cover, so a
-subtree holds a cover within the optimum exactly when its call
-succeeds: the descent follows the first such child at every node, and
-ends on the tree's first cover.
+γ and γ_t (``_minimum_cover``) are decide refutations: from a greedy
+cover, decide "one pick fewer than the last cover found" until that
+fails.  The witness is the last cover found, sorted: the greedy cover
+if it was minimum, else whichever minimum cover the last successful
+decide reached.  That is the witness contract, for every caller.  It
+is deterministic, since every search step is, but it is not a
+canonical set: which cover decide reaches first depends on the
+kernel's branch order and propagation.  No bondage or reinforcement
+answer depends on which minimum set it is.  Only
+``tests/data/pinned_witnesses.json`` and the CLI expectations record
+particular witnesses; a change to the branch order that moves them
+regenerates the fixture with its writer and names the change.
 
 Each node makes one branch step, ``_branch``, a single pass over the
 undominated vertices.  It branches on the undominated vertex with the
@@ -55,18 +39,16 @@ whatever order the dominators are tried in.  Every node tries them in
 one order, by descending gain, the number of vertices each newly
 dominates (lowest index among ties): the greediest branch tends to reach
 a cover first, and on the searches ``verify`` makes this about halves
-the decide nodes.  No search's order shows in a result.  Decide's cover
-is only measured, followed by the descent, or returned or kept as a
-seed, so it may be any qualifying cover; enumerate reaches every cover
-whatever the order, and sorts them.  Only the descent walks
-index order, because the witness contract names the first cover of the
-index-order tree.
+the decide nodes.  The order shows only in the γ and γ_t witnesses:
+every other decide cover is only measured or kept as a seed, so it may
+be any qualifying cover, and enumerate reaches every cover whatever the
+order, and sorts them.
 
 The same pass gives the lower bound, a packing: taken in order of
 (dominator count, index), the undominated vertices whose allowed
 dominators are disjoint from those of all vertices kept before each need
 a pick of their own.  The bound is admissible, so it cuts only subtrees
-without a qualifying cover and the witnesses do not depend on it.
+without a qualifying cover.
 
 When the bound is tight (depth + need == limit), every cover within the
 limit below the node takes exactly one pick from each kept vertex's
@@ -81,10 +63,7 @@ no cover within the limit, so decide finds a cover exactly when it did
 without the rule, and enumerate reaches the same covers, which it
 sorts.  The gadgets' refutations at the exact bound are tight from the
 root; on them the rule takes hundreds of times fewer nodes for plain
-bondage and several times fewer for total bondage.  The descent's own
-nodes do not propagate, because the rule changes which vertex a node
-branches on and so would move the pinned witness; its decide calls do,
-since they only tell whether a subtree holds a cover.
+bondage and several times fewer for total bondage.
 
 Domination uses closed neighborhoods (a chosen vertex covers itself);
 total domination uses open neighborhoods, so a vertex never covers
@@ -291,40 +270,15 @@ def _search(
     return chosen if dfs(dominated, banned) else None
 
 
-def _minimum_cover(cover: tuple[int, ...], pinned: bool = True) -> list[int]:
-    """Indices of a minimum cover; pinned, the witness is deterministic (see the module docstring).
+def _minimum_cover(cover: tuple[int, ...]) -> list[int]:
+    """Indices of a minimum cover: the last one the decide loop found, sorted (see the module docstring).
 
-    Unpinned, the last cover the decide loop found is returned, with no
-    descent.  The null graph's greedy cover is empty, so no decide call
-    is made.
+    The null graph's greedy cover is empty, so no decide call is made.
     """
-    greedy = best = _greedy_cover(cover)
+    best = _greedy_cover(cover)
     while best and (smaller := _search(cover, len(best) - 1)) is not None:
         best = smaller
-    if best is greedy or not pinned:
-        return sorted(best)
-    # The descent (see the module docstring); ``known`` holds the picks
-    # below the node of a minimum cover, so it marks a child to follow.
-    full = (1 << len(cover)) - 1
-    size = len(best)
-    known = sum(1 << u for u in best)
-    chosen: list[int] = []
-    dominated = banned = 0
-    while dominated != full:
-        classes, _ = _branch(cover, full & ~dominated, banned)
-        tried = 0
-        for u in iter_bits(classes[0]):
-            if known >> u & 1:
-                break
-            rest = _search(cover, size - len(chosen) - 1, dominated | cover[u], banned | tried)
-            if rest is not None:
-                known = sum(1 << w for w in rest)
-                break
-            tried |= 1 << u
-        chosen.append(u)
-        dominated |= cover[u]
-        banned |= tried
-    return sorted(chosen)
+    return sorted(best)
 
 
 def has_dominating_set_within(g: Graph, size: int) -> bool:
@@ -357,23 +311,18 @@ def _all_minimum_covers(cover: tuple[int, ...], size: int, cap: int) -> list[tup
     return results
 
 
-def domination_number(g: Graph, *, pinned: bool = True) -> DomResult:
-    """The minimum size of a dominating set, with one witness.
-
-    With ``pinned`` the witness is the first cover of the index-order
-    tree (see the module docstring); without it, any minimum set, found
-    without the descent that pins it.
-    """
-    chosen = _minimum_cover(_cover_masks(g, total=False), pinned)
+def domination_number(g: Graph) -> DomResult:
+    """The minimum size of a dominating set, with one witness (see the module docstring)."""
+    chosen = _minimum_cover(_cover_masks(g, total=False))
     return DomResult(len(chosen), frozenset(g.label_at(i) for i in chosen))
 
 
-def total_domination_number(g: Graph, *, pinned: bool = True) -> DomResult:
-    """The minimum size of a total dominating set, with one witness, pinned or not as for ``domination_number``.
+def total_domination_number(g: Graph) -> DomResult:
+    """The minimum size of a total dominating set, with one witness as for ``domination_number``.
 
     Raises IsolatedVertexError when the graph has isolated vertices.
     """
-    chosen = _minimum_cover(_cover_masks(g, total=True), pinned)
+    chosen = _minimum_cover(_cover_masks(g, total=True))
     return DomResult(len(chosen), frozenset(g.label_at(i) for i in chosen))
 
 
@@ -383,5 +332,5 @@ def enumerate_minimum_sets(g: Graph, total: bool = False, cap: int = 100_000) ->
     Raises BudgetExceededError when more than ``cap`` sets exist.
     """
     cover = _cover_masks(g, total)
-    covers = _all_minimum_covers(cover, len(_minimum_cover(cover, pinned=False)), cap)
+    covers = _all_minimum_covers(cover, len(_minimum_cover(cover)), cap)
     return [frozenset(g.label_at(i) for i in chosen) for chosen in covers]

@@ -420,11 +420,11 @@ def _parameter(g: Graph, total: bool, start: DomResult | None) -> DomResult:
     """``start`` if given, else the (total) domination number of ``g``, solved here.
 
     Its witness only seeds a ``RemovalSearch``, where any minimum set
-    serves, so it is solved unpinned.
+    serves.
     """
     if start is not None:
         return start
-    return total_domination_number(g, pinned=False) if total else domination_number(g, pinned=False)
+    return total_domination_number(g) if total else domination_number(g)
 
 
 def _removal_number(g: Graph, total: bool, max_k: int | None, start: DomResult | None) -> PerturbResult:

@@ -47,9 +47,9 @@ the removal bound, so the true value is 1 or 2), and addition searches
 stop at one edge because the equivalences only ever need to distinguish
 "1" from "more than 1".  Each starts from the parameter ``verify`` has
 already solved, and none of them copies the graph per candidate.  That
-parameter is solved unpinned (see ``domination``): its witness only
-seeds ``RemovalSearch``, where any minimum set serves, so no descent
-pins it.  The removal sweep is the single-edge stage of
+parameter's witness, whichever minimum set ``domination`` returns, only
+seeds ``RemovalSearch``, where any minimum set serves.  The removal
+sweep is the single-edge stage of
 ``perturbation._first_hit``, run at the bound on a ``RemovalSearch``
 seeded with the parameter's witness.  At the exact bound the witness is one pick under the sweep's
 bound, so its row settles every edge that is not the lone dominator
@@ -379,8 +379,8 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
     param_name, param_id = ("gamma_t", "gamma-t") if total else ("gamma", "gamma")
     pert_name = ("b" if removal else "r") + ("_t" if total else "")
 
-    # The witness only seeds ``RemovalSearch``, where any minimum set serves.
-    dom = parameter_number(g, pinned=False)
+    # Whichever minimum set it returns serves: its witness only seeds ``RemovalSearch``.
+    dom = parameter_number(g)
     param = dom.value
     cover = _cover_masks(g, total)
     max_k = 2 if removal else 1

@@ -57,13 +57,13 @@ def unsat8_instance():
 
 @pytest.fixture
 def minimum_cover_calls(monkeypatch):
-    """Per ``domination._minimum_cover`` call, whether its witness is pinned."""
+    """The cover masks of each ``domination._minimum_cover`` call."""
     calls = []
     minimum_cover = domination._minimum_cover
 
-    def recorded(cover, pinned=True):
-        calls.append(pinned)
-        return minimum_cover(cover, pinned)
+    def recorded(cover):
+        calls.append(cover)
+        return minimum_cover(cover)
 
     monkeypatch.setattr(domination, "_minimum_cover", recorded)
     return calls

@@ -8,9 +8,9 @@ two is meaningful evidence.  There are two exceptions.
 the package's bounded search, but decides every candidate edge set on
 its own copy of the graph, with none of the perturbation module's
 shortcuts.  ``reference_minimum_cover``, the reference for γ and γ_t
-witnesses, shares the package's branch step and greedy cover, but finds
-the optimum by one search that lowers its limit at every cover it
-reaches, not by decide searches at fixed limits.
+values above brute-force sizes, shares the package's branch step and
+greedy cover, but finds the optimum by one search that lowers its limit
+at every cover it reaches, not by decide searches at fixed limits.
 ``reference_structure_violations``, the reference for the deep claim's
 refutations, lists every minimum set with the package's enumeration and
 asks ``structure_violation`` about each, as ``verify`` itself did before
@@ -206,12 +206,13 @@ def scan_perturbation(g: Graph, kind: str, max_k: int | None = None):
 
 
 def reference_minimum_cover(cover: tuple[int, ...]) -> list[int]:
-    """Indices of the minimum cover that a shrinking-limit search ends on.
+    """Indices of a minimum cover, by a shrinking-limit search: the γ/γ_t reference above brute-force sizes.
 
     One index-order branch and bound, started one pick below the greedy
     cover, lowers its limit to one below each cover it reaches, so only
     strictly smaller covers follow and the last one reached is minimum;
-    the greedy cover is the answer when none is reached.
+    the greedy cover is the answer when none is reached.  Its size is
+    the reference value; the package may return any minimum set.
     """
     full = (1 << len(cover)) - 1
     greedy = _greedy_cover(cover)

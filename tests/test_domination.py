@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from typing import Callable
 
 import pytest
 from hypothesis import example, given, settings
@@ -86,8 +87,10 @@ class TestDominationNumber:
         assert domination_number(g).value == 0
         assert domination_number(g).witness == frozenset()
 
-    @given(graphs())
-    @settings(max_examples=100)
+    @given(graphs(min_vertices=0, max_vertices=12))
+    @example(Graph([f"x{i}" for i in range(1, 6)], []))
+    @example(Graph(["a", "b", "c", "d", "e", "f"], [("a", "b"), ("b", "c"), ("d", "e"), ("e", "f")]))
+    @settings(max_examples=150, deadline=None)
     def test_matches_brute_force(self, g):
         result = domination_number(g)
         assert result.value == brute_domination_number(g)
@@ -112,13 +115,15 @@ class TestTotalDominationNumber:
         with pytest.raises(IsolatedVertexError):
             total_domination_number(Graph(["a", "b", "c"], [("a", "b")]))
 
-    @given(isolated_free_graphs())
-    @settings(max_examples=100)
+    @given(isolated_free_graphs(max_vertices=12))
+    @example(Graph(["a", "b", "c", "d", "e", "f"], [("a", "b"), ("b", "c"), ("d", "e"), ("e", "f")]))
+    @settings(max_examples=150, deadline=None)
     def test_matches_brute_force(self, g):
         result = total_domination_number(g)
         assert result.value == brute_total_domination_number(g)
         assert is_total_dominating_set(g, result.witness)
         assert oracle_dominates(g, result.witness, total=True)
+        assert len(result.witness) == result.value
 
     @given(isolated_free_graphs())
     @settings(max_examples=60)
@@ -128,32 +133,42 @@ class TestTotalDominationNumber:
         assert gamma <= gamma_t <= 2 * gamma
 
 
-def assert_reference_witness(g: Graph, total: bool) -> None:
-    """The (total) domination witness is the one the shrinking-limit reference search ends on."""
+def assert_minimum(g: Graph, total: bool, value: Callable[[Graph, bool], int]) -> None:
+    """The (total) domination result has the expected ``value(g, total)``, and a witness of that size that dominates."""
     solve = total_domination_number if total else domination_number
     if total and g.isolated_vertices():
         with pytest.raises(IsolatedVertexError):
             solve(g)
         return
-    chosen = reference_minimum_cover(_cover_masks(g, total))
-    assert solve(g).witness == frozenset(g.label_at(i) for i in chosen)
+    result = solve(g)
+    assert result.value == value(g, total)
+    assert len(result.witness) == result.value
+    assert oracle_dominates(g, result.witness, total)
+
+
+def reference_value(g: Graph, total: bool) -> int:
+    return len(reference_minimum_cover(_cover_masks(g, total)))
+
+
+def brute_value(g: Graph, total: bool) -> int:
+    return (brute_total_domination_number if total else brute_domination_number)(g)
 
 
 class TestWitnessContract:
-    """γ and γ_t witnesses, on random graphs, equal those of the shrinking-limit reference search."""
+    """γ and γ_t on random graphs: the shrinking-limit reference search's value, with a dominating witness of that size."""
 
     @given(graphs(min_vertices=0, max_vertices=14))
     @example(Graph([], []))
     @example(Graph([f"x{i}" for i in range(1, 6)], []))
     @settings(max_examples=150, deadline=None)
     def test_witnesses_match_reference(self, g):
-        assert_reference_witness(g, total=False)
-        assert_reference_witness(g, total=True)
+        assert_minimum(g, False, reference_value)
+        assert_minimum(g, True, reference_value)
 
     @given(isolated_free_graphs(max_vertices=14))
     @settings(max_examples=150, deadline=None)
     def test_total_witnesses_match_reference(self, g):
-        assert_reference_witness(g, total=True)
+        assert_minimum(g, True, reference_value)
 
 
 def sparse_graph(rng: random.Random, n: int) -> Graph:
@@ -170,61 +185,33 @@ def sparse_graph(rng: random.Random, n: int) -> Graph:
 
 
 @pytest.mark.parametrize("total", [False, True], ids=["closed", "total"])
-def test_descent_witnesses_match_reference(total):
-    """Witnesses on sparse graphs of 16 to 40 vertices, where greedy often misses the optimum.
+def test_where_greedy_misses(total):
+    """On sparse graphs greedy often misses the optimum, so the decide loop, not greedy, gives the witness."""
+    rng = random.Random(24)
+    misses = 0
+    for n in range(10, 15):
+        for _ in range(8):
+            g = sparse_graph(rng, n)
+            assert_minimum(g, total, brute_value)
+            misses += len(_greedy_cover(_cover_masks(g, total))) > brute_value(g, total)
+    assert misses >= 4
 
-    Only there does ``_minimum_cover`` descend; the hypothesis graphs
-    above are small enough that greedy is nearly always minimum.
+
+@pytest.mark.parametrize("total", [False, True], ids=["closed", "total"])
+def test_sparse_values_match_reference(total):
+    """Values on sparse graphs of 16 to 40 vertices, above brute-force sizes, where greedy often misses the optimum.
+
+    The hypothesis graphs above are small enough that greedy is nearly
+    always minimum.
     """
     rng = random.Random(16)
-    descents = 0
+    misses = 0
     for n in range(16, 41):
         for _ in range(6):
             g = sparse_graph(rng, n)
-            assert_reference_witness(g, total)
-            cover = _cover_masks(g, total)
-            descents += len(_greedy_cover(cover)) > len(reference_minimum_cover(cover))
-    assert descents >= 20
-
-
-def assert_unpinned_minimum(g: Graph, total: bool) -> None:
-    """Unpinned, the (total) domination result has the brute-force value and a witness of that size that dominates."""
-    solve = total_domination_number if total else domination_number
-    if total and g.isolated_vertices():
-        with pytest.raises(IsolatedVertexError):
-            solve(g, pinned=False)
-        return
-    result = solve(g, pinned=False)
-    assert result.value == (brute_total_domination_number if total else brute_domination_number)(g)
-    assert len(result.witness) == result.value
-    assert oracle_dominates(g, result.witness, total)
-
-
-class TestUnpinnedSolve:
-    """γ and γ_t solved without the witness descent: minimum, whatever witness they return."""
-
-    @given(graphs(min_vertices=0, max_vertices=12))
-    @example(Graph([], []))
-    @example(Graph([f"x{i}" for i in range(1, 6)], []))
-    @example(Graph(["a", "b", "c", "d", "e", "f"], [("a", "b"), ("b", "c"), ("d", "e"), ("e", "f")]))
-    @settings(max_examples=150, deadline=None)
-    def test_unpinned_results_are_minimum(self, g):
-        assert_unpinned_minimum(g, total=False)
-        assert_unpinned_minimum(g, total=True)
-
-    @pytest.mark.parametrize("total", [False, True], ids=["closed", "total"])
-    def test_unpinned_where_greedy_misses(self, total):
-        """On sparse graphs greedy often misses the optimum, so the decide loop, not greedy, gives the witness."""
-        rng = random.Random(24)
-        misses = 0
-        for n in range(10, 15):
-            for _ in range(8):
-                g = sparse_graph(rng, n)
-                assert_unpinned_minimum(g, total)
-                assert_reference_witness(g, total)
-                cover = _cover_masks(g, total)
-                misses += len(_greedy_cover(cover)) > len(reference_minimum_cover(cover))
-        assert misses >= 4
+            assert_minimum(g, total, reference_value)
+            misses += len(_greedy_cover(_cover_masks(g, total))) > reference_value(g, total)
+    assert misses >= 20
 
 
 class TestMonotonicity:
@@ -486,10 +473,11 @@ def test_tight_refutation_node_bound(monkeypatch, kind, max_nodes):
     assert calls[0] <= max_nodes
 
 
-# Nodes with an unpropagated index-order witness search: 242,435 and 147,054.
+# Nodes: 10,914 and 14,658; with an unpropagated index-order witness search,
+# 242,435 and 147,054.
 @pytest.mark.parametrize("kind", ["total-bondage", "total-reinforcement"])
-def test_witness_descent_node_bound(monkeypatch, kind):
-    """γ of the total gadgets, where greedy misses the optimum, finds its witness by descent, not by search."""
+def test_greedy_miss_node_bound(monkeypatch, kind):
+    """γ of the total gadgets, where greedy misses the optimum, stays cheap: the decide loop and its refutation."""
     calls = count_branch_steps(monkeypatch)
     assert domination_number(build(kind, CnfInstance(8, UNSAT_N8_CLAUSES)).graph).value == 16
-    assert calls[0] <= 40_000
+    assert calls[0] <= 20_000

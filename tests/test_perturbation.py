@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from domkit import domination, perturbation
 from domkit.cnf import random_instance
 from domkit.domination import (
+    DomResult,
     IsolatedVertexError,
     _search,
     domination_number,
+    enumerate_minimum_sets,
     has_dominating_set_within,
     has_total_dominating_set_within,
     total_domination_number,
@@ -304,13 +306,14 @@ def test_start_replaces_the_parameter_solve(monkeypatch):
             assert solve(g, start=start) == results[kind], (kind, g.edges)
 
 
-def test_parameter_solved_here_is_unpinned(minimum_cover_calls):
-    """Without ``start`` each kind solves the parameter once, unpinned, and answers as from the pinned witness.
+def test_parameter_does_not_depend_on_the_seed(minimum_cover_calls):
+    """Without ``start`` each kind solves the parameter once, and answers as from any other minimum set.
 
     Only the removal kinds read the witness, as a seed for
-    ``RemovalSearch``, where any minimum set serves.  On the bondage
-    gadgets of small satisfiable instances the unpinned witness is often
-    not the pinned one.
+    ``RemovalSearch``, where any minimum set serves.  Each case is
+    answered again from ``start``, seeded with a minimum set other than
+    the solved witness where the graph has one, as on the bondage gadgets
+    of small satisfiable instances.
     """
     rng = random.Random(2014)
     pool = [random_graph(rng, rng.randint(3, 7), rng.uniform(0.3, 0.7)) for _ in range(30)]
@@ -322,12 +325,17 @@ def test_parameter_solved_here_is_unpinned(minimum_cover_calls):
         for seed in range(3)
     ]
     parameter = {kind: total_domination_number if kind.startswith("total-") else domination_number for kind in SOLVERS}
-    expected = [SOLVERS[kind](g, start=parameter[kind](g)) for g, kind in cases]
-    assert sum(parameter[kind](g, pinned=False) != parameter[kind](g) for g, kind in cases) >= 5
-    for (g, kind), result in zip(cases, expected):
+    differing = 0
+    for g, kind in cases:
+        total = kind.startswith("total-")
         minimum_cover_calls.clear()
-        assert SOLVERS[kind](g) == result, (kind, g.edges)
-        assert minimum_cover_calls == [False], kind
+        result = SOLVERS[kind](g)
+        assert len(minimum_cover_calls) == 1, kind
+        solved = parameter[kind](g)
+        seed = next((s for s in enumerate_minimum_sets(g, total) if s != solved.witness), solved.witness)
+        differing += seed != solved.witness
+        assert SOLVERS[kind](g, start=DomResult(solved.value, seed)) == result, (kind, g.edges)
+    assert differing >= 5
 
 
 def test_witnesses_match_reference_scan():

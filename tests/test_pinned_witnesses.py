@@ -1,11 +1,13 @@
 """Pinned witnesses: the exact γ/γ_t witnesses and enumeration order.
 
-Changes to the search kernel must keep every witness and the order of
-every enumeration the same.  The fixture ``data/pinned_witnesses.json``
-records them for seeded random connected graphs with 8 to 40 vertices
-(enumerations only up to 16 vertices, where they stay small and fast).
-The graphs are rebuilt from their seeds, so the fixture holds only the
-outputs.
+The γ/γ_t witness is the last cover of the decide loop (see
+``domkit.domination``): deterministic, but it moves when the kernel's
+branch order does, while the order of every enumeration is fixed.  The
+fixture ``data/pinned_witnesses.json`` records both for seeded random
+connected graphs with 8 to 40 vertices (enumerations only up to 16
+vertices, where they stay small and fast), so a change that moves
+either shows here.  The graphs are rebuilt from their seeds, so the
+fixture holds only the outputs.
 
 A deliberate change to the witnesses must say so and rewrite the
 fixture with ``python tests/test_pinned_witnesses.py`` (from the repo
