@@ -87,10 +87,8 @@ class TestDominationNumber:
         assert domination_number(g).value == 0
         assert domination_number(g).witness == frozenset()
 
-    @given(graphs(min_vertices=0, max_vertices=12))
-    @example(Graph([f"x{i}" for i in range(1, 6)], []))
-    @example(Graph(["a", "b", "c", "d", "e", "f"], [("a", "b"), ("b", "c"), ("d", "e"), ("e", "f")]))
-    @settings(max_examples=150, deadline=None)
+    @given(graphs())
+    @settings(max_examples=100)
     def test_matches_brute_force(self, g):
         result = domination_number(g)
         assert result.value == brute_domination_number(g)
@@ -115,9 +113,8 @@ class TestTotalDominationNumber:
         with pytest.raises(IsolatedVertexError):
             total_domination_number(Graph(["a", "b", "c"], [("a", "b")]))
 
-    @given(isolated_free_graphs(max_vertices=12))
-    @example(Graph(["a", "b", "c", "d", "e", "f"], [("a", "b"), ("b", "c"), ("d", "e"), ("e", "f")]))
-    @settings(max_examples=150, deadline=None)
+    @given(isolated_free_graphs())
+    @settings(max_examples=100)
     def test_matches_brute_force(self, g):
         result = total_domination_number(g)
         assert result.value == brute_total_domination_number(g)
@@ -182,6 +179,17 @@ def sparse_graph(rng: random.Random, n: int) -> Graph:
             break
     labels = [f"x{v}" for v in range(n)]
     return Graph(labels, [(labels[a], labels[b]) for a, b in sorted(edges)])
+
+
+@given(graphs(min_vertices=0, max_vertices=12))
+@example(Graph([], []))
+@example(Graph([f"x{i}" for i in range(1, 6)], []))
+@example(Graph(["a", "b", "c", "d", "e", "f"], [("a", "b"), ("b", "c"), ("d", "e"), ("e", "f")]))
+@settings(max_examples=150, deadline=None)
+def test_results_are_minimum(g):
+    """γ and γ_t on graphs of up to 12 vertices: the brute-force value, with a dominating witness of that size."""
+    assert_minimum(g, False, brute_value)
+    assert_minimum(g, True, brute_value)
 
 
 @pytest.mark.parametrize("total", [False, True], ids=["closed", "total"])
