@@ -17,18 +17,27 @@ stops at the first one accepted.  Two questions are asked of it:
     directly: at the parameter it has solved, and on the toggled masks
     of G + e at the optimum that its window test proved for G + e.
 
-γ and γ_t (``_minimum_cover``) are decide refutations: from a greedy
+γ and γ_t (``_minimum_cover``) are decide refutations: from a first
 cover, decide "one pick fewer than the last cover found" until that
-fails.  The witness is the last cover found, sorted: the greedy cover
-if it was minimum, else whichever minimum cover the last successful
-decide reached.  That is the witness contract, for every caller.  It
-is deterministic, since every search step is, but it is not a
-canonical set: which cover decide reaches first depends on the
-kernel's branch order and propagation.  No bondage or reinforcement
-answer depends on which minimum set it is.  Only
-``tests/data/pinned_witnesses.json`` and the CLI expectations record
-particular witnesses; a change to the branch order that moves them
-regenerates the fixture with its writer and names the change.
+fails.  The first cover is greedy's, or, given a ``hint`` (any vertex
+set), the hint repaired into a cover: each vertex it leaves undominated,
+in index order, that is still undominated gets its lowest-index
+dominator.  The repaired set is a cover by construction and the loop
+still refutes one fewer, so a hint moves no value, only the work:
+``verify`` passes the set a satisfying assignment maps to, which
+repairs to a cover of the exact bound (for the reinforcement kinds, by
+the pick that the added edge stood in for); on the gadgets measured the
+first decide, at one fewer, is refuted at its root.  The witness is the
+last cover found, sorted: the first cover if it was minimum (so a hint
+that is a minimum cover comes back as it is), else whichever minimum
+cover the last successful decide reached.  That is the witness
+contract, for every caller.  It is deterministic, since every search
+step is, but it is not a canonical set: which cover decide reaches
+first depends on the kernel's branch order and propagation.  No
+bondage or reinforcement answer depends on which minimum set it is.
+Only ``tests/data/pinned_witnesses.json`` and the CLI expectations
+record particular witnesses; a change to the branch order that moves
+them regenerates the fixture with its writer and names the change.
 
 Each node makes one branch step, ``_branch``, a single pass over the
 undominated vertices.  It branches on the undominated vertex with the
@@ -270,12 +279,27 @@ def _search(
     return chosen if dfs(dominated, banned) else None
 
 
-def _minimum_cover(cover: tuple[int, ...]) -> list[int]:
+def _repaired(cover: tuple[int, ...], hint: Iterable[int]) -> list[int]:
+    """``hint`` plus, for each vertex it leaves undominated, in index order, its lowest-index dominator if still needed."""
+    chosen = dominated = 0
+    for u in hint:
+        chosen |= 1 << u
+        dominated |= cover[u]
+    for v in iter_bits(((1 << len(cover)) - 1) & ~dominated):
+        if not dominated >> v & 1:
+            low = cover[v] & -cover[v]
+            chosen |= low
+            dominated |= cover[low.bit_length() - 1]
+    return list(iter_bits(chosen))
+
+
+def _minimum_cover(cover: tuple[int, ...], hint: Iterable[int] | None = None) -> list[int]:
     """Indices of a minimum cover: the last one the decide loop found, sorted (see the module docstring).
 
-    The null graph's greedy cover is empty, so no decide call is made.
+    The loop starts from greedy's cover, or from ``hint`` repaired into
+    one.  The null graph's first cover is empty, so no decide call is made.
     """
-    best = _greedy_cover(cover)
+    best = _greedy_cover(cover) if hint is None else _repaired(cover, hint)
     while best and (smaller := _search(cover, len(best) - 1)) is not None:
         best = smaller
     return sorted(best)
@@ -311,19 +335,29 @@ def _all_minimum_covers(cover: tuple[int, ...], size: int, cap: int) -> list[tup
     return results
 
 
-def domination_number(g: Graph) -> DomResult:
-    """The minimum size of a dominating set, with one witness (see the module docstring)."""
-    chosen = _minimum_cover(_cover_masks(g, total=False))
+def _solved(g: Graph, total: bool, hint: Iterable[str] | None) -> DomResult:
+    cover = _cover_masks(g, total)
+    chosen = _minimum_cover(cover, None if hint is None else [g.index_of(v) for v in hint])
     return DomResult(len(chosen), frozenset(g.label_at(i) for i in chosen))
 
 
-def total_domination_number(g: Graph) -> DomResult:
-    """The minimum size of a total dominating set, with one witness as for ``domination_number``.
+def domination_number(g: Graph, *, hint: Iterable[str] | None = None) -> DomResult:
+    """The minimum size of a dominating set, with one witness (see the module docstring).
+
+    ``hint``, any set of ``g``'s vertices, is where the search starts:
+    repaired into a dominating set, it is the witness if it is minimum.
+    It never changes the value.  Raises UnknownVertexError for a label
+    not in ``g``.
+    """
+    return _solved(g, False, hint)
+
+
+def total_domination_number(g: Graph, *, hint: Iterable[str] | None = None) -> DomResult:
+    """The minimum size of a total dominating set, with one witness and ``hint`` as for ``domination_number``.
 
     Raises IsolatedVertexError when the graph has isolated vertices.
     """
-    chosen = _minimum_cover(_cover_masks(g, total=True))
-    return DomResult(len(chosen), frozenset(g.label_at(i) for i in chosen))
+    return _solved(g, True, hint)
 
 
 def enumerate_minimum_sets(g: Graph, total: bool = False, cap: int = 100_000) -> list[frozenset[str]]:

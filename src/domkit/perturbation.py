@@ -81,6 +81,7 @@ stars where no qualifying edge set exists at all).
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -169,6 +170,11 @@ class RemovalSearch:
     slack, fragile and doubly fragile edges and fragile pairs (see the
     module docstring), worked out the first time a row needs the cover,
     and ``qualifying_after`` drops the removals that isolate a vertex.
+    ``at`` gives the same scan at another ``base``: it shares the
+    candidates, the edge numbers and the cover and incident masks, and
+    carries over the kept covers within the new base.  So ``verify``
+    builds one per bondage-kind call, at the parameter for its
+    certificate, and moves it to the exact bound + 1 for its sweep.
     """
 
     def __init__(self, g: Graph, total: bool, base: int, kept: Iterable[Iterable[str]] = ()):
@@ -193,6 +199,18 @@ class RemovalSearch:
             self._incident = [0] * g.num_vertices
             for (i, _), e in self._edge_ids.items():
                 self._incident[i] |= 1 << e
+
+    def at(self, base: int) -> RemovalSearch:
+        """This search at ``base``: the candidates and masks shared, and the kept covers within ``base`` carried over.
+
+        A cover of G within one bound is one within any larger bound, so
+        raising ``base`` keeps every cover found so far.
+        """
+        other = copy(self)
+        other.base = base
+        other._kept = [mask for mask in self._kept if mask.bit_count() <= base]
+        other._fragile = []  # slack depends on the base: worked out again on first use
+        return other
 
     def _summaries(self) -> list[tuple[int, int, int, dict[int, int]]]:
         """Slack, fragile and doubly fragile edges, and fragile pairs of each kept cover, brought up to date."""

@@ -46,12 +46,20 @@ removal searches stop at two edges (a one-edge sweep already certifies
 the removal bound, so the true value is 1 or 2), and addition searches
 stop at one edge because the equivalences only ever need to distinguish
 "1" from "more than 1".  Each starts from the parameter ``verify`` has
-already solved, and none of them copies the graph per candidate.  That
-parameter's witness, whichever minimum set ``domination`` returns, only
-seeds ``RemovalSearch``, where any minimum set serves.  The removal
-sweep is the single-edge stage of
-``perturbation._first_hit``, run at the bound on a ``RemovalSearch``
-seeded with the parameter's witness.  At the exact bound the witness is one pick under the sweep's
+already solved, and none of them copies the graph per candidate.  On a
+satisfiable instance that solve starts from the assignment's set
+(``hint``), repaired into a cover (for the reinforcement kinds, by the
+one pick that the added edge stood in for).  That cover has the exact
+bound's size, and on the gadgets measured the first decide, at one
+fewer, is refuted at its root; the witness is that set whenever it is
+minimum.  The loop still refutes one fewer, so no value rests on the
+gadget lemma.  The parameter's witness, whichever minimum set
+``domination`` returns, only seeds ``RemovalSearch``, where any minimum
+set serves.  The bondage kinds build that search once, at the
+parameter, for the certificate; the removal sweep is the single-edge
+stage of ``perturbation._first_hit``, run on the same search moved to
+the bound (``RemovalSearch.at``), which keeps every cover found so far.
+At the exact bound the witness is one pick under the sweep's
 bound, so its row settles every edge that is not the lone dominator
 edge of both its endpoints, which in the closed variant is every edge;
 each edge left gets the witness repaired (one dominator per endpoint,
@@ -103,7 +111,6 @@ from .cnf import CnfInstance, TooFewVariablesError, random_instance, solve_sat
 # imported although nothing here calls them.
 from .domination import (  # noqa: F401
     BudgetExceededError,
-    DomResult,
     _all_minimum_covers,
     _cover_masks,
     _search,
@@ -310,45 +317,45 @@ def _qualifying_removals(search: RemovalSearch) -> int:
     return (search.qualifying_after(()) & (1 << search.graph.num_edges) - 1).bit_count()
 
 
-def _removal_sweep(
-    g: Graph, total: bool, bound: int, witness: frozenset[str]
-) -> tuple[tuple[str, str] | None, int]:
-    """Check every qualifying single-edge removal stays within the bound.
+def _removal_sweep(search: RemovalSearch) -> tuple[tuple[str, str] | None, int]:
+    """Check every qualifying single-edge removal stays within ``search.base``.
 
-    ``witness`` is a minimum (total) dominating set of ``g``.  For the
-    total variant, removals that would isolate a vertex do not qualify
-    and are skipped.  Returns (first violating edge or None, number of
-    qualifying removals).
+    For the total variant, removals that would isolate a vertex do not
+    qualify and are skipped.  Returns (first violating edge or None,
+    number of qualifying removals).
     """
-    search = RemovalSearch(g, total, bound, kept=[witness])
     first = _first_hit(search, 1)
     return (first.witness[0] if first.witness else None), _qualifying_removals(search)
 
 
 def _certifies_one(
-    out: ReductionOutput, total: bool, dom: DomResult, witness: GadgetWitness, dominating: bool
+    out: ReductionOutput,
+    total: bool,
+    param: int,
+    witness: GadgetWitness,
+    dominating: bool,
+    removals: RemovalSearch | None,
 ) -> bool:
     """Whether a checked certificate proves that the perturbation value of ``out.graph`` is 1.
 
-    ``dom`` is the graph's proven parameter and minimum set, ``witness``
-    the set a satisfying assignment maps to, and ``dominating`` whether
-    it dominates the gadget (plus its added edge).  Bondage kinds: the
+    ``param`` is the graph's proven parameter, ``witness`` the set a
+    satisfying assignment maps to, and ``dominating`` whether it
+    dominates the gadget (plus its added edge).  Bondage kinds: the
     first anchor edge whose removal qualifies and leaves no cover within
     the parameter, of the row's edges with both endpoints in ``witness``
-    and then the rest, each in row order; it is a hit of the scan's
-    single-edge stage, so b = 1 (b_t = 1).  Reinforcement kinds: the
-    witness with its added edge, smaller than a parameter above the
+    and then the rest, each in row order, asked of ``removals``, the
+    gadget's search at ``param``; it is a hit of the scan's single-edge
+    stage, so b = 1 (b_t = 1).  Reinforcement kinds (no ``removals``):
+    the witness with its added edge, smaller than a parameter above the
     floor, so r = 1 (r_t = 1).  False when the check fails.
     """
-    param = dom.value
     if witness.added_edge is not None:
         return param > (2 if total else 1) and len(witness.vertices) < param and dominating
-    search = RemovalSearch(out.graph, total, param, kept=[dom.witness])
-    qualifying = search.qualifying_after(())
-    position = {edge: e for e, edge in enumerate(search.candidates)}
+    qualifying = removals.qualifying_after(())
+    position = {edge: e for e, edge in enumerate(removals.candidates)}
     # sorted is stable: row order within each group
     edges = sorted(_SPECS[out.kind].anchor_edges, key=lambda edge: not witness.vertices.issuperset(edge))
-    return any(edge in position and qualifying >> position[edge] & 1 and search.hit((edge,)) for edge in edges)
+    return any(edge in position and qualifying >> position[edge] & 1 and removals.hit((edge,)) for edge in edges)
 
 
 def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> VerificationReport:
@@ -379,8 +386,9 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
     param_name, param_id = ("gamma_t", "gamma-t") if total else ("gamma", "gamma")
     pert_name = ("b" if removal else "r") + ("_t" if total else "")
 
+    # From the assignment's set when there is one (see the module docstring).
     # Whichever minimum set it returns serves: its witness only seeds ``RemovalSearch``.
-    dom = parameter_number(g)
+    dom = parameter_number(g, hint=None if witness is None else witness.vertices)
     param = dom.value
     cover = _cover_masks(g, total)
     max_k = 2 if removal else 1
@@ -390,8 +398,10 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
         dominating = _dominates_with(g, cover, witness)
     # The scan's witness is read by the edge-removal claim at exact + 1 and by the reinforcement kinds' deep claim.
     reads_witness = param == exact + 1 if removal else deep_checked
+    # The bondage kinds' one removal search: at the parameter for the certificate, at exact + 1 for the sweep.
+    removals = RemovalSearch(g, total, param, kept=[dom.witness]) if removal and not reads_witness else None
     pert = None
-    if witness is not None and not reads_witness and _certifies_one(out, total, dom, witness, dominating):
+    if witness is not None and not reads_witness and _certifies_one(out, total, param, witness, dominating, removals):
         value = 1
     else:
         pert = perturbation_number(g, max_k=max_k, start=dom)
@@ -413,7 +423,7 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
             bad_edge = pert.witness[0] if pert.value == 1 else None
             swept = _qualifying_removals(RemovalSearch(g, total, param))
         else:
-            bad_edge, swept = _removal_sweep(g, total, exact + 1, dom.witness)
+            bad_edge, swept = _removal_sweep(removals.at(exact + 1))
         claims.append(
             ClaimCheck(
                 "edge-removal-bound",

@@ -57,13 +57,13 @@ def unsat8_instance():
 
 @pytest.fixture
 def minimum_cover_calls(monkeypatch):
-    """The cover masks of each ``domination._minimum_cover`` call."""
+    """The cover masks and hint of each ``domination._minimum_cover`` call, as (cover, hint)."""
     calls = []
     minimum_cover = domination._minimum_cover
 
-    def recorded(cover):
-        calls.append(cover)
-        return minimum_cover(cover)
+    def recorded(cover, hint=None):
+        calls.append((cover, hint))
+        return minimum_cover(cover, hint)
 
     monkeypatch.setattr(domination, "_minimum_cover", recorded)
     return calls

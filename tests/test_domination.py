@@ -4,11 +4,13 @@ from typing import Callable
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from domkit import domination
 from domkit.cnf import CnfInstance
 from domkit.domination import (
     BudgetExceededError,
+    DomResult,
     IsolatedVertexError,
     _all_minimum_covers,
     _branch,
@@ -130,17 +132,21 @@ class TestTotalDominationNumber:
         assert gamma <= gamma_t <= 2 * gamma
 
 
-def assert_minimum(g: Graph, total: bool, value: Callable[[Graph, bool], int]) -> None:
-    """The (total) domination result has the expected ``value(g, total)``, and a witness of that size that dominates."""
+def assert_minimum(g: Graph, total: bool, value: Callable[[Graph, bool], int], hint=None) -> DomResult | None:
+    """The (total) domination result, from ``hint`` if given, has the expected ``value(g, total)``, and a witness of that size that dominates.
+
+    Returns the result, or None where the graph has none.
+    """
     solve = total_domination_number if total else domination_number
     if total and g.isolated_vertices():
         with pytest.raises(IsolatedVertexError):
-            solve(g)
-        return
-    result = solve(g)
+            solve(g, hint=hint)
+        return None
+    result = solve(g, hint=hint)
     assert result.value == value(g, total)
     assert len(result.witness) == result.value
     assert oracle_dominates(g, result.witness, total)
+    return result
 
 
 def reference_value(g: Graph, total: bool) -> int:
@@ -190,6 +196,30 @@ def test_results_are_minimum(g):
     """γ and γ_t on graphs of up to 12 vertices: the brute-force value, with a dominating witness of that size."""
     assert_minimum(g, False, brute_value)
     assert_minimum(g, True, brute_value)
+
+
+@given(graphs(min_vertices=0, max_vertices=12), st.data())
+@settings(max_examples=100, deadline=None)
+def test_hinted_results_are_minimum(g, data):
+    """γ and γ_t from a hint that is empty, any subset, every vertex or a minimum set: the brute-force value.
+
+    The witness has that size and dominates, and a minimum hint comes back as the witness.
+    """
+    drawn = data.draw(st.sets(st.sampled_from(g.vertices))) if g.vertices else set()
+    for total in (False, True):
+        for hint in (set(), drawn, set(g.vertices)):
+            assert_minimum(g, total, brute_value, hint)
+        minimum = brute_minimum_sets(g, total)
+        if minimum:
+            hint = data.draw(st.sampled_from(minimum))
+            assert assert_minimum(g, total, brute_value, hint) == DomResult(len(hint), hint)
+
+
+def test_hint_with_an_unknown_vertex_raises():
+    with pytest.raises(UnknownVertexError):
+        domination_number(p3(), hint={"x1", "x9"})
+    with pytest.raises(UnknownVertexError):
+        total_domination_number(p3(), hint={"x9"})
 
 
 @pytest.mark.parametrize("total", [False, True], ids=["closed", "total"])

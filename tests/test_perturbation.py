@@ -387,7 +387,9 @@ def removal_searches(g, total, start):
     Seeded one pick below its limit, it reaches the slack rows and the
     repair of kept covers; seeded with the witness plus one vertex, a
     cover that is not minimum, at its limit; seeded above its limit,
-    the witness must not vouch for any removal.
+    the witness must not vouch for any removal.  Moved by ``at`` after a
+    pass over every edge at the parameter, one search carries the covers
+    of that pass to the limit above and drops them at the limit below.
     """
     base = start.value
     removals = [(limit, RemovalSearch(g, total, limit)) for limit in range(base - 1, base + 2)]
@@ -396,6 +398,10 @@ def removal_searches(g, total, start):
     extra = next((v for v in g.vertices if v not in start.witness), None)
     if extra is not None:
         removals.append((base + 1, RemovalSearch(g, total, base + 1, kept=[start.witness | {extra}])))
+    warmed = RemovalSearch(g, total, base, kept=[start.witness])
+    for edge in sorted(g.edges):
+        warmed.covers_after([edge])
+    removals += [(limit, warmed.at(limit)) for limit in (base + 1, base - 1)]
     return removals
 
 

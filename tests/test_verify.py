@@ -14,7 +14,6 @@ from domkit import domination, perturbation, reductions
 from domkit.cnf import CnfInstance, TooFewVariablesError, parse_dimacs, random_instance, solve_sat
 from domkit.domination import (
     BudgetExceededError,
-    DomResult,
     _all_minimum_covers,
     _cover_masks,
     domination_number,
@@ -132,14 +131,24 @@ class TestVerifiers:
         assert not report.deep_checked
 
     @pytest.mark.parametrize("kind", list(ReductionKind))
-    def test_parameter_is_solved_once(self, minimum_cover_calls, kind):
+    def test_parameter_is_solved_once(self, monkeypatch, minimum_cover_calls, kind):
         # the perturbation search starts from verify's own gamma / gamma_t,
-        # and the deep claim enumerates at it (or one below, on G+e)
+        # and the deep claim enumerates at it (or one below, on G+e); on a
+        # satisfiable instance the solve starts from the assignment's set, not greedy
+        greedy = []
+        greedy_cover = domination._greedy_cover
+        monkeypatch.setattr(domination, "_greedy_cover", lambda cover: greedy.append(cover) or greedy_cover(cover))
+        inst = random_instance(4, 8, 1)
+        out = build(kind, inst)
+        hint = {out.graph.index_of(v) for v in reductions.assignment_to_witness(out, solve_sat(inst)).vertices}
         for deep in (False, True):
             minimum_cover_calls.clear()
-            report = verify(kind, random_instance(4, 8, 1), deep=deep)
-            assert report.passed and report.deep_checked == deep
+            report = verify(kind, inst, deep=deep)
+            assert report.passed and report.satisfiable and report.deep_checked == deep
             assert len(minimum_cover_calls) == 1, deep
+            (_, called_hint), = minimum_cover_calls
+            assert set(called_hint) == hint, deep
+        assert greedy == []
 
     @pytest.mark.parametrize("kind", list(ReductionKind))
     def test_enumeration_cap_gives_an_undetermined_claim(self, monkeypatch, kind):
@@ -341,8 +350,11 @@ class BranchBudgetExceeded(Exception):
     pass
 
 
-def raise_past(monkeypatch, max_steps: int, label: str) -> None:
-    """Patch ``_branch`` to raise BranchBudgetExceeded past ``max_steps`` calls, so a blow-up fails in seconds."""
+def raise_past(monkeypatch, max_steps: int, label: str) -> list[int]:
+    """Patch ``_branch`` to raise BranchBudgetExceeded past ``max_steps`` calls, so a blow-up fails in seconds.
+
+    Returns the count, the one item of a list, which a caller may reset.
+    """
     steps = [0]
     branch = domination._branch
 
@@ -353,6 +365,7 @@ def raise_past(monkeypatch, max_steps: int, label: str) -> None:
         return branch(*args)
 
     monkeypatch.setattr(domination, "_branch", counted_branch)
+    return steps
 
 
 # A satisfiable instance at n = 48: gamma / gamma_t and the certificate take
@@ -365,6 +378,22 @@ def test_sat_ladder_step_bound(monkeypatch, kind):
     raise_past(monkeypatch, 1_000, kind)
     report = verify(kind, random_instance(48, 96, 1))
     assert report.passed and report.satisfiable
+
+
+# Seeds 1-5 of the sat rungs n = 40, 56 and 64 at m = 2n: started from the
+# assignment's set, gamma / gamma_t take 1 or 2 branch steps per verify, and the
+# certificates and the removal sweep none.  From a greedy cover, plain bondage's
+# gamma takes 62,069 steps at n = 40 with seed 2 and does not end at n = 64 with
+# seed 1, the heavy tail of its tight decide.
+@pytest.mark.parametrize("kind", list(ReductionKind))
+def test_sat_ladder_seeds_step_bound(monkeypatch, kind):
+    """``verify`` on every sat rung n = 40, 56, 64 (m = 2n, seeds 1-5) stays within 100 ``_branch`` calls each."""
+    steps = raise_past(monkeypatch, 100, kind)
+    for n in (40, 56, 64):
+        for seed in range(1, 6):
+            steps[0] = 0
+            report = verify(kind, random_instance(n, 2 * n, seed))
+            assert report.passed and report.satisfiable, (n, seed)
 
 
 # 98 and 99 branch steps: the decide loop from greedy, and its refutation.
@@ -459,6 +488,24 @@ def test_satisfiable_removal_sweep_runs_no_search(monkeypatch, kind):
         report = verify(kind, random_instance(4, 8, seed))
         assert report.passed and report.satisfiable, seed
         assert searches == ["certificate"], seed
+
+
+@pytest.mark.parametrize("kind", [ReductionKind.BONDAGE, ReductionKind.TOTAL_BONDAGE])
+def test_satisfiable_bondage_builds_one_removal_search(monkeypatch, kind):
+    """The certificate and the sweep share one ``RemovalSearch``: the sweep's is the certificate's moved by ``at``."""
+    builds = []
+    init = RemovalSearch.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RemovalSearch, "__init__", counted)
+    for seed in range(1, 11):
+        builds.clear()
+        report = verify(kind, random_instance(4, 8, seed))
+        assert report.passed and report.satisfiable, seed
+        assert len(builds) == 1, seed
 
 
 REMOVAL_KINDS = (ReductionKind.BONDAGE, ReductionKind.TOTAL_BONDAGE)
@@ -621,8 +668,8 @@ def test_reinforcement_certificate_needs_a_parameter_above_the_floor(kind):
     out = build(kind, TINY)
     floor = 2 if total else 1
     witness = reductions.GadgetWitness(frozenset(), ("s1", "u1"))
-    assert not _certifies_one(out, total, DomResult(floor, frozenset()), witness, True)
-    assert _certifies_one(out, total, DomResult(floor + 1, frozenset()), witness, True)
+    assert not _certifies_one(out, total, floor, witness, True, None)
+    assert _certifies_one(out, total, floor + 1, witness, True, None)
 
 
 # Rows that move the parameter off the exact bound on a satisfiable instance:
@@ -697,7 +744,7 @@ def test_edge_removal_claim_read_off_the_scan_matches_the_sweep(monkeypatch, kin
     g = build(kind, UNSAT8).graph
     dom = (total_domination_number if total else domination_number)(g)
     assert dom.value == exact + 1
-    edge, swept = _removal_sweep(g, total, exact + 1, dom.witness)
+    edge, swept = _removal_sweep(RemovalSearch(g, total, exact + 1, kept=[dom.witness]))
     assert (edge is not None) == broken
     entry = next(c for c in verify(kind, UNSAT8).claims if c.claim_id == "edge-removal-bound")
     assert entry.passed == (edge is None)
@@ -732,18 +779,19 @@ class TestRemovalSweep:
     )
     def test_bound_at_the_parameter_reports_the_first_breaking_edge(self, g, total, broken):
         dom = (total_domination_number if total else domination_number)(g)
-        edge, _ = _removal_sweep(g, total, dom.value, dom.witness)
+        edge, _ = _removal_sweep(RemovalSearch(g, total, dom.value, kept=[dom.witness]))
         assert edge == broken == self.copy_sweep(g, total, dom.value)[0]
 
     @pytest.mark.parametrize("total", [False, True])
     @pytest.mark.parametrize("g", [PATH5, STAR, Graph("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])])
     def test_count_is_the_qualifying_removals(self, g, total):
         dom = (total_domination_number if total else domination_number)(g)
-        assert _removal_sweep(g, total, dom.value + 1, dom.witness) == self.copy_sweep(g, total, dom.value + 1)
+        search = RemovalSearch(g, total, dom.value + 1, kept=[dom.witness])
+        assert _removal_sweep(search) == self.copy_sweep(g, total, dom.value + 1)
 
     def test_total_count_skips_removals_that_isolate_a_leaf(self):
         dom = total_domination_number(PATH5)
-        assert _removal_sweep(PATH5, True, dom.value + 1, dom.witness) == (None, 2)
+        assert _removal_sweep(RemovalSearch(PATH5, True, dom.value + 1, kept=[dom.witness])) == (None, 2)
 
 
 class TestReportShape:
