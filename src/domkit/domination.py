@@ -17,6 +17,37 @@ stops at the first one accepted.  Two questions are asked of it:
     directly: at the parameter it has solved, and on the toggled masks
     of G + e at the optimum that its window test proved for G + e.
 
+Both split the vertices into components first, as #SAT solvers split a
+formula into variable-disjoint parts (Bacchus, Dalmao & Pitassi 2003).
+The components are the classes of the transitive closure of "shares a
+dominator" in the full cover masks (``_components``), worked out once
+per cover tuple and kept in a small least-recently-used cache, not per
+node: splitting at every node costs a pass per node on graphs that
+never split.  Their dominator sets are disjoint: if u dominates v1 and
+v2, both lie in ``cover[u]``, so they share a dominator and one
+component.  That holds under any ban, so a cover is one cover per
+component, each independent of the others, and its size is the sum of
+theirs.  Closed masks of a connected
+graph form one component.  Open masks of a bipartite graph with an edge
+form two or more: a vertex is dominated only from the other side, so
+each side is a separate set cover, and every gadget is bipartite.  So:
+
+  * a decide ``_search`` whose undominated vertices lie in two or more
+    components splits at its root, once the root's packing bound fits
+    the limit.  That packing is the union of the components' own, so it
+    gives each one's bound.  It decides them in turn, upward from that
+    bound, within ``limit`` less the picks so far and the later
+    components' bounds, and fails as soon as one has no cover in that
+    budget (``_group_minima``).  Its answer is each component's minimum
+    cover, in component order, so ``_minimum_cover`` stops after one
+    split decide that succeeds.  A root refuted by its bound never asks
+    for the components;
+  * ``_all_minimum_covers`` enumerates each component's covers at that
+    component's own optimum, and returns their product, sorted.  This
+    is exactly the minimum covers, since a minimum cover takes a
+    minimum cover of each component.  It raises at the same cap, as
+    soon as the product would pass it.
+
 γ and γ_t (``_minimum_cover``) are decide refutations: from a first
 cover, decide "one pick fewer than the last cover found" until that
 fails.  The first cover is greedy's, or, given a ``hint`` (any vertex
@@ -33,11 +64,12 @@ that is a minimum cover comes back as it is), else whichever minimum
 cover the last successful decide reached.  That is the witness
 contract, for every caller.  It is deterministic, since every search
 step is, but it is not a canonical set: which cover decide reaches
-first depends on the kernel's branch order and propagation.  No
-bondage or reinforcement answer depends on which minimum set it is.
-Only ``tests/data/pinned_witnesses.json`` and the CLI expectations
-record particular witnesses; a change to the branch order that moves
-them regenerates the fixture with its writer and names the change.
+first depends on the kernel's branch order and propagation, and on the
+split.  No bondage or reinforcement answer depends on which minimum set
+it is.  Only ``tests/data/pinned_witnesses.json`` and the CLI
+expectations record particular witnesses; a change to the branch order
+that moves them regenerates the fixture with its writer and names the
+change.
 
 Each node makes one branch step, ``_branch``, a single pass over the
 undominated vertices.  It branches on the undominated vertex with the
@@ -82,6 +114,8 @@ itself and graphs with isolated vertices have no total dominating set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, product
 from typing import Callable, Iterable
 
 from .graph import Graph, iter_bits
@@ -223,6 +257,76 @@ def _tighten(cover: tuple[int, ...], undom: int, banned: int, classes: list[int]
     return banned
 
 
+# Bounded, so a scan over many perturbed graphs keeps only the latest few.
+@lru_cache(maxsize=16)
+def _components(cover: tuple[int, ...]) -> tuple[int, ...]:
+    """The components of ``cover`` (see the module docstring), as vertex masks by lowest vertex, cached per tuple.
+
+    Two vertices share a dominator when a walk of two steps along the
+    masks joins them, so a component is a class of walks of even length.
+    One breadth-first pass over each part connected by the masks finds
+    them: the part is one component if some mask joins two vertices of
+    the same layer (an odd cycle, or a closed mask's own vertex), and
+    otherwise two, its even and its odd layers.
+    """
+    found: list[int] = []
+    rest = (1 << len(cover)) - 1
+    while rest:
+        layer = rest & -rest
+        sides = [0, 0]
+        parity = 0
+        odd = False
+        while layer:
+            sides[parity] |= layer
+            reach = 0
+            while layer:
+                low = layer & -layer
+                layer ^= low
+                reach |= cover[low.bit_length() - 1]
+            odd = odd or bool(reach & sides[parity])
+            parity ^= 1
+            layer = reach & ~(sides[0] | sides[1])
+        part = sides[0] | sides[1]
+        found += [part] if odd else [side for side in sides if side]
+        rest &= ~part
+    found.sort(key=lambda comp: comp & -comp)
+    return tuple(found)
+
+
+def _groups(cover: tuple[int, ...], dominated: int) -> list[int]:
+    """The vertices outside ``dominated``, split by component, in component order."""
+    return [undom for comp in _components(cover) if (undom := comp & ~dominated)]
+
+
+def _group_minima(
+    cover: tuple[int, ...], limit: int, groups: list[int], banned: int, classes: list[int]
+) -> list[list[int]] | None:
+    """A minimum cover of each group, by at most ``limit`` picks in all, or None if there is none.
+
+    ``classes`` is the packing of all the groups' vertices together; the
+    classes of each group's own packing are the ones among them that
+    dominate it, since dominator sets are disjoint across groups.  So a
+    cover of all the groups is one cover per group, and it is within
+    ``limit`` exactly when their minima are.  Each group is decided upward
+    from its own packing bound, within ``limit`` less the picks so far and
+    the later groups' bounds.
+    """
+    bounds = [sum(1 for c in classes if cover[(c & -c).bit_length() - 1] & undom) for undom in groups]
+    spare = limit - sum(bounds)
+    full = (1 << len(cover)) - 1
+    minima = []
+    for undom, bound in zip(groups, bounds):
+        for size in range(bound, bound + spare + 1):
+            picks = _search(cover, size, full & ~undom, banned)
+            if picks is not None:
+                break
+        else:
+            return None
+        spare -= len(picks) - bound
+        minima.append(picks)
+    return minima
+
+
 def _search(
     cover: tuple[int, ...],
     limit: int,
@@ -237,10 +341,12 @@ def _search(
     Returns the first cover reached, as a list of its picks in branch
     order, or None.  Given ``found``, every cover reached goes to it
     instead, and the search stops at, and returns, the first cover for
-    which ``found`` returns True.  Each node tries its branch vertex's
-    dominators by descending number of newly dominated vertices (lowest
-    index among ties), and propagates when tight (see the module
-    docstring).
+    which ``found`` returns True.  Without ``found``, a root whose bound
+    fits and whose undominated vertices lie in two or more components
+    answers with each one's minimum cover (``_group_minima``), in
+    component order.  Each node tries its branch vertex's dominators by
+    descending number of newly dominated vertices (lowest index among
+    ties), and propagates when tight (see the module docstring).
     """
     full = (1 << len(cover)) - 1
     chosen: list[int] = []
@@ -259,6 +365,11 @@ def _search(
         need = len(classes)
         if depth + need > limit:
             return False
+        if not depth and found is None and len(groups := _groups(cover, dominated)) > 1:
+            minima = _group_minima(cover, limit, groups, banned, classes)
+            for picks in minima or ():
+                chosen.extend(picks)
+            return minima is not None
         branch_cands = classes[0]
         # Classes are kept by ascending size, so before any ban no vertex's
         # dominators are a strict subset of one: without spare, nothing to propagate.
@@ -302,6 +413,8 @@ def _minimum_cover(cover: tuple[int, ...], hint: Iterable[int] | None = None) ->
     best = _greedy_cover(cover) if hint is None else _repaired(cover, hint)
     while best and (smaller := _search(cover, len(best) - 1)) is not None:
         best = smaller
+        if len(_components(cover)) > 1:  # a split decide returns each component's minimum
+            break
     return sorted(best)
 
 
@@ -318,19 +431,35 @@ def has_total_dominating_set_within(g: Graph, size: int) -> bool:
 def _all_minimum_covers(cover: tuple[int, ...], size: int, cap: int) -> list[tuple[int, ...]]:
     """Every cover of exactly ``size`` picks, each found once, in index order.
 
-    ``size`` must be the proven optimum of ``cover``: the search reaches
-    every cover within it, and only at the optimum are those exactly
-    the minimum ones.  Raises BudgetExceededError past ``cap`` covers.
+    ``size`` must be the proven optimum of ``cover``: only there are the
+    covers within it exactly the minimum ones.  Each component's covers
+    are enumerated at its own optimum, and the answer is their product.
+    Raises BudgetExceededError past ``cap`` covers.
     """
-    results: list[tuple[int, ...]] = []
+    full = (1 << len(cover)) - 1
+    groups, sizes = [full], [size]
+    if len(split := _groups(cover, 0)) > 1:
+        packing = _branch(cover, full, 0)
+        minima = None if packing is None else _group_minima(cover, size, split, 0, packing[0])
+        if minima is None:
+            return []
+        groups, sizes = split, [len(picks) for picks in minima]
+    parts: list[list[tuple[int, ...]]] = []
+    count = 1
+    for undom, k in zip(groups, sizes):
+        part: list[tuple[int, ...]] = []
+        room = cap // count  # this part's sets times those before must stay within cap
 
-    def found(chosen: list[int]) -> bool:
-        if len(results) >= cap:
-            raise BudgetExceededError(f"more than {cap} minimum sets")
-        results.append(tuple(sorted(chosen)))
-        return False
+        def found(chosen: list[int]) -> bool:
+            if len(part) >= room:
+                raise BudgetExceededError(f"more than {cap} minimum sets")
+            part.append(tuple(chosen))
+            return False
 
-    _search(cover, size, found=found)
+        _search(cover, k, full & ~undom, found=found)
+        count *= len(part)
+        parts.append(part)
+    results = [tuple(sorted(chain.from_iterable(picks))) for picks in product(*parts)]
     results.sort()
     return results
 

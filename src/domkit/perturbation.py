@@ -179,6 +179,7 @@ class RemovalSearch:
 
     def __init__(self, g: Graph, total: bool, base: int, kept: Iterable[Iterable[str]] = ()):
         self.graph = g
+        self.total = total
         self.base = base
         self.candidates = sorted(g.edges)
         self._cover = _cover_masks(g, total)

@@ -120,7 +120,7 @@ from .domination import (  # noqa: F401
     has_total_dominating_set_within,
     total_domination_number,
 )
-from .graph import Edge, Graph
+from .graph import Edge, Graph, iter_bits
 from .perturbation import (
     AdditionSearch,
     RemovalSearch,
@@ -312,9 +312,21 @@ def _dominates_with(g: Graph, cover: tuple[int, ...], witness: GadgetWitness) ->
     return covered == (1 << g.num_vertices) - 1
 
 
-def _qualifying_removals(search: RemovalSearch) -> int:
-    """How many single-edge removals qualify: all, or in the total variant those that isolate no vertex."""
-    return (search.qualifying_after(()) & (1 << search.graph.num_edges) - 1).bit_count()
+def _qualifying_removals(g: Graph, total: bool) -> int:
+    """How many single-edge removals qualify: every edge, or in the total variant those that isolate no vertex.
+
+    A removal isolates a vertex exactly when the edge is a leaf's only
+    edge, and an edge between two leaves is the only edge of both.
+    """
+    if not total:
+        return g.num_edges
+    adj = g.adjacency_masks()
+    leaves = 0
+    for v, mask in enumerate(adj):
+        if mask and not mask & mask - 1:
+            leaves |= 1 << v
+    paired = sum(1 for v in iter_bits(leaves) if adj[v] & leaves)
+    return g.num_edges - leaves.bit_count() + paired // 2
 
 
 def _removal_sweep(search: RemovalSearch) -> tuple[tuple[str, str] | None, int]:
@@ -325,7 +337,7 @@ def _removal_sweep(search: RemovalSearch) -> tuple[tuple[str, str] | None, int]:
     number of qualifying removals).
     """
     first = _first_hit(search, 1)
-    return (first.witness[0] if first.witness else None), _qualifying_removals(search)
+    return (first.witness[0] if first.witness else None), _qualifying_removals(search.graph, search.total)
 
 
 def _certifies_one(
@@ -421,7 +433,7 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
         if param == exact + 1:
             # The scan's k = 1 stage was the sweep: the same bound and seed, the same edges in the same order.
             bad_edge = pert.witness[0] if pert.value == 1 else None
-            swept = _qualifying_removals(RemovalSearch(g, total, param))
+            swept = _qualifying_removals(g, total)
         else:
             bad_edge, swept = _removal_sweep(removals.at(exact + 1))
         claims.append(

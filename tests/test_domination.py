@@ -476,6 +476,120 @@ class TestAllMinimumCovers:
             assert _all_minimum_covers(cover, size, 10**6) == expected, trial
 
 
+
+def random_union(rng: random.Random) -> Graph:
+    """A disjoint union of two to four random graphs of one to four vertices, its vertices in shuffled order."""
+    labels: list[str] = []
+    edges: list[tuple[str, str]] = []
+    for part in range(rng.randint(2, 4)):
+        g = random_graph(rng, rng.randint(1, 4), rng.choice((0.3, 0.6, 1.0)))
+        labels += [f"p{part}{v}" for v in g.vertices]
+        edges += [(f"p{part}{a}", f"p{part}{b}") for a, b in g.edges]
+    rng.shuffle(labels)
+    return Graph(labels, edges)
+
+
+def random_bipartite(rng: random.Random, n: int, edges_per_vertex: float) -> Graph:
+    """A random bipartite graph on n vertices, sides of random sizes, its vertices in shuffled order.
+
+    Each side-crossing pair is an edge with the probability that gives
+    about ``edges_per_vertex`` * n edges.
+    """
+    left = rng.randint(1, n - 1)
+    p = min(1.0, edges_per_vertex * n / (left * (n - left)))
+    labels = [f"a{v}" for v in range(left)] + [f"b{v}" for v in range(n - left)]
+    edges = [(f"a{i}", f"b{j}") for i in range(left) for j in range(n - left) if rng.random() < p]
+    rng.shuffle(labels)
+    return Graph(labels, edges)
+
+
+def sparse_union(rng: random.Random, n: int) -> Graph:
+    """Two or three ``sparse_graph`` parts of about n vertices in all, side by side, vertices shuffled."""
+    labels: list[str] = []
+    edges: list[tuple[str, str]] = []
+    parts = rng.randint(2, 3)
+    for part in range(parts):
+        g = sparse_graph(rng, max(4, n // parts))
+        labels += [f"p{part}{v}" for v in g.vertices]
+        edges += [(f"p{part}{a}", f"p{part}{b}") for a, b in g.edges]
+    rng.shuffle(labels)
+    return Graph(labels, edges)
+
+
+class TestComponentSplit:
+    """Decide and enumerate searches split into components, against the brute-force oracles and the reference search."""
+
+    def test_components_are_the_shared_dominator_classes(self):
+        # The path a-b-c-d: closed masks make one component, open masks split it by parity.
+        g = path_graph(4)
+        assert domination._components(_cover_masks(g, False)) == (0b1111,)
+        assert domination._components(_cover_masks(g, True)) == (0b0101, 0b1010)
+        assert domination._components(()) == ()
+
+    def test_components_match_the_definition(self):
+        """Against merging, pair by pair, every two vertices that share a dominator, on random closed and open masks."""
+        rng = random.Random(4)
+        for trial in range(400):
+            g = random_union(rng) if trial % 2 == 0 else random_graph(rng, rng.randint(0, 12), rng.choice((0.1, 0.3, 0.6)))
+            for total in (False, True):
+                adj = g.adjacency_masks()
+                cover = tuple(mask if total else mask | 1 << v for v, mask in enumerate(adj))
+                comps = [1 << v for v in range(len(cover))]
+                for mask in cover:
+                    shared = [c for c in comps if c & mask]
+                    comps = [c for c in comps if not c & mask] + [sum(shared)] if shared else comps
+                assert domination._components(cover) == tuple(sorted(comps, key=lambda c: c & -c)), trial
+
+    def test_matches_brute_force(self):
+        """γ, γ_t, their witnesses, decides at every limit and every minimum set, on disjoint unions and bipartite graphs.
+
+        Closed and total masks both.
+        """
+        rng = random.Random(27)
+        split = 0
+        for trial in range(160):
+            g = random_union(rng) if trial % 2 == 0 else random_bipartite(rng, rng.randint(2, 12), 1.5)
+            for total in (False, True):
+                if (result := assert_minimum(g, total, brute_value)) is None:
+                    continue
+                cover = _cover_masks(g, total)
+                for limit in range(g.num_vertices + 1):
+                    got = _search(cover, limit)
+                    assert (got is not None) == (limit >= result.value), (trial, total, limit)
+                    assert got is None or len(got) <= limit and oracle_dominates(g, [g.label_at(u) for u in got], total)
+                got = sorted(map(sorted, enumerate_minimum_sets(g, total=total)))
+                assert got == sorted(map(sorted, brute_minimum_sets(g, total=total))), (trial, total)
+                split += len(domination._components(cover)) > 1
+        assert split > 150
+
+    @pytest.mark.parametrize("total", [False, True], ids=["closed", "total"])
+    def test_values_above_brute_force_sizes_match_reference(self, total):
+        """γ and γ_t on disjoint unions of sparse graphs and on bipartite graphs of 16 to 40 vertices, none isolated."""
+        rng = random.Random(12)
+        for n in range(16, 41, 2):
+            while (bipartite := random_bipartite(rng, n, 2.0)).isolated_vertices():
+                pass
+            for g in (sparse_union(rng, n), bipartite):
+                assert_minimum(g, total, reference_value)
+
+    def test_cap_counts_the_product(self):
+        """Two disjoint 4-cycles have 6 minimum dominating sets each: 36 in all, so a cap of 35 raises."""
+        g = Graph(
+            [f"{side}{i}" for side in "xy" for i in range(4)],
+            [(f"{side}{i}", f"{side}{(i + 1) % 4}") for side in "xy" for i in range(4)],
+        )
+        assert len(domination._components(_cover_masks(g, False))) == 2
+        assert len(enumerate_minimum_sets(g, cap=36)) == 36
+        with pytest.raises(BudgetExceededError, match="more than 35 minimum sets"):
+            enumerate_minimum_sets(g, cap=35)
+
+    def test_cache_is_bounded(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            domination_number(random_union(rng))
+        info = domination._components.cache_info()
+        assert info.currsize <= info.maxsize == 16
+
 # An unsatisfiable n = 8, m = 34 instance: random_clauses(random.Random(2), 8, 34)
 # of perfbench/workloads.py, written out.
 UNSAT_N8_CLAUSES = (
@@ -518,4 +632,14 @@ def test_greedy_miss_node_bound(monkeypatch, kind):
     """γ of the total gadgets, where greedy misses the optimum, stays cheap: the decide loop and its refutation."""
     calls = count_branch_steps(monkeypatch)
     assert domination_number(build(kind, CnfInstance(8, UNSAT_N8_CLAUSES)).graph).value == 16
+    assert calls[0] <= 20_000
+
+
+# 4,997 and 4,207 branch steps; as one search, without the split into components,
+# 666,049 and 436,264, nearly all of them in the refutation at γ_t − 1.
+@pytest.mark.parametrize("kind, gamma_t", [("bondage", 28), ("reinforcement", 27)])
+def test_split_refutation_node_bound(monkeypatch, kind, gamma_t):
+    """γ_t of the bipartite gadgets stays cheap: each side of the open masks is decided on its own."""
+    calls = count_branch_steps(monkeypatch)
+    assert total_domination_number(build(kind, CnfInstance(8, UNSAT_N8_CLAUSES)).graph).value == gamma_t
     assert calls[0] <= 20_000

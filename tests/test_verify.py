@@ -311,14 +311,14 @@ def test_augmenting_edge_scan_starts_at_the_first_hit(monkeypatch, kind, name):
 
 
 # Twice the enumeration's branch steps over the four kinds (bondage, total
-# bondage, reinforcement, total reinforcement): 42 + 192 + 252 + 615 on TINY,
+# bondage, reinforcement, total reinforcement): 42 + 37 + 252 + 486 on TINY,
 # none on UNSAT8 (total bondage is above its exact bound there, where the claim
-# refutes instead), and 33 + 576 + 280 + 1995 on random_instance(4, 8, 1),
+# refutes instead), and 33 + 61 + 280 + 1523 on random_instance(4, 8, 1),
 # whose reinforcement kinds enumerate G+e for 22 and 19 augmenting edges: a G+e
 # whose search is not tight from the root would show there.
 @pytest.mark.parametrize(
     "inst, max_steps",
-    [(TINY, 2 * 1101), (UNSAT8, 0), (random_instance(4, 8, 1), 2 * 2884)],
+    [(TINY, 2 * 817), (UNSAT8, 0), (random_instance(4, 8, 1), 2 * 1897)],
     ids=["tiny", "unsat8", "sat4x8"],
 )
 def test_deep_enumeration_step_bound(monkeypatch, inst, max_steps):
@@ -369,7 +369,7 @@ def raise_past(monkeypatch, max_steps: int, label: str) -> list[int]:
 
 
 # A satisfiable instance at n = 48: gamma / gamma_t and the certificate take
-# 99, 100, 1 and 99 branch steps over the four kinds.  Seeking the index-order
+# 2, 4, 1 and 2 branch steps over the four kinds.  Seeking the index-order
 # first minimum set instead takes 95,744 steps (total bondage) and over 120 s
 # (plain bondage) there, so a solve that does fails here.
 @pytest.mark.parametrize("kind", list(ReductionKind))
@@ -396,7 +396,32 @@ def test_sat_ladder_seeds_step_bound(monkeypatch, kind):
             assert report.passed and report.satisfiable, (n, seed)
 
 
-# 98 and 99 branch steps: the decide loop from greedy, and its refutation.
+# The unsat ladder rung n = 12, m = round(4.26 * 12): random_clauses(random.Random(3), 12, 51)
+# of perfbench/workloads.py, written out.
+UNSAT_N12_CLAUSES = (
+    (4, -9, 10), (2, -10, 12), (-4, -8, 12), (-3, -4, -12), (-2, -3, 11), (-1, -5, 8), (7, -10, -12),
+    (1, 2, -3), (-5, 7, 11), (7, 10, -12), (-1, 5, -10), (9, -10, -11), (5, 10, -11), (-2, 6, 8),
+    (-5, 7, -11), (1, -7, -10), (1, 4, -9), (1, 4, -7), (-6, -11, 12), (-7, -8, -9), (5, -9, 10),
+    (-5, -7, 12), (6, -7, -10), (1, -6, 11), (5, 8, -12), (5, -6, 8), (-3, 6, -11), (-1, 2, -10),
+    (4, -5, -11), (2, 10, -12), (2, -3, -8), (-4, 5, -8), (-3, 6, -10), (-2, 6, -10), (-5, 6, -8),
+    (1, 3, -7), (-7, -9, -10), (-1, -8, -9), (2, 5, 10), (-4, -9, -12), (1, 2, -8), (7, -9, 12),
+    (3, -5, 9), (-2, 4, 9), (1, -3, 5), (-4, -5, 12), (-1, 6, 11), (-1, 2, 8), (-2, -6, 7),
+    (4, -6, -7), (2, 7, -10),
+)
+
+
+# 559 and 7,974 branch steps.  As one search, without the split of the open
+# masks into the gadget's two sides, each runs past 30 s.
+@pytest.mark.parametrize("kind, max_steps", [("total-bondage", 2_000), ("total-reinforcement", 20_000)])
+def test_unsat_ladder_step_bound(monkeypatch, kind, max_steps):
+    """``verify`` of the total kinds on the unsat rung n = 12 stays within its ``_branch`` bound; past it the count raises."""
+    raise_past(monkeypatch, max_steps, kind)
+    report = verify(kind, CnfInstance(12, UNSAT_N12_CLAUSES))
+    assert report.passed and not report.satisfiable
+
+
+# 98 and 100 branch steps: the decide loop from greedy and its refutation, or on
+# the open masks, which split into the gadget's two sides, each side's decide.
 @pytest.mark.parametrize("kind", ["bondage", "total-bondage"])
 def test_public_parameter_step_bound(monkeypatch, kind):
     """``domination_number`` / ``total_domination_number`` on the n = 48 bondage gadgets stay within 1,000 ``_branch`` calls."""
@@ -783,7 +808,16 @@ class TestRemovalSweep:
         assert edge == broken == self.copy_sweep(g, total, dom.value)[0]
 
     @pytest.mark.parametrize("total", [False, True])
-    @pytest.mark.parametrize("g", [PATH5, STAR, Graph("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])])
+    @pytest.mark.parametrize(
+        "g",
+        [
+            PATH5,
+            STAR,
+            Graph("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]),
+            # An edge between two leaves, beside a triangle with a pendant.
+            Graph("abcdef", [("a", "b"), ("c", "d"), ("d", "e"), ("e", "c"), ("e", "f")]),
+        ],
+    )
     def test_count_is_the_qualifying_removals(self, g, total):
         dom = (total_domination_number if total else domination_number)(g)
         search = RemovalSearch(g, total, dom.value + 1, kept=[dom.witness])
