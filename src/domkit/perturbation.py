@@ -38,14 +38,16 @@ reuse what earlier searches found:
     partners of a first edge, with one AND per cover.  A candidate that isolates a vertex (in the total variant) is
     never settled: it holds all that vertex's dominator edges in every
     cover and leaves none to repair them with.  It does not qualify
-    either, and ``qualifying_after``, the one owner of that rule, drops
-    it from the scan's row with a second mask, from the edges each
-    vertex has left after the prefix.  Only the candidates left in the
-    row get the toggled masks, in one pass over the covers kept since,
-    newest first.  Each is repaired: plus one dominator for each
-    endpoint it lost (none, if it survives), and, when that is one pick
-    over the limit, less one redundant pick, a pick all of whose
-    dominated vertices are dominated twice.  The first repaired cover
+    either, and ``qualifying_after`` drops it from the scan's row with a
+    second mask, from the edges each vertex has left after the prefix.
+    ``verify._qualifying_removals`` states the same rule a second way:
+    it counts the edges with no leaf end, and a property test holds the
+    two to one count.  Only the candidates left in the row get the
+    toggled masks, in one pass over the covers kept since, newest first.
+    Each is repaired: plus one dominator for each endpoint it lost
+    (none, if it survives), and, when that is one pick over the limit,
+    less one redundant pick, a pick all of whose dominated vertices are
+    dominated twice.  The first repaired cover
     that fits the limit settles the candidate and joins the kept covers,
     as a cover of G - R is one of G; only when none fits is there a
     search.

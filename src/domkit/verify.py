@@ -33,10 +33,11 @@ and no graph is copied:
     test that picks e proves (a set of one less exists, none of two less);
     at the optimum a cover found is a minimum set;
   * G+e is the gadget's cover masks with e joined;
-  * the augmenting edges are sought from the single-edge addition
-    scan's first hit on: that scan tried the complement edges in the
-    same order, so none before its hit lowers the parameter, and when
-    it found none there is nothing to enumerate.
+  * the augmenting edges are sought among all complement edges, in the
+    addition scan's order, and only when the perturbation value is 1:
+    otherwise no edge lowers the parameter and there is nothing to
+    enumerate.  The claim reads the value, not how it was proven, so a
+    certificate serves it as well as the scan.
 
 A failed entry never aborts the remaining checks; the report records
 everything so a counterexample is fully diagnosable.  An enumeration
@@ -86,12 +87,12 @@ parameter above the floor, so r = 1 (r_t = 1); the witness round trip
 reads the same domination check, made on the gadget's cover masks with
 the added edge's two bits set, so no graph is copied for it.  Each
 certificate is checked on the graph, so no value rests on the gadget
-lemma.  Certificates are skipped
-where the scan's witness is read: by the bondage kinds at one above the
-exact bound, where the edge-removal claim is the scan's first stage, and
-by the reinforcement kinds' deep claim, whose augmenting edges start at
-the scan's first hit.  There, on an unsatisfiable instance, and when a
-check fails, the scan runs; the value, and so the report, is the same.
+lemma, and ``deep`` does not change which is used.  The one place that
+reads the scan's witness is the bondage kinds' edge-removal claim at
+one above the exact bound, where it is the scan's first stage, so no
+certificate is tried there.  There, on an unsatisfiable instance, and
+when a check fails, the scan runs; the value, and so the report, is the
+same.
 
 Deep checks at the exact bound enumerate every minimum set, which grows
 combinatorially, so they only run for instances with at most
@@ -104,7 +105,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .cnf import CnfInstance, TooFewVariablesError, random_instance, solve_sat
+from .cnf import CnfError, CnfInstance, TooFewVariablesError, random_instance, solve_sat
 # ``perfbench/tracing.py`` wraps the solver and builder names below in this
 # module's namespace while it runs, so ``verify`` looks each one up at call
 # time, and the ``has_*_within`` and ``enumerate_minimum_sets`` names stay
@@ -120,7 +121,7 @@ from .domination import (  # noqa: F401
     has_total_dominating_set_within,
     total_domination_number,
 )
-from .graph import Edge, Graph, iter_bits
+from .graph import Graph, iter_bits
 from .perturbation import (
     AdditionSearch,
     RemovalSearch,
@@ -235,18 +236,20 @@ def _structure_claim(
     removal: bool,
     param: int,
     exact: int,
-    first_added: Edge | None,
+    lowered: bool,
 ) -> ClaimCheck:
     """The deep claim: every minimum set of the gadget (bondage kinds), or of G+e for every edge e
     that lowers the parameter by exactly one (reinforcement kinds), has the kind's structure.
 
     ``cover`` is the gadget's cover masks, ``param`` its proven
-    parameter and ``first_added`` the single-edge addition scan's first
-    hit, None when it found none (or for the bondage kinds, which add no
-    edge).  At the exact bound (for G+e, one
-    below it) every minimum set is enumerated and ``structure_violation``
-    asked about each; away from it only the every-bound facts apply, and
-    each is refuted by one decide (``_every_bound_violation``).
+    parameter and ``lowered`` whether one added edge lowers it (the
+    perturbation value is 1; the bondage kinds add no edge and ignore
+    it).  The window test, a set one below ``param`` and none two below,
+    runs on every complement edge when ``lowered`` and on none
+    otherwise.  At the exact bound (for G+e, one below it) every minimum
+    set is enumerated and ``structure_violation`` asked about each; away
+    from it only the every-bound facts apply, and each is refuted by one
+    decide (``_every_bound_violation``).
     """
     g = out.graph
     if removal:
@@ -270,12 +273,10 @@ def _structure_claim(
     else:
         claim_id = "augmented-minimum-set-structure"
         additions = AdditionSearch(g, total, param)
-        edges = additions.candidates  # in the scan's order; none before its first hit lowers the parameter
-        first = len(edges) if first_added is None else edges.index(first_added)
         # exactly one below: one added edge can lower gamma_t by 2
         graphs = (
             (f" (G+{edge})", _toggled(g, cover, [edge])[0], param - 1)
-            for edge in edges[first:]
+            for edge in (additions.candidates if lowered else ())
             if additions.covers_after((edge,), param - 1) and not additions.covers_after((edge,), param - 2)
         )
         expected = (
@@ -315,29 +316,15 @@ def _dominates_with(g: Graph, cover: tuple[int, ...], witness: GadgetWitness) ->
 def _qualifying_removals(g: Graph, total: bool) -> int:
     """How many single-edge removals qualify: every edge, or in the total variant those that isolate no vertex.
 
-    A removal isolates a vertex exactly when the edge is a leaf's only
-    edge, and an edge between two leaves is the only edge of both.
+    A removal isolates a vertex exactly when the edge is that vertex's
+    only edge, so the edges that qualify are those with no leaf end: the
+    edges between vertices of degree two or more, each seen from both ends.
     """
     if not total:
         return g.num_edges
     adj = g.adjacency_masks()
-    leaves = 0
-    for v, mask in enumerate(adj):
-        if mask and not mask & mask - 1:
-            leaves |= 1 << v
-    paired = sum(1 for v in iter_bits(leaves) if adj[v] & leaves)
-    return g.num_edges - leaves.bit_count() + paired // 2
-
-
-def _removal_sweep(search: RemovalSearch) -> tuple[tuple[str, str] | None, int]:
-    """Check every qualifying single-edge removal stays within ``search.base``.
-
-    For the total variant, removals that would isolate a vertex do not
-    qualify and are skipped.  Returns (first violating edge or None,
-    number of qualifying removals).
-    """
-    first = _first_hit(search, 1)
-    return (first.witness[0] if first.witness else None), _qualifying_removals(search.graph, search.total)
+    inner = sum(1 << v for v, mask in enumerate(adj) if mask & mask - 1)
+    return sum((adj[v] & inner).bit_count() for v in iter_bits(inner)) // 2
 
 
 def _certifies_one(
@@ -406,13 +393,11 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
     max_k = 2 if removal else 1
     # The plain bondage structure is claimed only at the exact bound.
     deep_checked = deep and n <= DEEP_VAR_LIMIT and (total or not removal or param == exact)
-    if witness is not None:
-        dominating = _dominates_with(g, cover, witness)
-    # The scan's witness is read by the edge-removal claim at exact + 1 and by the reinforcement kinds' deep claim.
-    reads_witness = param == exact + 1 if removal else deep_checked
+    dominating = witness is not None and _dominates_with(g, cover, witness)
+    # At exact + 1 the edge-removal claim reads the scan's witness.
+    reads_witness = removal and param == exact + 1
     # The bondage kinds' one removal search: at the parameter for the certificate, at exact + 1 for the sweep.
     removals = RemovalSearch(g, total, param, kept=[dom.witness]) if removal and not reads_witness else None
-    pert = None
     if witness is not None and not reads_witness and _certifies_one(out, total, param, witness, dominating, removals):
         value = 1
     else:
@@ -420,8 +405,7 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
         value = pert.value
     observed = f"{param_name} = {param}"
     if removal:
-        lower = ClaimCheck(f"{param_id}-lower-bound", f"{param_name} >= {exact}", observed, param >= exact)
-        claims.append(lower)
+        claims.append(ClaimCheck(f"{param_id}-lower-bound", f"{param_name} >= {exact}", observed, param >= exact))
         claims.append(
             ClaimCheck(
                 f"{param_id}-iff-sat",
@@ -430,17 +414,14 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
                 (param == exact) == sat,
             )
         )
-        if param == exact + 1:
-            # The scan's k = 1 stage was the sweep: the same bound and seed, the same edges in the same order.
-            bad_edge = pert.witness[0] if pert.value == 1 else None
-            swept = _qualifying_removals(g, total)
-        else:
-            bad_edge, swept = _removal_sweep(removals.at(exact + 1))
+        # At exact + 1 the scan's k = 1 stage was the sweep: the same bound and seed, the same edges in the same order.
+        first = pert if reads_witness else _first_hit(removals.at(exact + 1), 1)
+        bad_edge = first.witness[0] if first.value == 1 else None
         claims.append(
             ClaimCheck(
                 "edge-removal-bound",
                 f"{param_name}(G-e) <= {exact + 1} for every {'non-isolating ' if total else ''}edge",
-                f"all {swept} removals within bound"
+                f"all {_qualifying_removals(g, total)} removals within bound"
                 if bad_edge is None
                 else f"removing {bad_edge} exceeds it",
                 bad_edge is None,
@@ -461,8 +442,7 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
     )
 
     if deep_checked:
-        first_added = pert.witness[0] if not removal and pert.witness else None
-        claims.append(_structure_claim(out, cover, total, removal, param, exact, first_added))
+        claims.append(_structure_claim(out, cover, total, removal, param, exact, value == 1))
 
     if witness is not None:
         size = exact if removal else exact - 1
@@ -506,11 +486,16 @@ def fuzz(
 
     Each trial gets its own instance seed (recorded in its report) so a
     failure reproduces in isolation.  With jobs > 1 trials run in
-    separate processes; reports stay ordered by trial index.
+    separate processes; reports stay ordered by trial index.  Bad
+    counts raise before any trial, also when there are none to run.
     """
     kind = ReductionKind(kind)
     if num_vars < 3:
         raise TooFewVariablesError(f"need at least 3 variables, got {num_vars}")
+    if num_clauses < 0:
+        raise CnfError(f"number of clauses must be non-negative, got {num_clauses}")
+    if trials < 0:
+        raise CnfError(f"number of trials must be non-negative, got {trials}")
     rng = random.Random(seed)
     trial_args = [(kind, num_vars, num_clauses, rng.randrange(2**32), deep) for _ in range(trials)]
     if jobs > 1 and trials > 1:

@@ -7,11 +7,14 @@ from pathlib import Path
 
 import pytest
 from conftest import UNSAT8_DIMACS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import reference_structure_violations
+from strategies import isolated_free_graphs
 
 import domkit
 from domkit import domination, perturbation, reductions
-from domkit.cnf import CnfInstance, TooFewVariablesError, parse_dimacs, random_instance, solve_sat
+from domkit.cnf import CnfError, CnfInstance, TooFewVariablesError, parse_dimacs, random_instance, solve_sat
 from domkit.domination import (
     BudgetExceededError,
     _all_minimum_covers,
@@ -42,7 +45,7 @@ from domkit.verify import (
     _certifies_one,
     _dominates_with,
     _every_bound_violation,
-    _removal_sweep,
+    _qualifying_removals,
     fuzz,
     verify,
 )
@@ -289,24 +292,42 @@ def test_deep_enumerations_match_graph_copies(kind, name):
 
 @pytest.mark.parametrize("kind", REINFORCEMENT_KINDS)
 @pytest.mark.parametrize("name", list(DEEP_ORACLE_INSTANCES))
-def test_augmenting_edge_scan_starts_at_the_first_hit(monkeypatch, kind, name):
-    """The deep claim's window tests start at r's witness edge, and do not run when r > 1."""
+def test_augmenting_edges_are_sought_from_the_first_candidate(monkeypatch, kind, name):
+    """The deep claim's window tests try every complement edge from the first, and none when r > 1.
+
+    On a satisfiable instance the certificate gives r = 1 (r_t = 1) with
+    ``deep`` too, so no reinforcement scan runs, and the report is the
+    scan path's byte for byte.
+    """
+    inst = DEEP_ORACLE_INSTANCES[name]
+    with monkeypatch.context() as patch:
+        patch.setattr(verify_module, "_certifies_one", lambda *args: False)
+        scan_path = verify(kind, inst, deep=True).to_lines()
     asked = []
 
     class Counted(AdditionSearch):
         def covers_after(self, edges, limit):
-            asked.append(edges)
+            asked.append((edges, limit))
             return super().covers_after(edges, limit)
 
-    monkeypatch.setattr(importlib.import_module("domkit.verify"), "AdditionSearch", Counted)
-    report = verify(kind, DEEP_ORACLE_INSTANCES[name], deep=True)
-    assert report.passed and report.deep_checked
-    if report.satisfiable:
-        solve = reinforcement_number if kind is ReductionKind.REINFORCEMENT else total_reinforcement_number
-        assert asked[0] == solve(build(kind, DEEP_ORACLE_INSTANCES[name]).graph, max_k=1).witness
+    def scanned(*args, **kwargs):
+        raise AssertionError("verify scanned")
+
+    monkeypatch.setattr(verify_module, "AdditionSearch", Counted)
+    sat = solve_sat(inst) is not None
+    if sat:
+        for scan in ("reinforcement_number", "total_reinforcement_number"):
+            monkeypatch.setattr(verify_module, scan, scanned)
+    report = verify(kind, inst, deep=True)
+    assert report.passed and report.deep_checked and report.satisfiable == sat
+    assert report.to_lines() == scan_path
+    entry = next(c for c in report.claims if "structure" in c.claim_id)
+    if sat:
+        lowered = report.parameter_value - 1
+        edges = build(kind, inst).graph.complement_edges()
+        assert [added for added, limit in asked if limit == lowered] == [(edge,) for edge in edges]
     else:
         assert asked == []
-        entry = next(c for c in report.claims if "structure" in c.claim_id)
         assert entry.observed.startswith("0 augmenting edges")
 
 
@@ -506,7 +527,7 @@ def test_satisfiable_removal_sweep_runs_no_search(monkeypatch, kind):
         return wrapper
 
     monkeypatch.setattr(perturbation, "_search", counted)
-    monkeypatch.setattr(verify_module, "_removal_sweep", staged("sweep", _removal_sweep))
+    monkeypatch.setattr(verify_module, "_first_hit", staged("sweep", _first_hit))
     monkeypatch.setattr(verify_module, "_certifies_one", staged("certificate", _certifies_one))
     for seed in range(1, 11):
         searches.clear()
@@ -769,7 +790,7 @@ def test_edge_removal_claim_read_off_the_scan_matches_the_sweep(monkeypatch, kin
     g = build(kind, UNSAT8).graph
     dom = (total_domination_number if total else domination_number)(g)
     assert dom.value == exact + 1
-    edge, swept = _removal_sweep(RemovalSearch(g, total, exact + 1, kept=[dom.witness]))
+    edge, swept = TestRemovalSweep.sweep(RemovalSearch(g, total, exact + 1, kept=[dom.witness]))
     assert (edge is not None) == broken
     entry = next(c for c in verify(kind, UNSAT8).claims if c.claim_id == "edge-removal-bound")
     assert entry.passed == (edge is None)
@@ -777,7 +798,13 @@ def test_edge_removal_claim_read_off_the_scan_matches_the_sweep(monkeypatch, kin
 
 
 class TestRemovalSweep:
-    """``_removal_sweep`` against one graph copy per edge."""
+    """The edge-removal sweep, ``_first_hit(search, 1)`` and ``_qualifying_removals``, against one graph copy per edge."""
+
+    @staticmethod
+    def sweep(search):
+        """(first qualifying edge whose removal breaks ``search.base`` or None, qualifying count)."""
+        first = _first_hit(search, 1)
+        return (first.witness[0] if first.value == 1 else None), _qualifying_removals(search.graph, search.total)
 
     @staticmethod
     def copy_sweep(g, total, bound):
@@ -804,7 +831,7 @@ class TestRemovalSweep:
     )
     def test_bound_at_the_parameter_reports_the_first_breaking_edge(self, g, total, broken):
         dom = (total_domination_number if total else domination_number)(g)
-        edge, _ = _removal_sweep(RemovalSearch(g, total, dom.value, kept=[dom.witness]))
+        edge, _ = self.sweep(RemovalSearch(g, total, dom.value, kept=[dom.witness]))
         assert edge == broken == self.copy_sweep(g, total, dom.value)[0]
 
     @pytest.mark.parametrize("total", [False, True])
@@ -821,11 +848,18 @@ class TestRemovalSweep:
     def test_count_is_the_qualifying_removals(self, g, total):
         dom = (total_domination_number if total else domination_number)(g)
         search = RemovalSearch(g, total, dom.value + 1, kept=[dom.witness])
-        assert _removal_sweep(search) == self.copy_sweep(g, total, dom.value + 1)
+        assert self.sweep(search) == self.copy_sweep(g, total, dom.value + 1)
 
     def test_total_count_skips_removals_that_isolate_a_leaf(self):
         dom = total_domination_number(PATH5)
-        assert _removal_sweep(RemovalSearch(PATH5, True, dom.value + 1, kept=[dom.witness])) == (None, 2)
+        assert self.sweep(RemovalSearch(PATH5, True, dom.value + 1, kept=[dom.witness])) == (None, 2)
+
+    @given(isolated_free_graphs(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_count_is_the_searchs_qualifying_edges(self, g, total):
+        """``_qualifying_removals``, the edges with no leaf end, counts what ``qualifying_after(())`` masks per edge."""
+        search = RemovalSearch(g, total, g.num_vertices)  # which removals qualify does not depend on the bound
+        assert _qualifying_removals(g, total) == (search.qualifying_after(()) & (1 << g.num_edges) - 1).bit_count()
 
 
 class TestReportShape:
@@ -929,6 +963,15 @@ class TestFuzz:
     def test_too_few_variables(self):
         with pytest.raises(TooFewVariablesError):
             fuzz(ReductionKind.BONDAGE, 2, 3, 1, 0)
+
+    def test_negative_trials(self):
+        with pytest.raises(CnfError, match="trials"):
+            fuzz(ReductionKind.BONDAGE, 3, 5, -3, 1)
+
+    @pytest.mark.parametrize("trials", [0, 2])
+    def test_negative_clause_count(self, trials):
+        with pytest.raises(CnfError, match="clauses"):
+            fuzz(ReductionKind.BONDAGE, 3, -1, trials, 1)
 
     def test_string_kind_accepted(self):
         reports = fuzz("reinforcement", 3, 2, 2, 3)
