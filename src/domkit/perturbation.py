@@ -78,12 +78,12 @@ Result encoding: ``value`` is the parameter when a witness exists, 0
 when the parameter cannot be realized by any edge set (reinforcement of
 a graph that is already at the floor), and None when the search bound
 was exhausted without success (including total bondage of graphs like
-stars where no qualifying edge set exists at all).
+stars where no qualifying edge set exists at all).  A ``max_k`` below 1
+raises ValueError before any search.
 """
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -172,16 +172,10 @@ class RemovalSearch:
     slack, fragile and doubly fragile edges and fragile pairs (see the
     module docstring), worked out the first time a row needs the cover,
     and ``qualifying_after`` drops the removals that isolate a vertex.
-    ``at`` gives the same scan at another ``base``: it shares the
-    candidates, the edge numbers and the cover and incident masks, and
-    carries over the kept covers within the new base.  So ``verify``
-    builds one per bondage-kind call, at the parameter for its
-    certificate, and moves it to the exact bound + 1 for its sweep.
     """
 
     def __init__(self, g: Graph, total: bool, base: int, kept: Iterable[Iterable[str]] = ()):
         self.graph = g
-        self.total = total
         self.base = base
         self.candidates = sorted(g.edges)
         self._cover = _cover_masks(g, total)
@@ -202,18 +196,6 @@ class RemovalSearch:
             self._incident = [0] * g.num_vertices
             for (i, _), e in self._edge_ids.items():
                 self._incident[i] |= 1 << e
-
-    def at(self, base: int) -> RemovalSearch:
-        """This search at ``base``: the candidates and masks shared, and the kept covers within ``base`` carried over.
-
-        A cover of G within one bound is one within any larger bound, so
-        raising ``base`` keeps every cover found so far.
-        """
-        other = copy(self)
-        other.base = base
-        other._kept = [mask for mask in self._kept if mask.bit_count() <= base]
-        other._fragile = []  # slack depends on the base: worked out again on first use
-        return other
 
     def _summaries(self) -> list[tuple[int, int, int, dict[int, int]]]:
         """Slack, fragile and doubly fragile edges, and fragile pairs of each kept cover, brought up to date."""
@@ -448,7 +430,14 @@ def _parameter(g: Graph, total: bool, start: DomResult | None) -> DomResult:
     return total_domination_number(g) if total else domination_number(g)
 
 
+def _check_max_k(max_k: int | None) -> None:
+    """Reject a size cap below 1, which would leave no size to try and read as "undefined"."""
+    if max_k is not None and max_k < 1:
+        raise ValueError(f"max_k must be positive, got {max_k}")
+
+
 def _removal_number(g: Graph, total: bool, max_k: int | None, start: DomResult | None) -> PerturbResult:
+    _check_max_k(max_k)
     if g.num_edges == 0:
         raise EmptyGraphError(f"{'total ' if total else ''}bondage needs at least one edge")
     start = _parameter(g, total, start)
@@ -456,6 +445,7 @@ def _removal_number(g: Graph, total: bool, max_k: int | None, start: DomResult |
 
 
 def _addition_number(g: Graph, total: bool, max_k: int | None, start: DomResult | None) -> PerturbResult:
+    _check_max_k(max_k)
     base = _parameter(g, total, start).value
     if base <= (2 if total else 1):
         return PerturbResult(0, None, base)

@@ -56,11 +56,11 @@ fewer, is refuted at its root; the witness is that set whenever it is
 minimum.  The loop still refutes one fewer, so no value rests on the
 gadget lemma.  The parameter's witness, whichever minimum set
 ``domination`` returns, only seeds ``RemovalSearch``, where any minimum
-set serves.  The bondage kinds build that search once, at the
-parameter, for the certificate; the removal sweep is the single-edge
-stage of ``perturbation._first_hit``, run on the same search moved to
-the bound (``RemovalSearch.at``), which keeps every cover found so far.
-At the exact bound the witness is one pick under the sweep's
+set serves.  The removal sweep is the single-edge stage of
+``perturbation._first_hit``, run on a ``RemovalSearch`` at the bound
+seeded with that witness, and it is the only removal search a
+bondage-kind ``verify`` builds: the certificate asks the kernel
+directly.  At the exact bound the witness is one pick under the sweep's
 bound, so its row settles every edge that is not the lone dominator
 edge of both its endpoints, which in the closed variant is every edge;
 each edge left gets the witness repaired (one dominator per endpoint,
@@ -79,8 +79,9 @@ certificate that ``verify`` checks first (``_certifies_one``), not from
 the scan.  For the bondage kinds it is the first anchor edge whose
 removal qualifies and leaves no cover within the parameter, trying the
 edges of the kind's table row with both endpoints in the assignment's
-set first and then the rest, each in row order: a hit of the scan's
-single-edge stage, so b = 1 (b_t = 1).
+set first and then the rest, each in row order, each refuted by one
+search on the gadget's cover masks with the edge removed: a hit of the
+scan's single-edge stage, so b = 1 (b_t = 1).
 For the reinforcement kinds it is the set ``assignment_to_witness``
 gives, with its added edge: it dominates G+e and is smaller than a
 parameter above the floor, so r = 1 (r_t = 1); the witness round trip
@@ -333,7 +334,7 @@ def _certifies_one(
     param: int,
     witness: GadgetWitness,
     dominating: bool,
-    removals: RemovalSearch | None,
+    cover: tuple[int, ...],
 ) -> bool:
     """Whether a checked certificate proves that the perturbation value of ``out.graph`` is 1.
 
@@ -342,19 +343,23 @@ def _certifies_one(
     dominates the gadget (plus its added edge).  Bondage kinds: the
     first anchor edge whose removal qualifies and leaves no cover within
     the parameter, of the row's edges with both endpoints in ``witness``
-    and then the rest, each in row order, asked of ``removals``, the
-    gadget's search at ``param``; it is a hit of the scan's single-edge
-    stage, so b = 1 (b_t = 1).  Reinforcement kinds (no ``removals``):
-    the witness with its added edge, smaller than a parameter above the
-    floor, so r = 1 (r_t = 1).  False when the check fails.
+    and then the rest, each in row order.  Each is removed from
+    ``cover``, the gadget's cover masks: a removal that empties an
+    endpoint's mask isolates it (total variant) and does not qualify,
+    and any other is a hit when ``_search`` finds no cover within
+    ``param``, a hit of the scan's single-edge stage, so b = 1
+    (b_t = 1).  Reinforcement kinds: the witness with its added edge,
+    smaller than a parameter above the floor, so r = 1 (r_t = 1).
+    False when the check fails.
     """
     if witness.added_edge is not None:
         return param > (2 if total else 1) and len(witness.vertices) < param and dominating
-    qualifying = removals.qualifying_after(())
-    position = {edge: e for e, edge in enumerate(removals.candidates)}
     # sorted is stable: row order within each group
-    edges = sorted(_SPECS[out.kind].anchor_edges, key=lambda edge: not witness.vertices.issuperset(edge))
-    return any(edge in position and qualifying >> position[edge] & 1 and removals.hit((edge,)) for edge in edges)
+    for edge in sorted(_SPECS[out.kind].anchor_edges, key=lambda edge: not witness.vertices.issuperset(edge)):
+        masks, touched = _toggled(out.graph, cover, [edge])
+        if all(masks[i] for i in touched) and _search(tuple(masks), param) is None:
+            return True
+    return False
 
 
 def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> VerificationReport:
@@ -396,9 +401,7 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
     dominating = witness is not None and _dominates_with(g, cover, witness)
     # At exact + 1 the edge-removal claim reads the scan's witness.
     reads_witness = removal and param == exact + 1
-    # The bondage kinds' one removal search: at the parameter for the certificate, at exact + 1 for the sweep.
-    removals = RemovalSearch(g, total, param, kept=[dom.witness]) if removal and not reads_witness else None
-    if witness is not None and not reads_witness and _certifies_one(out, total, param, witness, dominating, removals):
+    if witness is not None and not reads_witness and _certifies_one(out, total, param, witness, dominating, cover):
         value = 1
     else:
         pert = perturbation_number(g, max_k=max_k, start=dom)
@@ -415,7 +418,7 @@ def verify(kind: ReductionKind | str, inst: CnfInstance, deep: bool = False) -> 
             )
         )
         # At exact + 1 the scan's k = 1 stage was the sweep: the same bound and seed, the same edges in the same order.
-        first = pert if reads_witness else _first_hit(removals.at(exact + 1), 1)
+        first = pert if reads_witness else _first_hit(RemovalSearch(g, total, exact + 1, kept=[dom.witness]), 1)
         bad_edge = first.witness[0] if first.value == 1 else None
         claims.append(
             ClaimCheck(
@@ -496,6 +499,8 @@ def fuzz(
         raise CnfError(f"number of clauses must be non-negative, got {num_clauses}")
     if trials < 0:
         raise CnfError(f"number of trials must be non-negative, got {trials}")
+    if jobs < 1:
+        raise CnfError(f"number of jobs must be positive, got {jobs}")
     rng = random.Random(seed)
     trial_args = [(kind, num_vars, num_clauses, rng.randrange(2**32), deep) for _ in range(trials)]
     if jobs > 1 and trials > 1:

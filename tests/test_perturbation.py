@@ -306,6 +306,20 @@ def test_start_replaces_the_parameter_solve(monkeypatch):
             assert solve(g, start=start) == results[kind], (kind, g.edges)
 
 
+@pytest.mark.parametrize("kind", list(SOLVERS))
+def test_max_k_below_one_is_rejected_before_any_search(monkeypatch, kind):
+    """A size cap of 0 or less raises ValueError, not the "undefined" of an empty scan, and solves nothing."""
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("searched")
+
+    for name in ("domination_number", "total_domination_number", "_search"):
+        monkeypatch.setattr(perturbation, name, unexpected)
+    for max_k in (0, -2):
+        with pytest.raises(ValueError, match=f"^max_k must be positive, got {max_k}$"):
+            SOLVERS[kind](path_graph(5), max_k=max_k)
+
+
 def test_parameter_does_not_depend_on_the_seed(minimum_cover_calls):
     """Without ``start`` each kind solves the parameter once, and answers as from any other minimum set.
 
@@ -387,9 +401,7 @@ def removal_searches(g, total, start):
     Seeded one pick below its limit, it reaches the slack rows and the
     repair of kept covers; seeded with the witness plus one vertex, a
     cover that is not minimum, at its limit; seeded above its limit,
-    the witness must not vouch for any removal.  Moved by ``at`` after a
-    pass over every edge at the parameter, one search carries the covers
-    of that pass to the limit above and drops them at the limit below.
+    the witness must not vouch for any removal.
     """
     base = start.value
     removals = [(limit, RemovalSearch(g, total, limit)) for limit in range(base - 1, base + 2)]
@@ -398,10 +410,6 @@ def removal_searches(g, total, start):
     extra = next((v for v in g.vertices if v not in start.witness), None)
     if extra is not None:
         removals.append((base + 1, RemovalSearch(g, total, base + 1, kept=[start.witness | {extra}])))
-    warmed = RemovalSearch(g, total, base, kept=[start.witness])
-    for edge in sorted(g.edges):
-        warmed.covers_after([edge])
-    removals += [(limit, warmed.at(limit)) for limit in (base + 1, base - 1)]
     return removals
 
 

@@ -19,6 +19,7 @@ from domkit.domination import (
     BudgetExceededError,
     _all_minimum_covers,
     _cover_masks,
+    _search,
     domination_number,
     enumerate_minimum_sets,
     has_dominating_set_within,
@@ -505,8 +506,9 @@ def test_satisfiable_removal_sweep_runs_no_search(monkeypatch, kind):
     """On satisfiable instances the witness's slack row and the repair settle the whole sweep: no search.
 
     The certificate tries first the anchor edges inside the assignment's
-    set, (s2, s5) for total bondage, and makes one search, the refutation
-    of its hit.
+    set, (s2, s5) for total bondage, and makes one search of its own, the
+    refutation of its hit.  Searches are counted in both namespaces that
+    call the kernel, ``perturbation``'s and ``verify``'s.
     """
     searches = []
     stage = [None]
@@ -527,6 +529,7 @@ def test_satisfiable_removal_sweep_runs_no_search(monkeypatch, kind):
         return wrapper
 
     monkeypatch.setattr(perturbation, "_search", counted)
+    monkeypatch.setattr(verify_module, "_search", counted)
     monkeypatch.setattr(verify_module, "_first_hit", staged("sweep", _first_hit))
     monkeypatch.setattr(verify_module, "_certifies_one", staged("certificate", _certifies_one))
     for seed in range(1, 11):
@@ -538,7 +541,7 @@ def test_satisfiable_removal_sweep_runs_no_search(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", [ReductionKind.BONDAGE, ReductionKind.TOTAL_BONDAGE])
 def test_satisfiable_bondage_builds_one_removal_search(monkeypatch, kind):
-    """The certificate and the sweep share one ``RemovalSearch``: the sweep's is the certificate's moved by ``at``."""
+    """The certificate builds no ``RemovalSearch`` (it asks the kernel on the cover masks); the sweep builds one."""
     builds = []
     init = RemovalSearch.__init__
 
@@ -653,6 +656,36 @@ def test_removal_certificate_that_is_not_a_hit_falls_back_to_the_scan(monkeypatc
         assert report.to_lines() == unpatched
 
 
+@pytest.mark.parametrize(
+    "kind, anchor_edges",
+    [(ReductionKind.TOTAL_BONDAGE, (("s5", "s6"),)), (ReductionKind.BONDAGE, ())],
+    ids=["isolating", "empty"],
+)
+def test_removal_certificate_guards_fall_back_to_the_scan(monkeypatch, first_hits, certificates, kind, anchor_edges):
+    """A row whose one edge isolates a vertex, or an empty row, certifies nothing: ``verify`` scans, bytes unchanged.
+
+    Removing s5-s6 leaves s6 with no neighbour, so a search on those
+    masks finds no total dominating set at all; the removal does not
+    qualify, so the certificate must not read that as a hit.  Only
+    ``verify``'s view of the table changes, so the gadget is the true one.
+    """
+    total = kind is ReductionKind.TOTAL_BONDAGE
+    rows = verify_module._SPECS
+    for inst in (TINY, random_instance(4, 8, 1)):
+        unpatched = verify(kind, inst)
+        g = build(kind, inst).graph
+        masks, _ = _toggled(g, _cover_masks(g, total), anchor_edges)
+        # What the certificate would read without the guard.
+        assert (_search(tuple(masks), unpatched.parameter_value) is None) == bool(anchor_edges)
+        first_hits.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(verify_module, "_SPECS", {**rows, kind: rows[kind]._replace(anchor_edges=anchor_edges)})
+            report = verify(kind, inst)
+        assert certificates[-1] is False
+        assert first_hits == ["RemovalSearch", "RemovalSearch"]  # the scan, then the sweep
+        assert report.to_lines() == unpatched.to_lines()
+
+
 @pytest.mark.parametrize("kind", REINFORCEMENT_KINDS)
 @pytest.mark.parametrize("corruption", ["drop", "pad"])
 def test_reinforcement_certificate_that_fails_falls_back_to_the_scan(
@@ -714,8 +747,9 @@ def test_reinforcement_certificate_needs_a_parameter_above_the_floor(kind):
     out = build(kind, TINY)
     floor = 2 if total else 1
     witness = reductions.GadgetWitness(frozenset(), ("s1", "u1"))
-    assert not _certifies_one(out, total, floor, witness, True, None)
-    assert _certifies_one(out, total, floor + 1, witness, True, None)
+    cover = _cover_masks(out.graph, total)
+    assert not _certifies_one(out, total, floor, witness, True, cover)
+    assert _certifies_one(out, total, floor + 1, witness, True, cover)
 
 
 # Rows that move the parameter off the exact bound on a satisfiable instance:
@@ -790,7 +824,7 @@ def test_edge_removal_claim_read_off_the_scan_matches_the_sweep(monkeypatch, kin
     g = build(kind, UNSAT8).graph
     dom = (total_domination_number if total else domination_number)(g)
     assert dom.value == exact + 1
-    edge, swept = TestRemovalSweep.sweep(RemovalSearch(g, total, exact + 1, kept=[dom.witness]))
+    edge, swept = TestRemovalSweep.sweep(RemovalSearch(g, total, exact + 1, kept=[dom.witness]), total)
     assert (edge is not None) == broken
     entry = next(c for c in verify(kind, UNSAT8).claims if c.claim_id == "edge-removal-bound")
     assert entry.passed == (edge is None)
@@ -801,10 +835,10 @@ class TestRemovalSweep:
     """The edge-removal sweep, ``_first_hit(search, 1)`` and ``_qualifying_removals``, against one graph copy per edge."""
 
     @staticmethod
-    def sweep(search):
+    def sweep(search, total):
         """(first qualifying edge whose removal breaks ``search.base`` or None, qualifying count)."""
         first = _first_hit(search, 1)
-        return (first.witness[0] if first.value == 1 else None), _qualifying_removals(search.graph, search.total)
+        return (first.witness[0] if first.value == 1 else None), _qualifying_removals(search.graph, total)
 
     @staticmethod
     def copy_sweep(g, total, bound):
@@ -831,7 +865,7 @@ class TestRemovalSweep:
     )
     def test_bound_at_the_parameter_reports_the_first_breaking_edge(self, g, total, broken):
         dom = (total_domination_number if total else domination_number)(g)
-        edge, _ = self.sweep(RemovalSearch(g, total, dom.value, kept=[dom.witness]))
+        edge, _ = self.sweep(RemovalSearch(g, total, dom.value, kept=[dom.witness]), total)
         assert edge == broken == self.copy_sweep(g, total, dom.value)[0]
 
     @pytest.mark.parametrize("total", [False, True])
@@ -848,11 +882,11 @@ class TestRemovalSweep:
     def test_count_is_the_qualifying_removals(self, g, total):
         dom = (total_domination_number if total else domination_number)(g)
         search = RemovalSearch(g, total, dom.value + 1, kept=[dom.witness])
-        assert self.sweep(search) == self.copy_sweep(g, total, dom.value + 1)
+        assert self.sweep(search, total) == self.copy_sweep(g, total, dom.value + 1)
 
     def test_total_count_skips_removals_that_isolate_a_leaf(self):
         dom = total_domination_number(PATH5)
-        assert self.sweep(RemovalSearch(PATH5, True, dom.value + 1, kept=[dom.witness])) == (None, 2)
+        assert self.sweep(RemovalSearch(PATH5, True, dom.value + 1, kept=[dom.witness]), True) == (None, 2)
 
     @given(isolated_free_graphs(), st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -963,6 +997,11 @@ class TestFuzz:
     def test_too_few_variables(self):
         with pytest.raises(TooFewVariablesError):
             fuzz(ReductionKind.BONDAGE, 2, 3, 1, 0)
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one(self, jobs):
+        with pytest.raises(CnfError, match="jobs"):
+            fuzz(ReductionKind.BONDAGE, 3, 2, 2, 1, jobs=jobs)
 
     def test_negative_trials(self):
         with pytest.raises(CnfError, match="trials"):
