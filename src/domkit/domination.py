@@ -85,6 +85,23 @@ every other decide cover is only measured or kept as a seed, so it may
 be any qualifying cover, and enumerate reaches every cover whatever the
 order, and sorts them.
 
+A decide node also skips candidates, as branch and bound for set cover
+drops a set whose new coverage another set's contains (the subsumption
+rule of Fomin, Grandoni & Kratsch 2009, used for dominating set by van
+Rooij & Bodlaender 2011).  Once a sibling k is refuted, a later sibling u
+that newly dominates no vertex outside k's new coverage is not tried; it
+is added to the siblings' bans as a refuted one would be.  A test
+against the union of the refuted siblings' coverage comes first, so most
+candidates cost one AND.  The skip is sound by a swap: a cover through u
+that avoids the earlier siblings, with u replaced by k, is a cover
+through k of no greater size within the bans of k's branch, and that
+branch held none.  So a skipped subtree holds no cover, the search
+reaches the same first cover, and no witness moves.  Banning u inside
+the earlier siblings' branches too would save a few nodes more but move
+witnesses, since those branches could have reached a cover through u.
+Enumerate does not skip: there a sibling is "refuted" only because
+``found`` accepts no cover, and the covers through u would be lost.
+
 The same pass gives the lower bound, a packing: taken in order of
 (dominator count, index), the undominated vertices whose allowed
 dominators are disjoint from those of all vertices kept before each need
@@ -346,7 +363,9 @@ def _search(
     answers with each one's minimum cover (``_group_minima``), in
     component order.  Each node tries its branch vertex's dominators by
     descending number of newly dominated vertices (lowest index among
-    ties), and propagates when tight (see the module docstring).
+    ties), and propagates when tight (see the module docstring).  Without
+    ``found``, it skips a dominator whose newly dominated vertices a
+    refuted sibling's include, which moves no cover it returns.
     """
     full = (1 << len(cover)) - 1
     chosen: list[int] = []
@@ -378,13 +397,21 @@ def _search(
             if banned is None:
                 return False
             branch_cands = min(classes, key=int.bit_count)
-        tried = 0
+        tried = seen = 0
+        refuted: list[int] = []
         for u in sorted(iter_bits(branch_cands), key=lambda u: -(cover[u] & undom).bit_count()):
+            gain = cover[u] & undom
+            # A decide skips u when a refuted sibling newly dominates all it does.
+            if found is None and not gain & ~seen and any(not gain & ~k for k in refuted):
+                tried |= 1 << u
+                continue
             chosen.append(u)
             if dfs(dominated | cover[u], banned | tried):
                 return True
             chosen.pop()
             tried |= 1 << u
+            refuted.append(gain)
+            seen |= gain
         return False
 
     return chosen if dfs(dominated, banned) else None

@@ -3,7 +3,7 @@
 Everything here recomputes from first principles: full subset
 enumeration over neighbor masks rebuilt from the raw edge list.  None
 of it shares search code with the package, so agreement between the
-two is meaningful evidence.  There are two exceptions.
+two is meaningful evidence.  The exceptions follow.
 ``scan_perturbation``, the reference for perturbation witnesses, shares
 the package's bounded search, but decides every candidate edge set on
 its own copy of the graph, with none of the perturbation module's
@@ -11,6 +11,10 @@ shortcuts.  ``reference_minimum_cover``, the reference for γ and γ_t
 values above brute-force sizes, shares the package's branch step and
 greedy cover, but finds the optimum by one search that lowers its limit
 at every cover it reaches, not by decide searches at fixed limits.
+``reference_decide``, the reference for decide witnesses, shares the
+package's branch step, propagation and components, and is the package's
+decide without its skip of dominated candidates, so the package must
+reach the very same first cover.
 ``reference_structure_violations``, the reference for the deep claim's
 refutations, lists every minimum set with the package's enumeration and
 asks ``structure_violation`` about each, as ``verify`` itself did before
@@ -28,6 +32,8 @@ from domkit.cnf import CnfInstance
 from domkit.domination import (
     _branch,
     _greedy_cover,
+    _groups,
+    _tighten,
     domination_number,
     enumerate_minimum_sets,
     has_dominating_set_within,
@@ -246,6 +252,66 @@ def reference_minimum_cover(cover: tuple[int, ...]) -> list[int]:
 
     dfs(0, 0)
     return sorted(last)
+
+
+def reference_decide(cover: tuple[int, ...], limit: int, dominated: int = 0, banned: int = 0) -> list[int] | None:
+    """The first cover, by at most ``limit`` picks, of ``_search``'s decide with every candidate tried: the witness reference.
+
+    The same search as the package's decide: its branch step, its
+    tight-node propagation, its gain order and its split of the root into
+    components, each decided upward from its own packing bound.  It does
+    not skip a candidate whose new coverage a refuted sibling's contains.
+    Such a skip cuts only subtrees without a cover, so the package must
+    return this pick list, pick for pick.
+    """
+    full = (1 << len(cover)) - 1
+    chosen: list[int] = []
+
+    def split(groups: list[int], banned: int, classes: list[int]) -> bool:
+        bounds = [sum(1 for c in classes if cover[(c & -c).bit_length() - 1] & undom) for undom in groups]
+        spare = limit - sum(bounds)
+        for undom, bound in zip(groups, bounds):
+            for size in range(bound, bound + spare + 1):
+                picks = reference_decide(cover, size, full & ~undom, banned)
+                if picks is not None:
+                    break
+            else:
+                return False
+            spare -= len(picks) - bound
+            chosen.extend(picks)
+        return True
+
+    def dfs(dominated: int, banned: int) -> bool:
+        if dominated == full:
+            return True
+        depth = len(chosen)
+        if depth >= limit:
+            return False
+        undom = full & ~dominated
+        packing = _branch(cover, undom, banned)
+        if packing is None:
+            return False
+        classes, spare = packing
+        if depth + len(classes) > limit:
+            return False
+        if not depth and len(groups := _groups(cover, dominated)) > 1:
+            return split(groups, banned, classes)
+        branch_cands = classes[0]
+        if spare and depth + len(classes) == limit:
+            banned = _tighten(cover, undom, banned, classes, spare)
+            if banned is None:
+                return False
+            branch_cands = min(classes, key=int.bit_count)
+        tried = 0
+        for u in sorted(iter_bits(branch_cands), key=lambda u: -(cover[u] & undom).bit_count()):
+            chosen.append(u)
+            if dfs(dominated | cover[u], banned | tried):
+                return True
+            chosen.pop()
+            tried |= 1 << u
+        return False
+
+    return chosen if dfs(dominated, banned) else None
 
 
 def reference_structure_violations(out: ReductionOutput, at_exact: bool) -> set[str]:

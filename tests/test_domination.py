@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 from typing import Callable
 
+import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,7 @@ from oracles import (
     oracle_dominates,
     path_graph,
     random_graph,
+    reference_decide,
     reference_minimum_cover,
     star_graph,
 )
@@ -375,12 +377,15 @@ class TestBranchStep:
         assert checked > 200 and pruned > 20 and spared > 100
 
 
+def raw_masks(g: Graph, closed: bool) -> tuple[int, ...]:
+    """``g``'s closed or open cover masks, with no check for isolated vertices."""
+    return tuple(mask | 1 << v if closed else mask for v, mask in enumerate(g.adjacency_masks()))
+
+
 def random_start(rng: random.Random, closed: bool, max_vertices: int = 12):
     """Cover masks of a random graph, random nonempty ``dominated`` and ``banned`` starts, and the allowed picks."""
     n = rng.randint(1, max_vertices)
-    g = random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
-    adj = g.adjacency_masks()
-    cover = tuple(mask | (1 << v) if closed else mask for v, mask in enumerate(adj))
+    cover = raw_masks(random_graph(rng, n, rng.choice((0.15, 0.3, 0.5))), closed)
     dominated = sum(1 << v for v in range(n) if rng.random() < 0.3) or 1 << rng.randrange(n)
     banned = sum(1 << v for v in range(n) if rng.random() < 0.25) or 1 << rng.randrange(n)
     return cover, dominated, banned, [u for u in range(n) if not banned >> u & 1]
@@ -590,6 +595,82 @@ class TestComponentSplit:
         info = domination._components.cache_info()
         assert info.currsize <= info.maxsize == 16
 
+
+def nested_graph(rng: random.Random, n: int, edge_prob: float, extra: float) -> Graph:
+    """A random graph on n vertices with pendant vertices and false twins added, its vertices in shuffled order.
+
+    Each vertex gets a pendant neighbor, and a false twin (a copy of its
+    neighbors), with probability ``extra`` each.  A pendant vertex's closed
+    neighborhood lies inside its neighbor's, and false twins have the same
+    open neighborhood, so on closed and open masks alike some branch
+    candidates' new coverage nests in another's.
+    """
+    base = random_graph(rng, n, edge_prob)
+    labels = list(base.vertices)
+    edges = list(base.edges)
+    for v in base.vertices:
+        if rng.random() < extra:
+            labels.append(f"p{v}")
+            edges.append((v, f"p{v}"))
+        if rng.random() < extra:
+            labels.append(f"t{v}")
+            edges += [(f"t{v}", b if a == v else a) for a, b in base.edges if v in (a, b)]
+    rng.shuffle(labels)
+    return Graph(labels, edges)
+
+
+class TestDominatedCandidates:
+    """A decide node skips a candidate whose new coverage a refuted sibling's contains; nothing else may change."""
+
+    def test_decide_returns_the_reference_witness(self, monkeypatch):
+        """The same pick list as the search that tries every candidate, at every limit, closed and total.
+
+        On random starts, and on graphs of 30 to 45 vertices with pendant
+        vertices and false twins, where candidates nest.  The graphs are
+        that large because on small ones the packing bound refutes at the
+        root and no candidate is ever skipped; the package's fewer branch
+        steps show that some are.
+        """
+        calls = count_branch_steps(monkeypatch)
+        reference_calls = [0]
+        branch = oracles._branch
+
+        def counted(*args):
+            reference_calls[0] += 1
+            return branch(*args)
+
+        monkeypatch.setattr(oracles, "_branch", counted)
+        rng = random.Random(30)
+        found = 0
+        for trial in range(400):
+            closed = trial % 2 == 0
+            if trial % 4 < 2:
+                cover, dominated, banned, _ = random_start(rng, closed)
+            else:
+                n = rng.randint(30, 45)
+                cover, dominated, banned = raw_masks(nested_graph(rng, n, 4 / n, 0.05), closed), 0, 0
+            for limit in range(len(cover) + 2):
+                expected = reference_decide(cover, limit, dominated, banned)
+                assert _search(cover, limit, dominated, banned) == expected, (trial, limit)
+                found += expected is not None
+        assert found > 1000 and calls[0] < reference_calls[0]
+
+    def test_enumeration_on_nested_graphs_matches_brute_force(self):
+        """Every minimum cover of a graph with pendant vertices and false twins, closed and total: enumeration skips none."""
+        rng = random.Random(31)
+        enumerated = 0
+        for trial in range(400):
+            g = nested_graph(rng, rng.randint(2, 7), rng.choice((0.2, 0.4, 0.6)), 0.3)
+            cover = raw_masks(g, closed=trial % 2 == 0)
+            pool = list(range(len(cover)))
+            if (size := smallest_cover(cover, 0, pool)) is None:
+                continue
+            expected = brute_covers(cover, 0, pool, [size])
+            assert _all_minimum_covers(cover, size, 10**6) == expected, trial
+            enumerated += len(expected)
+        assert enumerated > 800
+
+
 # An unsatisfiable n = 8, m = 34 instance: random_clauses(random.Random(2), 8, 34)
 # of perfbench/workloads.py, written out.
 UNSAT_N8_CLAUSES = (
@@ -625,21 +706,22 @@ def test_tight_refutation_node_bound(monkeypatch, kind, max_nodes):
     assert calls[0] <= max_nodes
 
 
-# Nodes: 10,914 and 14,658; with an unpropagated index-order witness search,
-# 242,435 and 147,054.
+# Nodes: 4,398 and 5,370; without the skip of dominated candidates, 10,914 and
+# 14,658; with an unpropagated index-order witness search, 242,435 and 147,054.
 @pytest.mark.parametrize("kind", ["total-bondage", "total-reinforcement"])
 def test_greedy_miss_node_bound(monkeypatch, kind):
     """γ of the total gadgets, where greedy misses the optimum, stays cheap: the decide loop and its refutation."""
     calls = count_branch_steps(monkeypatch)
     assert domination_number(build(kind, CnfInstance(8, UNSAT_N8_CLAUSES)).graph).value == 16
-    assert calls[0] <= 20_000
+    assert calls[0] <= 8_000
 
 
-# 4,997 and 4,207 branch steps; as one search, without the split into components,
-# 666,049 and 436,264, nearly all of them in the refutation at γ_t − 1.
+# 822 and 741 branch steps; without the skip of dominated candidates, 4,996 and
+# 4,206; as one search, without the split into components, 666,049 and 436,264,
+# nearly all of them in the refutation at γ_t − 1.
 @pytest.mark.parametrize("kind, gamma_t", [("bondage", 28), ("reinforcement", 27)])
 def test_split_refutation_node_bound(monkeypatch, kind, gamma_t):
     """γ_t of the bipartite gadgets stays cheap: each side of the open masks is decided on its own."""
     calls = count_branch_steps(monkeypatch)
     assert total_domination_number(build(kind, CnfInstance(8, UNSAT_N8_CLAUSES)).graph).value == gamma_t
-    assert calls[0] <= 20_000
+    assert calls[0] <= 2_000

@@ -442,6 +442,30 @@ def test_unsat_ladder_step_bound(monkeypatch, kind, max_steps):
     assert report.passed and not report.satisfiable
 
 
+# The unsat ladder rung n = 16, m = round(4.26 * 16): random_clauses(random.Random(6), 16, 68)
+# of perfbench/workloads.py, written out (it draws one clause twice).
+UNSAT_N16_CLAUSES = (
+    (3, 8, -13), (12, -13, 16), (7, -12, -14), (-7, -9, -10), (3, 7, -14), (8, 9, -12), (-1, 2, -10),
+    (-8, -12, -14), (1, 6, 11), (-2, -4, 9), (5, 9, 12), (-7, -14, 15), (1, -6, -11), (-6, 7, -10),
+    (1, -3, 16), (-4, -13, -15), (-8, -13, -15), (-5, -12, 16), (-8, -9, 15), (-4, 5, -10), (9, 11, -15),
+    (5, 10, 16), (-5, 8, 13), (6, -10, 15), (-8, -12, 13), (-1, 8, -10), (4, -11, 12), (2, 4, 15),
+    (2, 8, -16), (6, -8, 10), (1, -4, 11), (1, -9, 12), (-9, 14, -15), (-4, 5, -14), (5, -9, -15),
+    (5, 6, -10), (-5, 9, -15), (2, -12, 16), (2, 3, -12), (7, 12, -16), (4, -7, -9), (-2, 5, -6),
+    (-3, -5, -16), (-4, -8, 12), (-6, -13, 16), (4, 13, 16), (-9, -13, -14), (5, 11, -12), (2, 5, -7),
+    (-4, -11, -12), (-2, 4, -9), (2, -8, 10), (-2, 15, -16), (-1, -13, -14), (5, -8, -10), (5, -7, -10),
+    (9, -11, 13), (2, -12, 16), (-7, 11, 16), (1, 2, 6), (3, -4, 9), (-7, -10, 13), (3, 5, -9),
+    (-3, -4, -13), (-2, 3, -6), (-4, 14, -16), (14, 15, 16), (-6, 10, 16),
+)
+
+
+# 10,305 branch steps; without the skip of dominated candidates, 15,879.
+def test_unsat_ladder_bondage_step_bound(monkeypatch):
+    """``verify`` of plain bondage on the unsat rung n = 16 stays within 12,000 ``_branch`` calls; past that the count raises."""
+    raise_past(monkeypatch, 12_000, "bondage")
+    report = verify(ReductionKind.BONDAGE, CnfInstance(16, UNSAT_N16_CLAUSES))
+    assert report.passed and not report.satisfiable
+
+
 # 98 and 100 branch steps: the decide loop from greedy and its refutation, or on
 # the open masks, which split into the gadget's two sides, each side's decide.
 @pytest.mark.parametrize("kind", ["bondage", "total-bondage"])
