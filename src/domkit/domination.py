@@ -43,10 +43,13 @@ each side is a separate set cover, and every gadget is bipartite.  So:
     split decide that succeeds.  A root refuted by its bound never asks
     for the components;
   * ``_all_minimum_covers`` enumerates each component's covers at that
-    component's own optimum, and returns their product, sorted.  This
-    is exactly the minimum covers, since a minimum cover takes a
-    minimum cover of each component.  It raises at the same cap, as
-    soon as the product would pass it.
+    component's own optimum, and returns their product, sorted.  It
+    reads those optima off one split decide at the proven optimum: each
+    pick dominates inside a single component, so a component's optimum
+    is the number of picks that dominate its vertices.  The product is
+    exactly the minimum covers, since a minimum cover takes a minimum
+    cover of each component.  It raises at the same cap, as soon as
+    the product would pass it.
 
 γ and γ_t (``_minimum_cover``) are decide refutations: from a first
 cover, decide "one pick fewer than the last cover found" until that
@@ -466,11 +469,9 @@ def _all_minimum_covers(cover: tuple[int, ...], size: int, cap: int) -> list[tup
     full = (1 << len(cover)) - 1
     groups, sizes = [full], [size]
     if len(split := _groups(cover, 0)) > 1:
-        packing = _branch(cover, full, 0)
-        minima = None if packing is None else _group_minima(cover, size, split, 0, packing[0])
-        if minima is None:
-            return []
-        groups, sizes = split, [len(picks) for picks in minima]
+        # A split decide at the optimum: each pick dominates inside one component.
+        picks = _search(cover, size)
+        groups, sizes = split, [sum(1 for u in picks if cover[u] & undom) for undom in split]
     parts: list[list[tuple[int, ...]]] = []
     count = 1
     for undom, k in zip(groups, sizes):

@@ -35,22 +35,20 @@ reuse what earlier searches found:
     endpoint that lost its lone dominator.  A pair of edges is settled
     by a cover that holds neither as fragile and does not hold them as
     a fragile pair.  So the scans settle all single edges, or all
-    partners of a first edge, with one AND per cover.  A candidate that isolates a vertex (in the total variant) is
-    never settled: it holds all that vertex's dominator edges in every
-    cover and leaves none to repair them with.  It does not qualify
-    either, and ``qualifying_after`` drops it from the scan's row with a
-    second mask, from the edges each vertex has left after the prefix.
-    ``verify._qualifying_removals`` states the same rule a second way:
-    it counts the edges with no leaf end, and a property test holds the
-    two to one count.  Only the candidates left in the row get the
-    toggled masks, in one pass over the covers kept since, newest first.
+    partners of a first edge, with one AND per cover.  A candidate that
+    isolates a vertex (in the total variant) is never settled: it holds
+    all that vertex's dominator edges in every cover and leaves none to
+    repair them with, so alone, as an edge with a degree-1 end, it stays
+    in the row of a cover with slack too.  It does not qualify either:
+    ``hit`` toggles its edges, finds the isolated endpoint's mask empty
+    and rejects it before any repair or search.  Every other candidate
+    left in the row gets one pass over the kept covers, newest first.
     Each is repaired: plus one dominator for each endpoint it lost
     (none, if it survives), and, when that is one pick over the limit,
     less one redundant pick, a pick all of whose dominated vertices are
-    dominated twice.  The first repaired cover
-    that fits the limit settles the candidate and joins the kept covers,
-    as a cover of G - R is one of G; only when none fits is there a
-    search.
+    dominated twice.  The first repaired cover that fits the limit
+    settles the candidate and joins the kept covers, as a cover of
+    G - R is one of G; only when none fits is there a search.
   * Single-edge additions (``AdditionSearch``).  A set S smaller than
     the parameter does not dominate G, so it can dominate G + uv only
     through the new edge: S holds u and misses at most v in G, or the
@@ -164,14 +162,14 @@ class RemovalSearch:
     """Decides whether G - R keeps a (total) dominating set of at most ``base`` vertices.
 
     As a scan, its ``candidates`` are the edges of G, sorted, and ``hit``
-    accepts a removal that leaves no cover within ``base``.  ``kept``
-    seeds the store of known covers of G; those within ``base`` are
-    kept, and every cover a search finds or a repair makes joins them.
-    ``row`` is the candidates that are both open and qualifying:
-    ``open_after`` settles whole rows at once from each kept cover's
+    accepts a removal that qualifies and leaves no cover within ``base``.
+    ``kept`` seeds the store of known covers of G; those within ``base``
+    are kept, and every cover a search finds or a repair makes joins
+    them.  ``row`` settles whole rows at once from each kept cover's
     slack, fragile and doubly fragile edges and fragile pairs (see the
-    module docstring), worked out the first time a row needs the cover,
-    and ``qualifying_after`` drops the removals that isolate a vertex.
+    module docstring), worked out the first time a row needs the cover;
+    ``hit`` rejects a removal that isolates a vertex before any repair
+    or search.
     """
 
     def __init__(self, g: Graph, total: bool, base: int, kept: Iterable[Iterable[str]] = ()):
@@ -190,12 +188,8 @@ class RemovalSearch:
         # Per kept cover, in the same order: its slack, fragile and doubly fragile
         # edges, and for each edge the edges it forms a fragile pair with.
         self._fragile: list[tuple[int, int, int, dict[int, int]]] = []
-        # Total variant: the edge numbers at each vertex (only there can a removal isolate one).
-        self._incident: list[int] | None = None
-        if total:
-            self._incident = [0] * g.num_vertices
-            for (i, _), e in self._edge_ids.items():
-                self._incident[i] |= 1 << e
+        # Total variant: the edges with a degree-1 end, a vertex whose open mask has one bit.
+        self._isolating = _bits(e for (i, _), e in self._edge_ids.items() if total and self._cover[i].bit_count() == 1)
 
     def _summaries(self) -> list[tuple[int, int, int, dict[int, int]]]:
         """Slack, fragile and doubly fragile edges, and fragile pairs of each kept cover, brought up to date."""
@@ -221,69 +215,41 @@ class RemovalSearch:
             self._fragile.append((self.base - chosen.bit_count(), fragile, doubly, mates))
         return self._fragile
 
-    def open_after(self, prefix: tuple[int, ...]) -> int:
+    def row(self, prefix: tuple[int, ...]) -> int:
         """Bits of the edges that no kept cover yet settles when removed along with ``prefix``.
 
         Edges are numbered by their position in ``candidates``.  A
         settled edge set keeps a cover within the limit, so it is not
         a hit.  Alone, an edge is settled by a kept cover with no slack
         that does not hold it as fragile, or with slack that does not
-        hold it as doubly fragile, unless its removal isolates a vertex
-        (total variant), which leaves no dominator to repair with.
-        After one edge, a pair is settled by a kept cover that holds
-        neither edge as fragile nor both as a fragile pair.  Only
-        prefixes of at most one edge are looked at; after a longer one,
-        every edge is open (-1).
+        hold it as doubly fragile, unless it has a degree-1 end (total
+        variant): its removal isolates that vertex, which leaves no
+        dominator to repair with.  After one edge, a pair is settled by
+        a kept cover that holds neither edge as fragile nor both as a
+        fragile pair.  Only prefixes of at most one edge are looked at;
+        after a longer one, every edge is open (-1).
         """
         if len(prefix) > 1:
             return -1
         still = -1
-        if not prefix:
-            isolating = ~self.qualifying_after(())
         for slack, fragile, doubly, mates in self._summaries():
             if not prefix:
-                still &= fragile if slack == 0 else doubly | isolating
+                still &= fragile if slack == 0 else doubly | self._isolating
             elif not fragile >> prefix[0] & 1:
                 still &= fragile | mates.get(prefix[0], 0)
         return still
 
-    def qualifying_after(self, prefix: tuple[int, ...]) -> int:
-        """Bits of the edges whose removal along with ``prefix`` leaves no vertex isolated.
+    def hit(self, edges: Iterable[Edge]) -> bool:
+        """Whether removing ``edges`` qualifies and leaves no cover within ``base``.
 
-        Edges are numbered as in ``open_after``.  Every edge qualifies
-        in the closed variant (-1), and none when ``prefix`` alone
-        isolates a vertex.
-        """
-        if self._incident is None:
-            return -1
-        removed = _bits(prefix)
-        still = -1
-        for edges in self._incident:
-            left = edges & ~removed
-            if not left:
-                return 0
-            if not left & left - 1:  # the vertex's last edge
-                still &= ~left
-        return still
-
-    def row(self, prefix: tuple[int, ...]) -> int:
-        """The edges a first-hit scan still has to try after ``prefix``: open and qualifying."""
-        return self.open_after(prefix) & self.qualifying_after(prefix)
-
-    def hit(self, edges: tuple[Edge, ...]) -> bool:
-        """Whether removing ``edges`` leaves no cover within ``base``."""
-        return not self.covers_after(edges)
-
-    def covers_after(self, edges: Iterable[Edge]) -> bool:
-        """Whether G minus ``edges`` has a cover within ``base``.
-
-        False when the removal leaves an isolated vertex (total variant),
-        which nothing can dominate; ``row`` never offers such a removal.
-        Otherwise one pass over the kept covers, newest first, repairs
-        each: one dominator for each endpoint it lost, and, when that is
-        one pick over ``base``, less its first redundant pick.  The first
-        that fits ``base`` answers True and, if it changed, joins the
-        kept covers; only when none fits is there a search.
+        A removal that empties an endpoint's mask isolates it (total
+        variant): it does not qualify, so the answer is False before any
+        repair or search.  Otherwise one pass over the kept covers,
+        newest first, repairs each: one dominator for each endpoint it
+        lost, and, when that is one pick over ``base``, less its first
+        redundant pick.  The first that fits ``base`` answers False and,
+        if it changed, joins the kept covers; only when none fits is
+        there a search, and a cover it finds joins them too.
         """
         cover, touched = _toggled(self.graph, self._cover, edges)
         if any(cover[i] == 0 for i in touched):
@@ -299,12 +265,11 @@ class RemovalSearch:
             if repaired.bit_count() <= self.base:
                 if repaired != chosen:
                     self._kept.append(repaired)
-                return True
+                return False
         found = _search(tuple(cover), self.base)
-        if found is None:
-            return False
-        self._kept.append(_bits(found))
-        return True
+        if found is not None:
+            self._kept.append(_bits(found))
+        return found is None
 
 
 class AdditionSearch:
@@ -402,7 +367,8 @@ def _first_hit(search: RemovalSearch | AdditionSearch, max_k: int | None) -> Per
 
     A set of k candidates is a prefix of k - 1 and one later candidate;
     ``search.row(prefix)`` gives, as bits over the candidate positions,
-    the last candidates that are not already known to miss (-1: all).
+    the last candidates that are not already known to miss (-1: all),
+    and ``search.hit`` decides each of those, qualification included.
     """
     candidates = search.candidates
     count = len(candidates)

@@ -273,13 +273,15 @@ def _structure_claim(
         graphs = [("", cover, param)]
     else:
         claim_id = "augmented-minimum-set-structure"
-        additions = AdditionSearch(g, total, param)
-        # exactly one below: one added edge can lower gamma_t by 2
-        graphs = (
-            (f" (G+{edge})", _toggled(g, cover, [edge])[0], param - 1)
-            for edge in (additions.candidates if lowered else ())
-            if additions.covers_after((edge,), param - 1) and not additions.covers_after((edge,), param - 2)
-        )
+        graphs = []
+        if lowered:
+            additions = AdditionSearch(g, total, param)
+            # exactly one below: one added edge can lower gamma_t by 2
+            graphs = (
+                (f" (G+{edge})", _toggled(g, cover, [edge])[0], param - 1)
+                for edge in additions.candidates
+                if additions.covers_after((edge,), param - 1) and not additions.covers_after((edge,), param - 2)
+            )
         expected = (
             f"for every added edge reaching {'gamma_t' if total else 'gamma'} == {param - 1}: "
             f"minimum {'total set' if total else 'set'}s avoid {'s1' if total else 'the apex'} and clause vertices, "

@@ -6,8 +6,9 @@ of it shares search code with the package, so agreement between the
 two is meaningful evidence.  The exceptions follow.
 ``scan_perturbation``, the reference for perturbation witnesses, shares
 the package's bounded search, but decides every candidate edge set on
-its own copy of the graph, with none of the perturbation module's
-shortcuts.  ``reference_minimum_cover``, the reference for γ and γ_t
+its own copy of the graph (``removal_covers`` for a removal), with
+none of the perturbation module's shortcuts.
+``reference_minimum_cover``, the reference for γ and γ_t
 values above brute-force sizes, shares the package's branch step and
 greedy cover, but finds the optimum by one search that lowers its limit
 at every cover it reaches, not by decide searches at fixed limits.
@@ -177,6 +178,18 @@ def brute_total_reinforcement(g: Graph) -> int:
     raise AssertionError("total reinforcement must succeed before exhausting the complement")
 
 
+def removal_covers(reduced: Graph, total: bool, limit: int) -> bool | None:
+    """Whether ``reduced``, a copy of a graph less the removed edges, has a (total) dominating set within ``limit``.
+
+    None when the removal isolated a vertex in the total variant: such
+    a removal does not qualify, and nothing dominates that vertex.  A
+    removal is a hit of ``RemovalSearch`` exactly when this is False.
+    """
+    if total and reduced.isolated_vertices():
+        return None
+    return (has_total_dominating_set_within if total else has_dominating_set_within)(reduced, limit)
+
+
 def scan_perturbation(g: Graph, kind: str, max_k: int | None = None):
     """(value, witness, base) by the plain edge-subset scan.
 
@@ -201,10 +214,7 @@ def scan_perturbation(g: Graph, kind: str, max_k: int | None = None):
     for k in range(1, min(max_k, len(candidates)) + 1):
         for subset in combinations(candidates, k):
             if removal:
-                reduced = g.remove_edges(subset)
-                if total and reduced.isolated_vertices():
-                    continue
-                if not within(reduced, base):
+                if removal_covers(g.remove_edges(subset), total, base) is False:
                     return k, subset, base
             elif within(g.add_edges(subset), base - 1):
                 return k, subset, base

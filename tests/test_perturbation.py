@@ -41,6 +41,7 @@ from oracles import (
     oracle_dominates,
     path_graph,
     random_graph,
+    removal_covers,
     scan_perturbation,
     star_graph,
 )
@@ -424,7 +425,9 @@ def test_single_edge_searches_match_graph_copies():
     """Every edge and every limit, decided on masks, equals the search on a copied graph.
 
     Unlike the first-hit scans, this runs past hits, so it reaches the
-    reuse of covers and partner sets found by earlier edges.
+    reuse of covers and partner sets found by earlier edges.  ``hit``
+    accepts a removal exactly when it isolates no vertex (total
+    variant) and the copy keeps no cover within the limit.
     """
     rng = random.Random(1990)
     for _ in range(120):
@@ -432,7 +435,6 @@ def test_single_edge_searches_match_graph_copies():
         for total in (False, True):
             if total and g.isolated_vertices():
                 continue
-            within = has_total_dominating_set_within if total else has_dominating_set_within
             start = total_domination_number(g) if total else domination_number(g)
             base = start.value
             assert_single_additions_match(g, total, base, range(base - 3, base + 1))
@@ -440,8 +442,8 @@ def test_single_edge_searches_match_graph_copies():
             for edge in sorted(g.edges):
                 reduced = g.remove_edges([edge])
                 for limit, search in removals:
-                    expected = False if total and reduced.isolated_vertices() else within(reduced, limit)
-                    assert search.covers_after([edge]) == expected, (total, edge, limit, g.edges)
+                    expected = removal_covers(reduced, total, limit) is False
+                    assert search.hit((edge,)) == expected, (total, edge, limit, g.edges)
             assert_kept_covers_dominate(g, total, removals)
 
 
@@ -481,9 +483,10 @@ def test_edge_pair_removals_match_graph_copies():
 
     One search per limit runs through all pairs, as the scans do but
     past the first hit.  Before the pairs with a first edge e, the
-    search's fragile-edge masks mark which edges, alone and after e,
-    its kept covers settle; every edge set they settle must keep a
-    cover within the limit.
+    search's rows mark which edges, alone and after e, its kept covers
+    settle; every edge set they settle must qualify and keep a cover
+    within the limit, and ``hit`` must accept exactly the qualifying
+    pairs whose copy keeps none.
     """
     rng = random.Random(1983)
     for _ in range(250):
@@ -491,7 +494,6 @@ def test_edge_pair_removals_match_graph_copies():
         for total in (False, True):
             if total and g.isolated_vertices():
                 continue
-            within = has_total_dominating_set_within if total else has_dominating_set_within
             start = total_domination_number(g) if total else domination_number(g)
             removals = removal_searches(g, total, start)
             edges = sorted(g.edges)
@@ -499,24 +501,24 @@ def test_edge_pair_removals_match_graph_copies():
                 alone = g.remove_edges([first])
                 rows = []
                 for limit, search in removals:
-                    assert search.open_after(()) >> e & 1 or within(alone, limit), (total, first, limit)
-                    rows.append(search.open_after((e,)))
+                    assert search.row(()) >> e & 1 or removal_covers(alone, total, limit), (total, first, limit)
+                    rows.append(search.row((e,)))
                 for f in range(e + 1, len(edges)):
                     pair = (first, edges[f])
                     reduced = g.remove_edges(pair)
                     for (limit, search), row in zip(removals, rows):
-                        expected = False if total and reduced.isolated_vertices() else within(reduced, limit)
-                        assert row >> f & 1 or expected, (total, pair, limit, "settled by the masks")
-                        assert search.covers_after(pair) == expected, (total, pair, limit, g.edges)
+                        covers = removal_covers(reduced, total, limit)
+                        assert row >> f & 1 or covers, (total, pair, limit, "settled by the masks")
+                        assert search.hit(pair) == (covers is False), (total, pair, limit, g.edges)
             assert_kept_covers_dominate(g, total, removals)
 
 
 def test_qualifying_rows_match_graph_copies():
-    """After every prefix of up to two edges, the scan row drops exactly the removals that isolate a vertex.
+    """After every prefix of up to two edges, ``hit`` rejects exactly the removals that isolate a vertex, and no row settles one.
 
     The isolating removals are those whose graph copy has isolated
-    vertices, in the total variant only; ``row`` is the open row
-    with them cleared.
+    vertices, in the total variant only.  Every other removal is a hit
+    exactly when its copy keeps no cover within the limit.
     """
     rng = random.Random(1999)
     for _ in range(120):
@@ -528,12 +530,35 @@ def test_qualifying_rows_match_graph_copies():
             search = RemovalSearch(g, total, 1)
             for k in range(3):
                 for prefix in combinations(range(len(edges)), k):
-                    row = search.qualifying_after(prefix)
-                    assert search.row(prefix) == search.open_after(prefix) & row
+                    row = search.row(prefix)
                     for f in set(range(len(edges))) - set(prefix):
-                        reduced = g.remove_edges([edges[i] for i in prefix] + [edges[f]])
-                        isolating = total and bool(reduced.isolated_vertices())
-                        assert row >> f & 1 != isolating, (total, prefix, f, g.edges)
+                        removed = tuple(edges[i] for i in prefix) + (edges[f],)
+                        covers = removal_covers(g.remove_edges(removed), total, 1)
+                        assert row >> f & 1 or covers, (total, prefix, f, "settled by the masks")
+                        assert search.hit(removed) == (covers is False), (total, prefix, f, g.edges)
+
+
+def test_isolating_removal_runs_no_search(monkeypatch):
+    """``hit`` rejects a removal that isolates a vertex before any repair or search, and keeps no cover for it.
+
+    On P4 (a-b-c-d), unseeded at gamma_t = 2, a search would find no
+    cover on masks with an emptied one and read the removal as a hit.
+    """
+    searches = []
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return _search(*args, **kwargs)
+
+    monkeypatch.setattr(perturbation, "_search", counted)
+    g = Graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    search = RemovalSearch(g, True, 2)
+    for removed in ((("a", "b"),), (("b", "c"), ("c", "d")), (("a", "b"), ("c", "d"))):
+        assert search.hit(removed) is False, removed
+    assert searches == [] and search._kept == []
+    # Control: b-c isolates nothing, and G - bc, two K2, needs four picks.
+    assert search.hit((("b", "c"),)) is True
+    assert len(searches) == 1
 
 
 def test_edge_pair_additions_match_graph_copies():

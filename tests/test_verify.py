@@ -9,7 +9,7 @@ import pytest
 from conftest import UNSAT8_DIMACS
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_structure_violations
+from oracles import reference_structure_violations, removal_covers
 from strategies import isolated_free_graphs
 
 import domkit
@@ -296,6 +296,8 @@ def test_deep_enumerations_match_graph_copies(kind, name):
 def test_augmenting_edges_are_sought_from_the_first_candidate(monkeypatch, kind, name):
     """The deep claim's window tests try every complement edge from the first, and none when r > 1.
 
+    When r > 1 no ``AdditionSearch`` is built either: it would try no edge.
+
     On a satisfiable instance the certificate gives r = 1 (r_t = 1) with
     ``deep`` too, so no reinforcement scan runs, and the report is the
     scan path's byte for byte.
@@ -305,8 +307,13 @@ def test_augmenting_edges_are_sought_from_the_first_candidate(monkeypatch, kind,
         patch.setattr(verify_module, "_certifies_one", lambda *args: False)
         scan_path = verify(kind, inst, deep=True).to_lines()
     asked = []
+    built = []
 
     class Counted(AdditionSearch):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
         def covers_after(self, edges, limit):
             asked.append((edges, limit))
             return super().covers_after(edges, limit)
@@ -328,7 +335,7 @@ def test_augmenting_edges_are_sought_from_the_first_candidate(monkeypatch, kind,
         edges = build(kind, inst).graph.complement_edges()
         assert [added for added, limit in asked if limit == lowered] == [(edge,) for edge in edges]
     else:
-        assert asked == []
+        assert asked == [] and built == []
         assert entry.observed.startswith("0 augmenting edges")
 
 
@@ -649,17 +656,24 @@ def test_certificate_gives_the_scans_report(monkeypatch, first_hits, certificate
 def anchor_edges_not_hit(kind, inst):
     """Anchor-edge candidates that no certificate may accept.
 
-    Every qualifying edge of the gadget whose removal keeps a cover
-    within gamma (gamma_t), an edge the gadget lacks, and in the total
-    variant s5-s6, whose removal isolates s6: not a hit, but no cover
-    survives it either.
+    Every edge of the gadget that ``hit`` rejects at gamma (gamma_t),
+    checked against a graph copy: its removal keeps a cover within it
+    or, in the total variant, isolates a vertex, as removing s5-s6
+    isolates s6 (not a hit, but no cover survives it either); and an
+    edge the gadget lacks.
     """
     total = kind is ReductionKind.TOTAL_BONDAGE
     g = build(kind, inst).graph
-    search = RemovalSearch(g, total, (total_domination_number if total else domination_number)(g).value)
-    qualifying = search.qualifying_after(())
-    kept = [e for i, e in enumerate(search.candidates) if qualifying >> i & 1 and search.covers_after((e,))]
-    return tuple(kept) + (("s1", "s3"),) + ((("s5", "s6"),) if total else ())
+    param = (total_domination_number if total else domination_number)(g).value
+    search = RemovalSearch(g, total, param)
+    kept = []
+    for edge in search.candidates:
+        covers = removal_covers(g.remove_edges([edge]), total, param)
+        assert search.hit((edge,)) == (covers is False), (kind, edge)
+        if covers is not False:
+            kept.append(edge)
+    assert (("s5", "s6") in kept) == total
+    return tuple(kept) + (("s1", "s3"),)
 
 
 @pytest.mark.parametrize("kind", REMOVAL_KINDS)
@@ -867,14 +881,13 @@ class TestRemovalSweep:
     @staticmethod
     def copy_sweep(g, total, bound):
         """(first qualifying edge whose removal breaks the bound or None, qualifying count)."""
-        within = has_total_dominating_set_within if total else has_dominating_set_within
         first, count = None, 0
         for edge in sorted(g.edges):
-            rest = g.remove_edges([edge])
-            if total and rest.isolated_vertices():
+            covers = removal_covers(g.remove_edges([edge]), total, bound)
+            if covers is None:
                 continue
             count += 1
-            if first is None and not within(rest, bound):
+            if first is None and not covers:
                 first = edge
         return first, count
 
@@ -915,9 +928,20 @@ class TestRemovalSweep:
     @given(isolated_free_graphs(), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_count_is_the_searchs_qualifying_edges(self, g, total):
-        """``_qualifying_removals``, the edges with no leaf end, counts what ``qualifying_after(())`` masks per edge."""
-        search = RemovalSearch(g, total, g.num_vertices)  # which removals qualify does not depend on the bound
-        assert _qualifying_removals(g, total) == (search.qualifying_after(()) & (1 << g.num_edges) - 1).bit_count()
+        """``_qualifying_removals``, the edges with no leaf end, counts the single-edge removals that qualify.
+
+        A removal qualifies when its graph copy has no isolated vertex
+        (total variant), and ``hit`` accepts exactly those that qualify
+        and whose copy keeps no cover within the parameter.
+        """
+        limit = (total_domination_number if total else domination_number)(g).value
+        search = RemovalSearch(g, total, limit)
+        qualifying = 0
+        for edge in search.candidates:
+            covers = removal_covers(g.remove_edges([edge]), total, limit)
+            assert search.hit((edge,)) == (covers is False), (total, edge, g.edges)
+            qualifying += covers is not None
+        assert _qualifying_removals(g, total) == qualifying
 
 
 class TestReportShape:
