@@ -12,10 +12,15 @@ stops at the first one accepted.  Two questions are asked of it:
     every-bound fact with that fact's vertices banned;
   * enumerate "exactly k" (``_all_minimum_covers``), run at an optimum
     its caller has already proven, records every cover and accepts
-    none, with a hard cap on the number of sets.  ``verify``'s
-    structure claim at the exact bound calls it on cover masks
-    directly: at the parameter it has solved, and on the toggled masks
-    of G + e at the optimum that its window test proved for G + e.
+    none, with a hard cap on the number of sets.  Like decide, it takes
+    vertices already dominated and vertices banned, as keywords.
+    ``verify``'s structure claim at the exact bound calls it on cover
+    masks directly: at the parameter it has solved; for the
+    reinforcement kinds' per-vertex pools, at one less, with a vertex x
+    dominated in advance and its dominators banned (the sets that miss
+    only x); and, for the rest of a set that holds two vertices and
+    misses exactly both, at three less, with both vertices and all they
+    dominate dominated in advance and their dominators banned.
 
 Both split the vertices into components first, as #SAT solvers split a
 formula into variable-disjoint parts (Bacchus, Dalmao & Pitassi 2003).
@@ -458,19 +463,24 @@ def has_total_dominating_set_within(g: Graph, size: int) -> bool:
     return _search(_cover_masks(g, total=True), size) is not None
 
 
-def _all_minimum_covers(cover: tuple[int, ...], size: int, cap: int) -> list[tuple[int, ...]]:
-    """Every cover of exactly ``size`` picks, each found once, in index order.
+def _all_minimum_covers(
+    cover: tuple[int, ...], size: int, cap: int, *, dominated: int = 0, banned: int = 0
+) -> list[tuple[int, ...]]:
+    """Every cover of exactly ``size`` picks of the vertices outside ``dominated``, none in ``banned``, in index order.
 
-    ``size`` must be the proven optimum of ``cover``: only there are the
-    covers within it exactly the minimum ones.  Each component's covers
-    are enumerated at its own optimum, and the answer is their product.
+    Each is found once.  No such cover may have fewer than ``size``
+    picks: only then are the covers within it exactly the minimum ones.
+    Each component's covers are enumerated at its own optimum, and the
+    answer is their product; it is empty when no cover fits ``size``.
     Raises BudgetExceededError past ``cap`` covers.
     """
     full = (1 << len(cover)) - 1
-    groups, sizes = [full], [size]
-    if len(split := _groups(cover, 0)) > 1:
+    groups, sizes = [full & ~dominated], [size]
+    if len(split := _groups(cover, dominated)) > 1:
         # A split decide at the optimum: each pick dominates inside one component.
-        picks = _search(cover, size)
+        picks = _search(cover, size, dominated, banned)
+        if picks is None:
+            return []
         groups, sizes = split, [sum(1 for u in picks if cover[u] & undom) for undom in split]
     parts: list[list[tuple[int, ...]]] = []
     count = 1
@@ -484,7 +494,7 @@ def _all_minimum_covers(cover: tuple[int, ...], size: int, cap: int) -> list[tup
             part.append(tuple(chosen))
             return False
 
-        _search(cover, k, full & ~undom, found=found)
+        _search(cover, k, full & ~undom, banned, found)
         count *= len(part)
         parts.append(part)
     results = [tuple(sorted(chain.from_iterable(picks))) for picks in product(*parts)]

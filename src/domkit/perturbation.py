@@ -36,12 +36,12 @@ reuse what earlier searches found:
     by a cover that holds neither as fragile and does not hold them as
     a fragile pair.  So the scans settle all single edges, or all
     partners of a first edge, with one AND per cover.  A candidate that
-    isolates a vertex (in the total variant) is never settled: it holds
-    all that vertex's dominator edges in every cover and leaves none to
-    repair them with, so alone, as an edge with a degree-1 end, it stays
-    in the row of a cover with slack too.  It does not qualify either:
-    ``hit`` toggles its edges, finds the isolated endpoint's mask empty
-    and rejects it before any repair or search.  Every other candidate
+    isolates a vertex (in the total variant) does not qualify.  When it
+    holds an edge with a degree-1 end, the row drops it at every prefix,
+    as one mask made once; when it isolates a vertex of higher degree,
+    as a pair does with both edges of a degree-2 vertex, ``hit`` toggles
+    its edges, finds that endpoint's mask empty and rejects it before
+    any repair or search.  Every other candidate
     left in the row gets one pass over the kept covers, newest first.
     Each is repaired: plus one dominator for each endpoint it lost
     (none, if it survives), and, when that is one pick over the limit,
@@ -51,22 +51,29 @@ reuse what earlier searches found:
     G - R is one of G; only when none fits is there a search.
   * Single-edge additions (``AdditionSearch``).  A set S smaller than
     the parameter does not dominate G, so it can dominate G + uv only
-    through the new edge: S holds u and misses at most v in G, or the
+    through the new edge: S holds u and misses only v in G, or the
     other way round (Kok and Mynhardt, 1990).  In the total variant S
-    may instead hold both endpoints and miss at most both.  Each case is
-    one search from an already-dominated mask with the endpoint forced
-    in, gated by a memoised per-vertex search ("some such set misses
-    only x"); every set found also settles the other edges into x from
-    its members.  Both searches bar the dominators of the vertices they
-    must leave undominated (x, or u and v), so either fails at its root
-    when some other vertex it must dominate has only barred dominators.
-    The *dead* mask of x, made on first use, holds the vertices w all of
-    whose dominators also dominate x (cover[w] a subset of cover[x]).
-    It settles the search for x without a search when it holds a vertex
-    other than x, and the "both endpoints" search for uv when the dead
-    masks of u and v hold a vertex other than u, v and the vertices they
-    dominate.  A set of two or more added edges is decided by one search
-    on the cover masks with those edges joined.
+    may instead hold both endpoints and miss exactly both.  So the
+    single edges are settled per vertex: the row decides once for each
+    vertex x whether some set of one below the parameter misses only x
+    (a memoised search from the root), and keeps only the edges with
+    such an endpoint, and in the total variant those whose "both
+    endpoints" case the dead masks below leave open.  ``hit`` decides
+    each of those by one search from an already-dominated mask with the
+    endpoint forced in; every set found also settles the other edges
+    into x from its members.  Both searches bar the dominators of the
+    vertices they must leave undominated (x, or u and v), so either
+    fails at its root when some other vertex it must dominate has only
+    barred dominators.  The *dead* mask of x, made on first use, holds
+    the vertices w all of whose dominators also dominate x (cover[w] a
+    subset of cover[x]).  It settles the search for x without a search
+    when it holds a vertex other than x, and the "both endpoints" search
+    for uv when the dead masks of u and v hold a vertex other than u, v
+    and the vertices they dominate.  The same cases, as the masks
+    ``missing_only`` and ``missing_both`` give them, let ``verify``
+    read the minimum sets of every G + e from per-vertex pools.  A set
+    of two or more added edges is decided by one search on the cover
+    masks with those edges joined.
 
 Every search first needs the unperturbed parameter.  A caller that has
 already solved it, as ``verify`` has, passes that result as ``start``
@@ -165,10 +172,11 @@ class RemovalSearch:
     accepts a removal that qualifies and leaves no cover within ``base``.
     ``kept`` seeds the store of known covers of G; those within ``base``
     are kept, and every cover a search finds or a repair makes joins
-    them.  ``row`` settles whole rows at once from each kept cover's
-    slack, fragile and doubly fragile edges and fragile pairs (see the
-    module docstring), worked out the first time a row needs the cover;
-    ``hit`` rejects a removal that isolates a vertex before any repair
+    them.  ``row`` drops the edges with a degree-1 end (total variant)
+    and settles whole rows at once from each kept cover's slack, fragile
+    and doubly fragile edges and fragile pairs (see the module
+    docstring), worked out the first time a row needs the cover; ``hit``
+    rejects any other removal that isolates a vertex before any repair
     or search.
     """
 
@@ -216,25 +224,28 @@ class RemovalSearch:
         return self._fragile
 
     def row(self, prefix: tuple[int, ...]) -> int:
-        """Bits of the edges that no kept cover yet settles when removed along with ``prefix``.
+        """Bits of the edges whose removal along with ``prefix`` may be a hit.
 
-        Edges are numbered by their position in ``candidates``.  A
-        settled edge set keeps a cover within the limit, so it is not
-        a hit.  Alone, an edge is settled by a kept cover with no slack
-        that does not hold it as fragile, or with slack that does not
-        hold it as doubly fragile, unless it has a degree-1 end (total
-        variant): its removal isolates that vertex, which leaves no
-        dominator to repair with.  After one edge, a pair is settled by
-        a kept cover that holds neither edge as fragile nor both as a
-        fragile pair.  Only prefixes of at most one edge are looked at;
-        after a longer one, every edge is open (-1).
+        Edges are numbered by their position in ``candidates``.  An edge
+        with a degree-1 end (total variant) is never open: its removal
+        isolates that vertex, so no set holding it qualifies, and after
+        a prefix that holds one the row is empty.  Every other edge is
+        open unless a kept cover settles it: a settled edge set keeps a
+        cover within the limit, so it is not a hit.  Alone, an edge is
+        settled by a kept cover with no slack that does not hold it as
+        fragile, or with slack that does not hold it as doubly fragile.
+        After one edge, a pair is settled by a kept cover that holds
+        neither edge as fragile nor both as a fragile pair.  Kept covers
+        are looked at only after prefixes of at most one edge.
         """
+        if _bits(prefix) & self._isolating:
+            return 0
+        still = ~self._isolating
         if len(prefix) > 1:
-            return -1
-        still = -1
+            return still
         for slack, fragile, doubly, mates in self._summaries():
             if not prefix:
-                still &= fragile if slack == 0 else doubly | self._isolating
+                still &= fragile if slack == 0 else doubly
             elif not fragile >> prefix[0] & 1:
                 still &= fragile | mates.get(prefix[0], 0)
         return still
@@ -275,19 +286,22 @@ class RemovalSearch:
 class AdditionSearch:
     """Decides whether G plus missing edges has a (total) dominating set within ``limit``.
 
-    As a scan, its ``candidates`` are the missing edges of G, sorted,
-    ``row`` keeps every one open, and ``hit`` accepts an addition that
-    leaves a cover below ``base``, the unperturbed parameter.  Each
-    added edge lowers the domination number by at most 1 and the total
-    domination number by at most 2, so only limits in that window reach
-    a search: the forced-endpoint test for one edge, the joined cover
-    masks for more.
+    As a scan, its ``candidates`` are the missing edges of G, sorted, and
+    ``hit`` accepts an addition that leaves a cover below ``base``, the
+    unperturbed parameter.  Each added edge lowers the domination number
+    by at most 1 and the total domination number by at most 2, so only
+    limits in that window reach a search: the forced-endpoint test for
+    one edge, the joined cover masks for more.  ``row`` settles the
+    single edges per vertex (see its docstring), and ``ends`` holds each
+    candidate's endpoint indices, in candidate order.
     """
 
     def __init__(self, g: Graph, total: bool, base: int):
         self.graph = g
         self.base = base
         self.candidates = g.complement_edges()
+        # In candidate order, so that no hit looks a label up.
+        self.ends = {edge: (g.index_of(edge[0]), g.index_of(edge[1])) for edge in self.candidates}
         self._total = total
         self._cover = _cover_masks(g, total)
         # (x, limit) -> members other than x of sets of at most ``limit``
@@ -297,8 +311,25 @@ class AdditionSearch:
         self._dead: dict[int, int] = {}
 
     def row(self, prefix: tuple[int, ...]) -> int:
-        """Every candidate is open: additions are settled only by ``hit``."""
-        return -1
+        """Bits of the candidates that may be a hit when added along with ``prefix``.
+
+        Alone, an edge uv is open when u or v has a set of ``base`` - 1
+        vertices that misses only it (``missing_only``), each vertex's
+        decided once; in the total variant also when its "both
+        endpoints" case survives the dead masks (``missing_both``).  A
+        set below ``base`` that dominates G + uv is one of those cases,
+        so no other single edge is a hit.  After a nonempty prefix every
+        candidate is open (-1).
+        """
+        if prefix:
+            return -1
+        lone = _bits(x for x in range(len(self._cover)) if self.missing_only(x))
+        both = self._total and self.base > 2  # a "both" set holds u and v, so base - 1 >= 2
+        return _bits(
+            e
+            for e, (u, v) in enumerate(self.ends.values())
+            if (lone >> u | lone >> v) & 1 or both and self.missing_both(u, v)
+        )
 
     def hit(self, edges: tuple[Edge, ...]) -> bool:
         """Whether adding ``edges`` leaves a cover smaller than ``base``."""
@@ -311,12 +342,13 @@ class AdditionSearch:
             self._dead[x] = _bits(w for w, mask in enumerate(self._cover) if not mask & ~out)
         return self._dead[x]
 
-    def _misses_only(self, u: int, x: int, limit: int) -> bool:
-        """Some set of at most ``limit`` vertices holds u and dominates all of G but x.
+    def _partnered(self, x: int, limit: int) -> int | None:
+        """Members other than x of the sets found so far of at most ``limit`` vertices that dominate all of G but x.
 
-        Such a set is smaller than the parameter, so it really misses x:
-        no dominator of x may join it, and none exists when that leaves
-        another vertex without a dominator.
+        None when no such set exists.  Such a set is smaller than the
+        parameter, so it really misses x: no dominator of x may join it,
+        and none exists when that leaves another vertex without a
+        dominator.  The first call per key makes the one search from the root.
         """
         key = (x, limit)
         if key not in self._partners:
@@ -325,7 +357,36 @@ class AdditionSearch:
             else:
                 found = _search(self._cover, limit, 1 << x, self._cover[x])
             self._partners[key] = None if found is None else _bits(found) & ~(1 << x)
-        partners = self._partners[key]
+        return self._partners[key]
+
+    def missing_only(self, x: int) -> tuple[int, int] | None:
+        """``(dominated, banned)`` of the sets of ``base`` - 1 vertices that dominate all of G but x.
+
+        None when there is none.  Such a set dominates G + ux for each of
+        its members u, and every one has exactly ``base`` - 1 vertices:
+        with one neighbour of x added, it dominates G.
+        """
+        if self._partnered(x, self.base - 1) is None:
+            return None
+        return 1 << x, self._cover[x]
+
+    def missing_both(self, u: int, v: int) -> tuple[int, int] | None:
+        """``(dominated, banned)`` of the rest of the sets that hold u and v and dominate all of G but both.
+
+        Total variant only.  Cover masks are symmetric, so the vertices u
+        and v dominate are also the ones that may not join; any other
+        vertex whose dominators are all among them stays undominated, so
+        no such set exists, and the answer is None.
+        """
+        near = self._cover[u] | self._cover[v]
+        ends = 1 << u | 1 << v
+        if (self._dead_with(u) | self._dead_with(v)) & ~(near | ends):
+            return None
+        return near | ends, near
+
+    def _misses_only(self, u: int, x: int, limit: int) -> bool:
+        """Some set of at most ``limit`` vertices holds u and dominates all of G but x."""
+        partners = self._partnered(x, limit)
         if partners is None:
             return False
         if partners >> u & 1:
@@ -333,7 +394,7 @@ class AdditionSearch:
         found = _search(self._cover, limit - 1, self._cover[u] | 1 << x, self._cover[x])
         if found is None:
             return False
-        self._partners[key] = partners | (_bits(found) | 1 << u) & ~(1 << x)
+        self._partners[x, limit] = partners | (_bits(found) | 1 << u) & ~(1 << x)
         return True
 
     def covers_after(self, edges: tuple[Edge, ...], limit: int) -> bool:
@@ -342,24 +403,21 @@ class AdditionSearch:
             return True
         if limit < max(1, self.base - len(edges) * (2 if self._total else 1)):
             return False
-        if len(edges) > 1:
-            cover, _ = _toggled(self.graph, self._cover, edges)
+        ends = [self.ends[edge] for edge in edges]
+        if len(ends) > 1:
+            cover = list(self._cover)
+            for u, v in ends:
+                cover[u] |= 1 << v
+                cover[v] |= 1 << u
             return _search(tuple(cover), limit) is not None
-        (a, b), = edges
-        u, v = self.graph.index_of(a), self.graph.index_of(b)
+        (u, v), = ends
         if self._misses_only(u, v, limit) or self._misses_only(v, u, limit):
             return True
-        if not self._total or limit < 2:
-            return False
         # Both endpoints in the set and, the cases above having failed,
-        # neither dominated in G.  Cover masks are symmetric, so the
-        # vertices u and v dominate are also the ones that may not join;
-        # any other vertex whose dominators are all among them stays
-        # undominated, so no such set exists.
-        near = self._cover[u] | self._cover[v]
-        if (self._dead_with(u) | self._dead_with(v)) & ~(near | 1 << u | 1 << v):
+        # neither dominated in G.
+        if not self._total or limit < 2 or (both := self.missing_both(u, v)) is None:
             return False
-        return _search(self._cover, limit - 2, near | 1 << u | 1 << v, near) is not None
+        return _search(self._cover, limit - 2, *both) is not None
 
 
 def _first_hit(search: RemovalSearch | AdditionSearch, max_k: int | None) -> PerturbResult:

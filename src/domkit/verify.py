@@ -28,13 +28,19 @@ refuted by one decide at the parameter with the fact's vertices banned,
 from what ``verify`` has already proven, so no optimum is solved again
 and no graph is copied:
 
-  * each search runs at the known optimum, on cover masks: the
-    parameter for the gadget, and one less for G+e, which the window
-    test that picks e proves (a set of one less exists, none of two less);
-    at the optimum a cover found is a minimum set;
-  * G+e is the gadget's cover masks with e joined;
-  * the augmenting edges are sought among all complement edges, in the
-    addition scan's order, and only when the perturbation value is 1:
+  * each enumeration runs at a proven optimum, on cover masks: the
+    parameter for the gadget; at the optimum a cover found is a
+    minimum set;
+  * the minimum sets of G+e are read from per-vertex pools
+    (``_augmented_minimum_sets``): a set of one less than the parameter
+    dominates G + uv only by holding one endpoint and missing only the
+    other in the gadget, or (total variant) by holding both and missing
+    exactly both (Kok and Mynhardt, 1990).  So the sets of one less
+    that miss only x are enumerated once per vertex x, at that
+    problem's optimum, and each G+e takes its share.  The edges are
+    those of ``AdditionSearch``'s single-edge row, in the addition
+    scan's order;
+  * the edges are sought only when the perturbation value is 1:
     otherwise no edge lowers the parameter and there is nothing to
     enumerate.  The claim reads the value, not how it was proven, so a
     certificate serves it as well as the scan.
@@ -70,9 +76,9 @@ parameter is one above the exact bound, as on an unsatisfiable
 instance, that is the first stage of the removal scan itself, with the
 same bound and seed, so the sweep's first breaking edge is the scan's
 witness when b = 1 (b_t = 1) and none otherwise, and the sweep is not
-run again.  The deep check picks its augmenting edges with the
-forced-endpoint test of ``perturbation.AdditionSearch``.  See that
-module for both.
+run again.  The deep check reads its augmenting edges off the
+single-edge row of ``perturbation.AdditionSearch``.  See that module
+for both.
 
 On a satisfiable instance the perturbation value comes from a
 certificate that ``verify`` checks first (``_certifies_one``), not from
@@ -105,6 +111,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cache
 
 from .cnf import CnfError, CnfInstance, TooFewVariablesError, random_instance, solve_sat
 # ``perfbench/tracing.py`` wraps the solver and builder names below in this
@@ -230,6 +237,56 @@ def _every_bound_violation(out: ReductionOutput, cover: tuple[int, ...], param: 
     return None
 
 
+def _augmented_minimum_sets(g: Graph, cover: tuple[int, ...], total: bool, param: int, cap: int):
+    """Each edge e whose addition lowers ``param`` by exactly one, with the minimum sets of G+e, sorted.
+
+    ``cover`` is the masks of ``g``, whose (total) domination number is
+    ``param``.  A set below ``param`` dominates G + uv only through the
+    new edge (Kok and Mynhardt, 1990): it holds u and misses only v in G,
+    or holds v and misses only u, or (total variant) holds both and
+    misses exactly both.  So the sets of ``param`` - 1 vertices that miss
+    only x, x's *pool*, are enumerated once for each vertex that has one
+    (``AdditionSearch.missing_only``), at that problem's optimum, and
+    each edge of the search's single-edge row, in candidate order, takes
+    the pool sets of v that hold u, those of u that hold v, and the
+    "both" sets, enumerated per edge.  An edge whose "both" case has a
+    set of ``param`` - 2 lowers gamma_t by two and is skipped.
+
+    Raises BudgetExceededError when an edge has more than ``cap`` sets.
+    A pool is bounded by ``cap`` sets per candidate edge at its vertex:
+    each of its sets holds the other end of one, so past that bound some
+    edge has more than ``cap``, or the excess lies on edges that lower
+    gamma_t by two (none does on the gadgets measured).
+    """
+    additions = AdditionSearch(g, total, param)
+
+    @cache
+    def pool(x: int) -> list[tuple[int, ...]]:
+        if (masks := additions.missing_only(x)) is None:
+            return []
+        room = cap * (len(cover) - (cover[x] | 1 << x).bit_count())
+        try:
+            return _all_minimum_covers(cover, param - 1, room, dominated=masks[0], banned=masks[1])
+        except BudgetExceededError:
+            raise BudgetExceededError(f"more than {cap} minimum sets") from None
+
+    for e in iter_bits(additions.row(())):
+        edge = additions.candidates[e]
+        u, v = additions.ends[edge]
+        sets = [chosen for chosen in pool(v) if u in chosen] + [chosen for chosen in pool(u) if v in chosen]
+        both = additions.missing_both(u, v) if total and param > 2 else None
+        if both is not None:
+            dominated, banned = both
+            if param > 3 and _search(cover, param - 4, dominated, banned) is not None:
+                continue
+            rests = _all_minimum_covers(cover, param - 3, cap, dominated=dominated, banned=banned)
+            sets += [tuple(sorted(rest + (u, v))) for rest in rests]
+        if len(sets) > cap:
+            raise BudgetExceededError(f"more than {cap} minimum sets")
+        if sets:
+            yield edge, sorted(sets)
+
+
 def _structure_claim(
     out: ReductionOutput,
     cover: tuple[int, ...],
@@ -245,12 +302,12 @@ def _structure_claim(
     ``cover`` is the gadget's cover masks, ``param`` its proven
     parameter and ``lowered`` whether one added edge lowers it (the
     perturbation value is 1; the bondage kinds add no edge and ignore
-    it).  The window test, a set one below ``param`` and none two below,
-    runs on every complement edge when ``lowered`` and on none
-    otherwise.  At the exact bound (for G+e, one below it) every minimum
-    set is enumerated and ``structure_violation`` asked about each; away
-    from it only the every-bound facts apply, and each is refuted by one
-    decide (``_every_bound_violation``).
+    it).  The edges e and the minimum sets of each G+e are read from
+    per-vertex pools when ``lowered`` (``_augmented_minimum_sets``), and
+    none is sought otherwise.  At the exact bound (for G+e, one below
+    it) every minimum set is enumerated and ``structure_violation``
+    asked about each; away from it only the every-bound facts apply, and
+    each is refuted by one decide (``_every_bound_violation``).
     """
     g = out.graph
     if removal:
@@ -269,19 +326,8 @@ def _structure_claim(
             violation = _every_bound_violation(out, cover, param)
             refuted = f"all {len(every_bound_facts(out))} constrained decides refuted"
             return ClaimCheck(claim_id, expected, violation or refuted, violation is None)
-        # (suffix naming the graph in a violation, its cover masks, its optimum)
-        graphs = [("", cover, param)]
     else:
         claim_id = "augmented-minimum-set-structure"
-        graphs = []
-        if lowered:
-            additions = AdditionSearch(g, total, param)
-            # exactly one below: one added edge can lower gamma_t by 2
-            graphs = (
-                (f" (G+{edge})", _toggled(g, cover, [edge])[0], param - 1)
-                for edge in additions.candidates
-                if additions.covers_after((edge,), param - 1) and not additions.covers_after((edge,), param - 2)
-            )
         expected = (
             f"for every added edge reaching {'gamma_t' if total else 'gamma'} == {param - 1}: "
             f"minimum {'total set' if total else 'set'}s avoid {'s1' if total else 'the apex'} and clause vertices, "
@@ -289,8 +335,14 @@ def _structure_claim(
         )
     checked_graphs = checked_sets = 0
     try:
-        for suffix, masks, size in graphs:
-            covers = _all_minimum_covers(tuple(masks), size, DEEP_SET_CAP)
+        # (suffix naming the graph in a violation, its minimum sets)
+        if removal:
+            graphs = [("", _all_minimum_covers(cover, param, DEEP_SET_CAP))]
+        elif lowered:
+            graphs = ((f" (G+{edge})", sets) for edge, sets in _augmented_minimum_sets(g, cover, total, param, DEEP_SET_CAP))
+        else:
+            graphs = []
+        for suffix, covers in graphs:
             checked_graphs += 1
             checked_sets += len(covers)
             sets = (frozenset(map(g.label_at, chosen)) for chosen in covers)

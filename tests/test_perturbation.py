@@ -483,10 +483,11 @@ def test_edge_pair_removals_match_graph_copies():
 
     One search per limit runs through all pairs, as the scans do but
     past the first hit.  Before the pairs with a first edge e, the
-    search's rows mark which edges, alone and after e, its kept covers
-    settle; every edge set they settle must qualify and keep a cover
-    within the limit, and ``hit`` must accept exactly the qualifying
-    pairs whose copy keeps none.
+    search's rows mark which edges, alone and after e, may be a hit;
+    every edge set they drop must not be one (it keeps a cover within
+    the limit, or it isolates a vertex and does not qualify), and
+    ``hit`` must accept exactly the qualifying pairs whose copy keeps
+    none.
     """
     rng = random.Random(1983)
     for _ in range(250):
@@ -501,24 +502,26 @@ def test_edge_pair_removals_match_graph_copies():
                 alone = g.remove_edges([first])
                 rows = []
                 for limit, search in removals:
-                    assert search.row(()) >> e & 1 or removal_covers(alone, total, limit), (total, first, limit)
+                    assert search.row(()) >> e & 1 or removal_covers(alone, total, limit) is not False, (total, first, limit)
                     rows.append(search.row((e,)))
                 for f in range(e + 1, len(edges)):
                     pair = (first, edges[f])
                     reduced = g.remove_edges(pair)
                     for (limit, search), row in zip(removals, rows):
                         covers = removal_covers(reduced, total, limit)
-                        assert row >> f & 1 or covers, (total, pair, limit, "settled by the masks")
+                        assert row >> f & 1 or covers is not False, (total, pair, limit, "dropped by the row")
                         assert search.hit(pair) == (covers is False), (total, pair, limit, g.edges)
             assert_kept_covers_dominate(g, total, removals)
 
 
 def test_qualifying_rows_match_graph_copies():
-    """After every prefix of up to two edges, ``hit`` rejects exactly the removals that isolate a vertex, and no row settles one.
+    """After every prefix of up to two edges, ``hit`` rejects exactly the removals that isolate a vertex.
 
     The isolating removals are those whose graph copy has isolated
     vertices, in the total variant only.  Every other removal is a hit
-    exactly when its copy keeps no cover within the limit.
+    exactly when its copy keeps no cover within the limit, and no row
+    drops a hit.  A removal that holds an edge with a degree-1 end is
+    never in the row.
     """
     rng = random.Random(1999)
     for _ in range(120):
@@ -528,13 +531,16 @@ def test_qualifying_rows_match_graph_copies():
             if not edges or total and g.isolated_vertices():
                 continue
             search = RemovalSearch(g, total, 1)
+            leaves = {v for v in g.vertices if len(g.open_neighbors(v)) == 1}
             for k in range(3):
                 for prefix in combinations(range(len(edges)), k):
                     row = search.row(prefix)
                     for f in set(range(len(edges))) - set(prefix):
                         removed = tuple(edges[i] for i in prefix) + (edges[f],)
                         covers = removal_covers(g.remove_edges(removed), total, 1)
-                        assert row >> f & 1 or covers, (total, prefix, f, "settled by the masks")
+                        assert row >> f & 1 or covers is not False, (total, prefix, f, "dropped by the row")
+                        if total and any(a in leaves or b in leaves for a, b in removed):
+                            assert not row >> f & 1, (prefix, f, "an edge with a degree-1 end stays open")
                         assert search.hit(removed) == (covers is False), (total, prefix, f, g.edges)
 
 
@@ -559,6 +565,37 @@ def test_isolating_removal_runs_no_search(monkeypatch):
     # Control: b-c isolates nothing, and G - bc, two K2, needs four picks.
     assert search.hit((("b", "c"),)) is True
     assert len(searches) == 1
+
+
+def test_scan_offers_hit_no_edge_with_a_degree_1_end():
+    """Total bondage's ``_first_hit`` hands ``hit`` no removal that holds an edge with a degree-1 end.
+
+    Such a removal isolates that vertex, so it does not qualify: the row
+    drops the edge, and is empty after a prefix that holds one.  The
+    random graphs' answers equal the plain scan's; the gadgets, which
+    have such edges at their clause vertices and anchor, are scanned up
+    to two edges.
+    """
+    asked = []
+
+    class Recorded(RemovalSearch):
+        def hit(self, edges):
+            asked.append(edges)
+            return super().hit(edges)
+
+    rng = random.Random(1983)
+    graphs = [random_graph(rng, rng.randint(3, 8), rng.uniform(0.15, 0.5)) for _ in range(80)]
+    graphs = [g for g in graphs if g.edges and not g.isolated_vertices()]
+    gadgets = [build("total-bondage", inst).graph for inst in sat_and_unsat_instances()]
+    for g in graphs + gadgets:
+        leaves = {v for v in g.vertices if len(g.open_neighbors(v)) == 1}
+        start = total_domination_number(g)
+        for max_k in (1, 2):
+            asked.clear()
+            got = _first_hit(Recorded(g, True, start.value, kept=[start.witness]), max_k)
+            assert not any(a in leaves or b in leaves for edges in asked for a, b in edges), (max_k, g.edges)
+            if g not in gadgets:
+                assert (got.value, got.witness, got.base) == scan_perturbation(g, "total-bondage", max_k), g.edges
 
 
 def test_edge_pair_additions_match_graph_copies():

@@ -1,6 +1,7 @@
 import concurrent.futures
 import importlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,14 +10,13 @@ import pytest
 from conftest import UNSAT8_DIMACS
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_structure_violations, removal_covers
+from oracles import random_graph, reference_structure_violations, removal_covers
 from strategies import isolated_free_graphs
 
 import domkit
 from domkit import domination, perturbation, reductions
 from domkit.cnf import CnfError, CnfInstance, TooFewVariablesError, parse_dimacs, random_instance, solve_sat
 from domkit.domination import (
-    BudgetExceededError,
     _all_minimum_covers,
     _cover_masks,
     _search,
@@ -43,6 +43,7 @@ from domkit.reductions import KindMismatchError, ReductionKind, build
 from domkit.verify import (
     ClaimCheck,
     VerificationReport,
+    _augmented_minimum_sets,
     _certifies_one,
     _dominates_with,
     _every_bound_violation,
@@ -60,6 +61,16 @@ STAR = Graph(["c", "l1", "l2", "l3", "l4"], [("c", "l1"), ("c", "l2"), ("c", "l3
 
 def claim_ids(report):
     return [c.claim_id for c in report.claims]
+
+
+def augmented_sets_on_copies(g, total, param):
+    """(e, the minimum sets of the copy G+e) for each missing edge e that lowers ``param`` by exactly one, in order."""
+    within = has_total_dominating_set_within if total else has_dominating_set_within
+    return [
+        (edge, enumerate_minimum_sets(copy, total))
+        for edge in g.complement_edges()
+        if within(copy := g.add_edges([edge]), param - 1) and not within(copy, param - 2)
+    ]
 
 
 class TestVerifiers:
@@ -156,20 +167,37 @@ class TestVerifiers:
 
     @pytest.mark.parametrize("kind", list(ReductionKind))
     def test_enumeration_cap_gives_an_undetermined_claim(self, monkeypatch, kind):
+        """One minimum set past the cap makes the structure claim "undetermined"; at the cap the report is unchanged.
+
+        The cap is on the minimum sets of one enumerated graph, counted on
+        graph copies: the gadget's (bondage kinds), or those of G+e for the
+        augmenting edge e with the most (reinforcement kinds).  At the cap
+        the claim counts the copies' sets, so a set that the claim drops or
+        counts twice fails either way.
+        """
         full = verify(kind, TINY, deep=True)
-
-        def capped(*args, **kwargs):
-            raise BudgetExceededError("more than 7 minimum sets")
-
-        # ``domkit.verify`` is the function; the module has to be looked up
-        monkeypatch.setattr(importlib.import_module("domkit.verify"), "_all_minimum_covers", capped)
+        g = build(kind, TINY).graph
+        total = kind in (ReductionKind.TOTAL_BONDAGE, ReductionKind.TOTAL_REINFORCEMENT)
+        if kind in REINFORCEMENT_KINDS:
+            augmenting = augmented_sets_on_copies(g, total, full.parameter_value)
+            most = max(len(sets) for _, sets in augmenting)
+            count = sum(len(sets) for _, sets in augmenting)
+            conform = f"{len(augmenting)} augmenting edges, {count} sets conform"
+        else:
+            most = len(enumerate_minimum_sets(g, total))
+            conform = f"all {most} minimum sets conform"
+        monkeypatch.setattr(verify_module, "DEEP_SET_CAP", most)
+        report = verify(kind, TINY, deep=True)
+        assert report.to_lines() == full.to_lines()
+        assert next(c for c in report.claims if "structure" in c.claim_id).observed == conform
+        monkeypatch.setattr(verify_module, "DEEP_SET_CAP", most - 1)
         report = verify(kind, TINY, deep=True)
         assert report.deep_checked and not report.passed
         assert claim_ids(report) == claim_ids(full)
         for entry, unpatched in zip(report.claims, full.claims):
             if "structure" in entry.claim_id:
                 assert not entry.passed
-                assert entry.observed == "undetermined: more than 7 minimum sets"
+                assert entry.observed == f"undetermined: more than {most - 1} minimum sets"
                 assert entry.expected == unpatched.expected
             else:
                 assert entry == unpatched
@@ -192,10 +220,12 @@ class TestVerifiers:
                 assert (r.perturbation_value == 1) == r.satisfiable
 
 
-# Each mutation turns the first real minimum set into one that breaks the
-# kind's structure: (kind, instance, mutation, the claim's observed text).
-# The text is pinned for the bondage kinds; the reinforcement kinds' text
-# names the added edge, which depends on the enumeration order.  Above the
+# Each mutation turns a real minimum set into one that breaks the kind's
+# structure: (kind, instance, mutation, the claim's observed text).  The text
+# is pinned for the bondage kinds, whose first minimum set is mutated.  For
+# the reinforcement kinds the last minimum set of the last augmenting edge's
+# G+e is, all found on graph copies, so the text is worked out there, and
+# every set of every G+e is asked about first.  Above the
 # exact bound nothing is enumerated: each every-bound fact is refuted by a
 # decide.  There the mutation is to the kind's lemma row instead, so that the
 # decide finds a real minimum set that breaks it ("no s5": the row holds s4
@@ -227,7 +257,7 @@ def test_structure_claim_fails_on_a_broken_minimum_set(monkeypatch, kind, inst, 
     out = build(kind, inst)
     gadget = set(out.variable_gadget(1))
     g = out.graph
-    enumerated = []
+    asked = []
     if mutation in LEMMA_MUTANTS:
         monkeypatch.setitem(reductions._SPECS, kind, reductions._SPECS[kind]._replace(**LEMMA_MUTANTS[mutation]))
     else:
@@ -238,23 +268,36 @@ def test_structure_claim_fails_on_a_broken_minimum_set(monkeypatch, kind, inst, 
             "drop": lambda s: s - {min(s & gadget)},
         }[mutation]
 
+    if kind in REINFORCEMENT_KINDS:
+        # Every set of every augmenting edge's G+e is asked about, each once
+        # and in order, up to the broken last one.
+        total = kind is ReductionKind.TOTAL_REINFORCEMENT
+        param = (total_domination_number(g) if total else domination_number(g)).value
+        augmenting = augmented_sets_on_copies(g, total, param)
+        sets = [chosen for _, edge_sets in augmenting for chosen in edge_sets]
+        real = reductions.structure_violation
+        observed = real(out, mutate(sets[-1]), True)
+        assert observed, mutation
+        observed += f" (G+{augmenting[-1][0]})"
+
+        def broken(out, chosen, at_exact):
+            asked.append(chosen)
+            return real(out, mutate(chosen) if len(asked) == len(sets) else chosen, at_exact)
+
+        monkeypatch.setattr(verify_module, "structure_violation", broken)
+    elif mutation not in LEMMA_MUTANTS:
+
         def broken(cover, size, cap):
-            enumerated.append(cover)
             first = {g.label_at(i) for i in _all_minimum_covers(cover, size, cap)[0]}
             return [tuple(sorted(map(g.index_of, mutate(first))))]
 
-        monkeypatch.setattr(importlib.import_module("domkit.verify"), "_all_minimum_covers", broken)
+        monkeypatch.setattr(verify_module, "_all_minimum_covers", broken)
     report = verify(kind, inst, deep=True)
     entry = next(c for c in report.claims if "structure" in c.claim_id)
     assert report.deep_checked and not entry.passed and not report.passed
-    if observed is not None:
-        assert entry.observed == observed
-    else:
-        # the set failed on the first augmenting edge, G+e, named as a suffix;
-        # e's endpoints are the two vertices whose masks differ from G's
-        total = kind is ReductionKind.TOTAL_REINFORCEMENT
-        u, v = (i for i, (a, b) in enumerate(zip(enumerated[0], _cover_masks(g, total))) if a != b)
-        assert entry.observed.endswith(f" (G+{(g.label_at(u), g.label_at(v))})")
+    assert entry.observed == observed
+    if kind in REINFORCEMENT_KINDS:
+        assert asked == sets
 
 
 # The deep claim's enumerations, against ``enumerate_minimum_sets`` on graph
@@ -264,39 +307,64 @@ DEEP_ORACLE_INSTANCES = {
 }
 
 
-@pytest.mark.parametrize("kind", list(ReductionKind))
-@pytest.mark.parametrize("name", list(DEEP_ORACLE_INSTANCES))
-def test_deep_enumerations_match_graph_copies(kind, name):
-    """At the known optimum: the gadget's masks, and the toggled masks of G+e for every augmenting edge e.
+def assert_additions_match_copies(g, total):
+    """The augmenting edges and their composed minimum sets, and the single-edge row, against graph copies.
 
-    The augmenting edges are those whose copy G+e has a set one below
-    the parameter but none two below; on the bondage gadgets too, though
-    ``verify`` enumerates G+e only for the reinforcement kinds.
+    ``_augmented_minimum_sets`` must give exactly the edges whose copy
+    G+e has a set one below the parameter and none two below, in order,
+    each with the copy's minimum sets; ``AdditionSearch.row(())`` must
+    keep every edge whose copy has a set below the parameter.
     """
-    g = build(kind, DEEP_ORACLE_INSTANCES[name]).graph
-    total = kind in (ReductionKind.TOTAL_BONDAGE, ReductionKind.TOTAL_REINFORCEMENT)
     within = has_total_dominating_set_within if total else has_dominating_set_within
     cover = _cover_masks(g, total)
     param = (total_domination_number(g) if total else domination_number(g)).value
+    row = AdditionSearch(g, total, param).row(())
+    for e, edge in enumerate(g.complement_edges()):
+        assert row >> e & 1 or not within(g.add_edges([edge]), param - 1), (total, edge, g.edges)
+    composed = [
+        (edge, [frozenset(map(g.label_at, chosen)) for chosen in covers])
+        for edge, covers in _augmented_minimum_sets(g, cover, total, param, 10**5)
+    ]
+    assert composed == augmented_sets_on_copies(g, total, param), (total, g.edges)
 
-    def labelled(covers):
-        return [frozenset(map(g.label_at, chosen)) for chosen in covers]
 
-    assert labelled(_all_minimum_covers(cover, param, 10**5)) == enumerate_minimum_sets(g, total)
-    for edge in g.complement_edges():
-        copy = g.add_edges([edge])
-        if within(copy, param - 1) and not within(copy, param - 2):
-            masks, _ = _toggled(g, cover, [edge])
-            covers = _all_minimum_covers(tuple(masks), param - 1, 10**5)
-            assert labelled(covers) == enumerate_minimum_sets(copy, total), (kind, edge)
+@pytest.mark.parametrize("kind", list(ReductionKind))
+@pytest.mark.parametrize("name", list(DEEP_ORACLE_INSTANCES))
+def test_deep_enumerations_match_graph_copies(kind, name):
+    """At the known optimum: the gadget's masks; and G+e for every augmenting edge e, composed from per-vertex pools.
+
+    On the bondage gadgets too, though ``verify`` composes G+e only for
+    the reinforcement kinds.
+    """
+    g = build(kind, DEEP_ORACLE_INSTANCES[name]).graph
+    total = kind in (ReductionKind.TOTAL_BONDAGE, ReductionKind.TOTAL_REINFORCEMENT)
+    cover = _cover_masks(g, total)
+    param = (total_domination_number(g) if total else domination_number(g)).value
+    covers = _all_minimum_covers(cover, param, 10**5)
+    assert [frozenset(map(g.label_at, chosen)) for chosen in covers] == enumerate_minimum_sets(g, total)
+    assert_additions_match_copies(g, total)
+
+
+def test_augmented_minimum_sets_match_graph_copies_on_random_graphs():
+    """The composed minimum sets of every G+e on random graphs of 6-9 vertices, closed and total, against copies."""
+    rng = random.Random(1990)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(6, 9), rng.uniform(0.15, 0.6))
+        for total in (False, True):
+            if not (total and g.isolated_vertices()):
+                assert_additions_match_copies(g, total)
 
 
 @pytest.mark.parametrize("kind", REINFORCEMENT_KINDS)
 @pytest.mark.parametrize("name", list(DEEP_ORACLE_INSTANCES))
 def test_augmenting_edges_are_sought_from_the_first_candidate(monkeypatch, kind, name):
-    """The deep claim's window tests try every complement edge from the first, and none when r > 1.
+    """The deep claim reads its edges off one single-edge row over every complement edge, and none when r > 1.
 
-    When r > 1 no ``AdditionSearch`` is built either: it would try no edge.
+    The row's bits are positions in the complement edges, in order, and
+    every augmenting edge, one whose graph copy G+e has a set one below
+    the parameter and none two below, is in it; the claim counts exactly
+    those edges and their copies' minimum sets.  When r > 1 no
+    ``AdditionSearch`` is built either: it would try no edge.
 
     On a satisfiable instance the certificate gives r = 1 (r_t = 1) with
     ``deep`` too, so no reinforcement scan runs, and the report is the
@@ -306,7 +374,7 @@ def test_augmenting_edges_are_sought_from_the_first_candidate(monkeypatch, kind,
     with monkeypatch.context() as patch:
         patch.setattr(verify_module, "_certifies_one", lambda *args: False)
         scan_path = verify(kind, inst, deep=True).to_lines()
-    asked = []
+    rows = []
     built = []
 
     class Counted(AdditionSearch):
@@ -314,9 +382,10 @@ def test_augmenting_edges_are_sought_from_the_first_candidate(monkeypatch, kind,
             built.append(args)
             super().__init__(*args)
 
-        def covers_after(self, edges, limit):
-            asked.append((edges, limit))
-            return super().covers_after(edges, limit)
+        def row(self, prefix):
+            row = super().row(prefix)
+            rows.append((prefix, row, self.candidates))
+            return row
 
     def scanned(*args, **kwargs):
         raise AssertionError("verify scanned")
@@ -331,45 +400,51 @@ def test_augmenting_edges_are_sought_from_the_first_candidate(monkeypatch, kind,
     assert report.to_lines() == scan_path
     entry = next(c for c in report.claims if "structure" in c.claim_id)
     if sat:
-        lowered = report.parameter_value - 1
-        edges = build(kind, inst).graph.complement_edges()
-        assert [added for added, limit in asked if limit == lowered] == [(edge,) for edge in edges]
+        g = build(kind, inst).graph
+        (prefix, row, candidates), = rows
+        assert prefix == () and candidates == g.complement_edges()
+        augmenting = augmented_sets_on_copies(g, kind is ReductionKind.TOTAL_REINFORCEMENT, report.parameter_value)
+        assert all(row >> candidates.index(edge) & 1 for edge, _ in augmenting)
+        count = sum(len(sets) for _, sets in augmenting)
+        assert entry.observed == f"{len(augmenting)} augmenting edges, {count} sets conform"
     else:
-        assert asked == [] and built == []
+        assert rows == [] and built == []
         assert entry.observed.startswith("0 augmenting edges")
 
 
-# Twice the enumeration's branch steps over the four kinds (bondage, total
-# bondage, reinforcement, total reinforcement): 42 + 37 + 252 + 486 on TINY,
-# none on UNSAT8 (total bondage is above its exact bound there, where the claim
-# refutes instead), and 33 + 61 + 280 + 1523 on random_instance(4, 8, 1),
-# whose reinforcement kinds enumerate G+e for 22 and 19 augmenting edges: a G+e
-# whose search is not tight from the root would show there.
+# Twice the deep claim's branch steps over the four kinds (bondage, total
+# bondage, reinforcement, total reinforcement): 42 + 36 + 65 + 55 on TINY,
+# 0 + 4 + 0 + 0 on UNSAT8 (total bondage is above its exact bound there, where
+# the claim refutes each every-bound fact by one decide instead), and
+# 33 + 60 + 72 + 272 on random_instance(4, 8, 1), whose reinforcement kinds
+# compose G+e for 22 and 19 augmenting edges from one pool each: a claim that
+# searched or enumerated per edge again would show there.
 @pytest.mark.parametrize(
     "inst, max_steps",
-    [(TINY, 2 * 817), (UNSAT8, 0), (random_instance(4, 8, 1), 2 * 1897)],
+    [(TINY, 2 * 198), (UNSAT8, 2 * 4), (random_instance(4, 8, 1), 2 * 437)],
     ids=["tiny", "unsat8", "sat4x8"],
 )
 def test_deep_enumeration_step_bound(monkeypatch, inst, max_steps):
-    """The deep claim's enumerations stay cheap: ``_branch`` calls made inside ``_all_minimum_covers``."""
+    """The deep claim stays cheap: ``_branch`` calls made inside ``_structure_claim``, its enumerations included."""
     steps = [0]
     inside = [False]
     branch = domination._branch
+    claim = verify_module._structure_claim
 
     def counted_branch(*args):
         if inside[0]:
             steps[0] += 1
         return branch(*args)
 
-    def counted_enumeration(*args):
+    def counted_claim(*args):
         inside[0] = True
         try:
-            return _all_minimum_covers(*args)
+            return claim(*args)
         finally:
             inside[0] = False
 
     monkeypatch.setattr(domination, "_branch", counted_branch)
-    monkeypatch.setattr(importlib.import_module("domkit.verify"), "_all_minimum_covers", counted_enumeration)
+    monkeypatch.setattr(verify_module, "_structure_claim", counted_claim)
     for kind in ReductionKind:
         assert verify(kind, inst, deep=True).passed
     assert steps[0] <= max_steps
