@@ -7,8 +7,13 @@ to that index.  Adjacency is kept as one bitmask per vertex over the
 dense indices, so subset-search solvers get O(1) neighborhood unions.
 
 Edge pairs are normalized with the lexicographically smaller label
-first.  "Mutating" operations (edge removal/addition) return new Graph
-values; instances are safe to share between threads.
+first, and each edge's endpoint indices are kept with it, in edge
+order, so that searches number edges without looking labels up.  Edge
+tests, duplicate checks and equality all read the adjacency bits: two
+graphs are equal when they have the same labels in the same order and
+the same adjacency, whatever the order or direction their edges were
+given in.  "Mutating" operations (edge removal/addition) return new
+Graph values; instances are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -69,15 +74,21 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 class Graph:
-    """An undirected simple graph: no self-loops, no parallel edges."""
+    """An undirected simple graph: no self-loops, no parallel edges.
 
-    __slots__ = ("_labels", "_index", "_adj", "_edges", "_edge_set")
+    Equal, and of equal hash, exactly when the labels are the same in
+    the same order and the adjacency masks are the same.  ``edge_ends``
+    gives the endpoint indices of ``edges``, pair by pair.
+    """
+
+    __slots__ = ("_labels", "_index", "_adj", "_edges", "_ends")
 
     def __init__(self, vertex_labels: Iterable[str], edge_pairs: Iterable[Edge] = ()):
         labels = tuple(vertex_labels)
         index: dict[str, int] = {}
         for lab in labels:
-            if not isinstance(lab, str) or not lab or any(ch.isspace() for ch in lab):
+            # ``str.split`` breaks at exactly the ``str.isspace`` characters
+            if not isinstance(lab, str) or lab.split() != [lab]:
                 raise GraphError(f"invalid vertex label {lab!r}: need nonempty text without whitespace")
             if lab in index:
                 raise DuplicateLabelError(f"duplicate vertex label {lab!r}")
@@ -85,28 +96,31 @@ class Graph:
 
         adj = [0] * len(labels)
         edges: list[Edge] = []
-        edge_set: set[Edge] = set()
+        ends: list[tuple[int, int]] = []
         for a, b in edge_pairs:
             if a == b:
                 raise SelfLoopError(f"self-loop at {a!r}")
-            if a not in index:
-                raise UnknownEndpointError(f"edge endpoint {a!r} is not a vertex")
-            if b not in index:
-                raise UnknownEndpointError(f"edge endpoint {b!r} is not a vertex")
-            e = normalize_edge(a, b)
-            if e in edge_set:
-                raise DuplicateEdgeError(f"duplicate edge {e!r}")
-            edge_set.add(e)
-            edges.append(e)
-            ia, ib = index[a], index[b]
-            adj[ia] |= 1 << ib
+            try:
+                ia, ib = index[a], index[b]
+            except KeyError:
+                raise UnknownEndpointError(f"edge endpoint {b if a in index else a!r} is not a vertex") from None
+            bit = 1 << ib
+            if adj[ia] & bit:
+                raise DuplicateEdgeError(f"duplicate edge {normalize_edge(a, b)!r}")
+            adj[ia] |= bit
             adj[ib] |= 1 << ia
+            if a <= b:
+                edges.append((a, b))
+                ends.append((ia, ib))
+            else:
+                edges.append((b, a))
+                ends.append((ib, ia))
 
         self._labels = labels
         self._index = index
         self._adj = tuple(adj)
         self._edges = tuple(edges)
-        self._edge_set = frozenset(edge_set)
+        self._ends = tuple(ends)
 
     # -- basic queries -------------------------------------------------
 
@@ -133,10 +147,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._labels == other._labels and self._edge_set == other._edge_set
+        return self._labels == other._labels and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self._labels, self._edge_set))
+        return hash((self._labels, self._adj))
 
     def __repr__(self) -> str:
         return f"Graph({self.num_vertices} vertices, {self.num_edges} edges)"
@@ -154,8 +168,13 @@ class Graph:
         """Per-vertex neighbor bitmasks over the dense vertex indices."""
         return self._adj
 
+    def edge_ends(self) -> tuple[tuple[int, int], ...]:
+        """The endpoint indices of each edge, in the order of ``edges`` and of each normalized pair."""
+        return self._ends
+
     def has_edge(self, a: str, b: str) -> bool:
-        return normalize_edge(a, b) in self._edge_set
+        ia, ib = self._index.get(a), self._index.get(b)
+        return ia is not None and ib is not None and self._adj[ia] >> ib & 1 == 1
 
     def open_neighbors(self, v: str) -> set[str]:
         """All vertices adjacent to v."""
@@ -178,7 +197,7 @@ class Graph:
         drop: set[Edge] = set()
         for a, b in edge_pairs:
             e = normalize_edge(a, b)
-            if e not in self._edge_set:
+            if not self.has_edge(a, b):
                 raise UnknownEdgeError(f"edge {e!r} is not in the graph")
             drop.add(e)
         return Graph(self._labels, (e for e in self._edges if e not in drop))
@@ -188,22 +207,25 @@ class Graph:
         extra: dict[Edge, None] = {}  # in order
         for a, b in edge_pairs:
             e = normalize_edge(a, b)
-            if e in self._edge_set or e in extra:
+            if self.has_edge(a, b) or e in extra:
                 raise EdgeAlreadyPresentError(f"edge {e!r} already present")
             extra[e] = None
         return Graph(self._labels, self._edges + tuple(extra))
 
     def complement_edges(self) -> list[Edge]:
         """All missing vertex pairs, sorted by normalized label pair."""
-        out = []
-        n = self.num_vertices
-        for i in range(n):
-            for j in range(i + 1, n):
-                e = normalize_edge(self._labels[i], self._labels[j])
-                if e not in self._edge_set:
-                    out.append(e)
-        out.sort()
-        return out
+        labels = self._labels
+        return [(labels[i], labels[j]) for i, j in self.complement_ends()]
+
+    def complement_ends(self) -> list[tuple[int, int]]:
+        """The endpoint indices of each missing pair, in the order of ``complement_edges``.
+
+        Walks the vertices in label order, so each pair comes out
+        normalized and the list sorted, read off the adjacency bits.
+        """
+        order = sorted(range(len(self._labels)), key=self._labels.__getitem__)
+        adj = self._adj
+        return [(i, j) for pos, i in enumerate(order) for j in order[pos + 1:] if not adj[i] >> j & 1]
 
     # -- bipartiteness -------------------------------------------------
 

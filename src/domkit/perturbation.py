@@ -153,6 +153,23 @@ def _toggled(g: Graph, cover: tuple[int, ...], edges: Iterable[Edge]) -> tuple[l
     return masks, touched
 
 
+def _isolates(cover: list[int], touched: list[int]) -> bool:
+    """Whether toggled cover masks leave an endpoint in ``touched`` without a dominator: a removal that isolates it (total variant)."""
+    return not all(cover[i] for i in touched)
+
+
+def _isolating(g: Graph, total: bool, ends: Iterable[tuple[int, int]]) -> int:
+    """Bits, over ``ends``, endpoint indices of edges of ``g``, of the edges whose removal isolates a vertex.
+
+    In the total variant those with a degree-1 end; in the closed
+    variant, where a vertex dominates itself, none.
+    """
+    if not total:
+        return 0
+    leaf = [mask.bit_count() == 1 for mask in g.adjacency_masks()]
+    return _bits(e for e, (i, j) in enumerate(ends) if leaf[i] or leaf[j])
+
+
 def _pruned(cover: list[int], chosen: int) -> int:
     """``chosen`` less its first redundant pick, one that dominates only vertices dominated twice; as it is if none."""
     once = twice = 0
@@ -170,34 +187,39 @@ class RemovalSearch:
 
     As a scan, its ``candidates`` are the edges of G, sorted, and ``hit``
     accepts a removal that qualifies and leaves no cover within ``base``.
-    ``kept`` seeds the store of known covers of G; those within ``base``
-    are kept, and every cover a search finds or a repair makes joins
-    them.  ``row`` drops the edges with a degree-1 end (total variant)
-    and settles whole rows at once from each kept cover's slack, fragile
-    and doubly fragile edges and fragile pairs (see the module
-    docstring), worked out the first time a row needs the cover; ``hit``
-    rejects any other removal that isolates a vertex before any repair
-    or search.
+    The candidates are numbered by their position in that order, and
+    the edge numbers by endpoint indices come from the graph's
+    ``edge_ends``, so no label is looked up.  ``kept`` seeds the store
+    of known covers of G; those within ``base`` are kept, and every
+    cover a search finds or a repair makes joins them.  ``row`` drops
+    the edges whose removal isolates a vertex (``_isolating``: in the
+    total variant, those with a degree-1 end) and settles whole rows at
+    once from each kept cover's slack, fragile and doubly fragile edges
+    and fragile pairs (see the module docstring), worked out the first
+    time a row needs the cover; ``hit`` rejects any other removal that
+    isolates a vertex (``_isolates``) before any repair or search.
     """
 
     def __init__(self, g: Graph, total: bool, base: int, kept: Iterable[Iterable[str]] = ()):
         self.graph = g
         self.base = base
-        self.candidates = sorted(g.edges)
+        # The candidates' positions in ``g.edges``, and their endpoint indices.
+        edges, edge_ends = g.edges, g.edge_ends()
+        order = sorted(range(len(edges)), key=edges.__getitem__)
+        self.candidates = [edges[e] for e in order]
+        ends = [edge_ends[e] for e in order]
         self._cover = _cover_masks(g, total)
         # A seeded cover larger than ``base`` proves nothing about it.
         seeds = (_bits(g.index_of(v) for v in chosen) for chosen in kept)
         self._kept = [mask for mask in seeds if mask.bit_count() <= base]
         # Edge numbers, as positions in ``candidates``, by endpoint indices in either order.
         self._edge_ids: dict[tuple[int, int], int] = {}
-        for e, (a, b) in enumerate(self.candidates):
-            i, j = g.index_of(a), g.index_of(b)
+        for e, (i, j) in enumerate(ends):
             self._edge_ids[i, j] = self._edge_ids[j, i] = e
         # Per kept cover, in the same order: its slack, fragile and doubly fragile
         # edges, and for each edge the edges it forms a fragile pair with.
         self._fragile: list[tuple[int, int, int, dict[int, int]]] = []
-        # Total variant: the edges with a degree-1 end, a vertex whose open mask has one bit.
-        self._isolating = _bits(e for (i, _), e in self._edge_ids.items() if total and self._cover[i].bit_count() == 1)
+        self._isolating = _isolating(g, total, ends)
 
     def _summaries(self) -> list[tuple[int, int, int, dict[int, int]]]:
         """Slack, fragile and doubly fragile edges, and fragile pairs of each kept cover, brought up to date."""
@@ -263,7 +285,7 @@ class RemovalSearch:
         there a search, and a cover it finds joins them too.
         """
         cover, touched = _toggled(self.graph, self._cover, edges)
-        if any(cover[i] == 0 for i in touched):
+        if _isolates(cover, touched):
             return False
         # A cover that lost no dominator survives as it is.
         for chosen in reversed(self._kept):
@@ -299,9 +321,10 @@ class AdditionSearch:
     def __init__(self, g: Graph, total: bool, base: int):
         self.graph = g
         self.base = base
-        self.candidates = g.complement_edges()
+        labels = g.vertices
         # In candidate order, so that no hit looks a label up.
-        self.ends = {edge: (g.index_of(edge[0]), g.index_of(edge[1])) for edge in self.candidates}
+        self.ends = {(labels[i], labels[j]): (i, j) for i, j in g.complement_ends()}
+        self.candidates = list(self.ends)
         self._total = total
         self._cover = _cover_masks(g, total)
         # (x, limit) -> members other than x of sets of at most ``limit``

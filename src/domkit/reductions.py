@@ -161,20 +161,30 @@ _SPECS = {
 
 
 def build(kind: ReductionKind | str, inst: CnfInstance) -> ReductionOutput:
-    """The gadget of one kind: variable gadgets, clause vertices, then the anchor."""
+    """The gadget of one kind: variable gadgets, clause vertices, then the anchor.
+
+    Each vertex label is made once, and the edges reuse those strings:
+    a clause vertex's edges take the literal labels of their variable
+    gadgets.
+    """
     kind = ReductionKind(kind)
     spec = _SPECS[kind]
+    part = spec.part
+    part_roles = [_PART_ROLES.get(p, ROLE_AUX) for p in part.prefixes]
     roles: dict[str, str] = {}  # in vertex order
     edges: list[Edge] = []
+    literals: dict[int, str] = {}  # literal -> its vertex label
     for i in range(1, inst.num_vars + 1):
-        roles.update((f"{p}{i}", _PART_ROLES.get(p, ROLE_AUX)) for p in spec.part.prefixes)
-        edges.extend((f"{a}{i}", f"{b}{i}") for a, b in spec.part.edges)
-    for j, clause in enumerate(inst.clauses, start=1):
-        roles[f"c{j}"] = ROLE_CLAUSE
-        edges.extend((f"c{j}", _literal_label(lit)) for lit in clause)
+        names = {p: f"{p}{i}" for p in part.prefixes}
+        roles.update(zip(names.values(), part_roles))
+        edges += [(names[a], names[b]) for a, b in part.edges]
+        literals[i], literals[-i] = names["u"], names["nu"]
+    clauses = [f"c{j}" for j in range(1, inst.num_clauses + 1)]
+    roles.update(dict.fromkeys(clauses, ROLE_CLAUSE))
+    edges += [(c, literals[lit]) for c, clause in zip(clauses, inst.clauses) for lit in clause]
     roles.update(dict.fromkeys(spec.anchor, ROLE_ANCHOR))
-    edges.extend(spec.anchor_edges)
-    edges.extend((f"c{j}", s) for j in range(1, inst.num_clauses + 1) for s in spec.joined)
+    edges += spec.anchor_edges
+    edges += [(c, s) for c in clauses for s in spec.joined]
     return ReductionOutput(kind, Graph(roles, edges), roles, inst)
 
 

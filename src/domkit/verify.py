@@ -134,6 +134,8 @@ from .perturbation import (
     AdditionSearch,
     RemovalSearch,
     _first_hit,
+    _isolates,
+    _isolating,
     _toggled,
     bondage_number,
     reinforcement_number,
@@ -369,17 +371,8 @@ def _dominates_with(g: Graph, cover: tuple[int, ...], witness: GadgetWitness) ->
 
 
 def _qualifying_removals(g: Graph, total: bool) -> int:
-    """How many single-edge removals qualify: every edge, or in the total variant those that isolate no vertex.
-
-    A removal isolates a vertex exactly when the edge is that vertex's
-    only edge, so the edges that qualify are those with no leaf end: the
-    edges between vertices of degree two or more, each seen from both ends.
-    """
-    if not total:
-        return g.num_edges
-    adj = g.adjacency_masks()
-    inner = sum(1 << v for v, mask in enumerate(adj) if mask & mask - 1)
-    return sum((adj[v] & inner).bit_count() for v in iter_bits(inner)) // 2
+    """How many single-edge removals qualify: those that isolate no vertex, ``perturbation._isolating``'s complement."""
+    return g.num_edges - _isolating(g, total, g.edge_ends()).bit_count()
 
 
 def _certifies_one(
@@ -411,7 +404,7 @@ def _certifies_one(
     # sorted is stable: row order within each group
     for edge in sorted(_SPECS[out.kind].anchor_edges, key=lambda edge: not witness.vertices.issuperset(edge)):
         masks, touched = _toggled(out.graph, cover, [edge])
-        if all(masks[i] for i in touched) and _search(tuple(masks), param) is None:
+        if not _isolates(masks, touched) and _search(tuple(masks), param) is None:
             return True
     return False
 

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domkit.graph import (
     DuplicateEdgeError,
@@ -57,6 +60,82 @@ class TestConstruction:
             Graph([""], [])
         with pytest.raises(GraphError):
             Graph(["a b"], [])
+
+
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+class TestValidation:
+    @pytest.mark.parametrize("ch", WHITESPACE, ids=[f"U+{ord(ch):04X}" for ch in WHITESPACE])
+    def test_every_whitespace_character_is_rejected_anywhere(self, ch):
+        for label in (ch, ch + "a", "a" + ch + "b", "a" + ch):
+            with pytest.raises(GraphError, match="invalid vertex label"):
+                Graph(["x", label], [])
+
+    def test_label_errors_come_in_label_order(self):
+        with pytest.raises(DuplicateLabelError, match="duplicate vertex label 'a'"):
+            Graph(["a", "a", ""], [])
+        with pytest.raises(GraphError, match="invalid vertex label ''"):
+            Graph(["a", "", "a"], [])
+        with pytest.raises(GraphError, match="invalid vertex label 3"):
+            Graph(["a", 3], [])
+
+    @pytest.mark.parametrize(
+        "edges, error, message",
+        [
+            ([("a", "b"), ("c", "c"), ("z", "a"), ("b", "a")], SelfLoopError, "self-loop at 'c'"),
+            ([("a", "b"), ("z", "y"), ("c", "c"), ("b", "a")], UnknownEndpointError, "edge endpoint 'z' is not a vertex"),
+            ([("a", "b"), ("a", "y"), ("z", "c"), ("b", "a")], UnknownEndpointError, "edge endpoint 'y' is not a vertex"),
+            ([("b", "c"), ("c", "b"), ("a", "z"), ("a", "a")], DuplicateEdgeError, "duplicate edge \\('b', 'c'\\)"),
+            ([("c", "a"), ("a", "c"), ("b", "b")], DuplicateEdgeError, "duplicate edge \\('a', 'c'\\)"),
+        ],
+    )
+    def test_edge_errors_come_in_edge_order(self, edges, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            Graph(["a", "b", "c"], edges)
+
+
+class TestEquality:
+    def test_edge_order_and_direction_do_not_matter(self):
+        g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        h = Graph(["a", "b", "c"], [("c", "b"), ("b", "a")])
+        assert g == h and hash(g) == hash(h)
+        assert g.edges != h.edges
+
+    def test_label_order_matters(self):
+        g = Graph(["a", "b", "c"], [("a", "b")])
+        h = Graph(["b", "a", "c"], [("a", "b")])
+        assert g != h
+
+    def test_adjacency_matters(self):
+        assert Graph(["a", "b", "c"], [("a", "b")]) != Graph(["a", "b", "c"], [("b", "c")])
+
+    @given(graphs(), st.randoms(use_true_random=False))
+    def test_equal_under_shuffled_reversed_edges(self, g, rng):
+        edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in g.edges]
+        rng.shuffle(edges)
+        h = Graph(g.vertices, edges)
+        assert h == g and hash(h) == hash(g)
+
+    def test_has_edge_is_false_for_unknown_labels(self):
+        g = p3()
+        assert not g.has_edge("a", "z")
+        assert not g.has_edge("z", "a")
+        assert not g.has_edge("z", "z")
+        assert not g.has_edge("a", "a")
+        assert g.has_edge("b", "a")
+
+
+class TestEdgeEnds:
+    @given(graphs(max_vertices=12), st.randoms(use_true_random=False))
+    def test_ends_agree_with_index_of(self, g, rng):
+        labels = list(g.vertices)
+        rng.shuffle(labels)
+        h = Graph(labels, [(b, a) if rng.random() < 0.5 else (a, b) for a, b in g.edges])
+        for graph in (g, h):
+            assert len(graph.edge_ends()) == graph.num_edges
+            for (a, b), (i, j) in zip(graph.edges, graph.edge_ends()):
+                assert (i, j) == (graph.index_of(a), graph.index_of(b))
 
 
 class TestNeighbors:
@@ -154,6 +233,17 @@ class TestComplement:
         comp = set(g.complement_edges())
         assert comp | set(g.edges) == all_pairs
         assert not comp & set(g.edges)
+
+    @given(graphs(min_vertices=10, max_vertices=13), st.randoms(use_true_random=False))
+    def test_sorted_by_label_not_by_index(self, g, rng):
+        """Labels x1..x13 sort apart from their indices (``x10`` < ``x2``), more so shuffled."""
+        labels = list(g.vertices)
+        rng.shuffle(labels)
+        for graph in (g, Graph(labels, g.edges)):
+            present = set(graph.edges)
+            expected = sorted((a, b) for a in graph.vertices for b in graph.vertices if a < b and (a, b) not in present)
+            assert graph.complement_edges() == expected
+            assert graph.complement_ends() == [(graph.index_of(a), graph.index_of(b)) for a, b in expected]
 
 
 class TestBipartite:
