@@ -49,11 +49,12 @@ reuse what earlier searches found:
     dominated twice.  The first repaired cover that fits the limit
     settles the candidate and joins the kept covers, as a cover of
     G - R is one of G; only when none fits is there a search.
-  * Single-edge additions (``AdditionSearch``).  A set S smaller than
-    the parameter does not dominate G, so it can dominate G + uv only
-    through the new edge: S holds u and misses only v in G, or the
-    other way round (Kok and Mynhardt, 1990).  In the total variant S
-    may instead hold both endpoints and miss exactly both.  So the
+  * Single-edge additions (``AdditionSearch``).  Every set it seeks
+    has one vertex fewer than the parameter.  Such a set S does not
+    dominate G, so it can dominate G + uv only through the new edge: S
+    holds u and misses only v in G, or the other way round (Kok and
+    Mynhardt, 1990).  In the total variant, with the parameter above 2,
+    S may instead hold both endpoints and miss exactly both.  So the
     single edges are settled per vertex: the row decides once for each
     vertex x whether some set of one below the parameter misses only x
     (a memoised search from the root), and keeps only the edges with
@@ -306,16 +307,17 @@ class RemovalSearch:
 
 
 class AdditionSearch:
-    """Decides whether G plus missing edges has a (total) dominating set within ``limit``.
+    """Decides whether G plus missing edges has a (total) dominating set below ``base``.
 
-    As a scan, its ``candidates`` are the missing edges of G, sorted, and
-    ``hit`` accepts an addition that leaves a cover below ``base``, the
-    unperturbed parameter.  Each added edge lowers the domination number
-    by at most 1 and the total domination number by at most 2, so only
-    limits in that window reach a search: the forced-endpoint test for
-    one edge, the joined cover masks for more.  ``row`` settles the
-    single edges per vertex (see its docstring), and ``ends`` holds each
-    candidate's endpoint indices, in candidate order.
+    ``base`` must be the unperturbed parameter, above its floor (1, or 2
+    in the total variant), so that a set below it does not dominate G
+    and dominates G + uv only through uv (see the module docstring).
+    As a scan, its ``candidates`` are the missing edges of G, sorted,
+    and ``hit`` accepts an addition that leaves a cover below ``base``:
+    one edge by the forced-endpoint tests, more by the joined cover
+    masks.  ``row`` settles the single edges per vertex (see its
+    docstring), and ``ends`` holds each candidate's endpoint indices,
+    in candidate order.
     """
 
     def __init__(self, g: Graph, total: bool, base: int):
@@ -325,11 +327,13 @@ class AdditionSearch:
         # In candidate order, so that no hit looks a label up.
         self.ends = {(labels[i], labels[j]): (i, j) for i, j in g.complement_ends()}
         self.candidates = list(self.ends)
-        self._total = total
+        # Whether a set below ``base`` may hold both endpoints and miss exactly both:
+        # in the closed variant each dominates itself, and such a set needs base - 1 >= 2.
+        self._both = total and base > 2
         self._cover = _cover_masks(g, total)
-        # (x, limit) -> members other than x of sets of at most ``limit``
-        # vertices that dominate everything but x; None when no such set exists
-        self._partners: dict[tuple[int, int], int | None] = {}
+        # x -> members other than x of sets of ``base`` - 1 vertices that
+        # dominate everything but x; None when no such set exists
+        self._partners: dict[int, int | None] = {}
         # x -> the vertices w with cover[w] a subset of cover[x], made on first use
         self._dead: dict[int, int] = {}
 
@@ -338,25 +342,45 @@ class AdditionSearch:
 
         Alone, an edge uv is open when u or v has a set of ``base`` - 1
         vertices that misses only it (``missing_only``), each vertex's
-        decided once; in the total variant also when its "both
-        endpoints" case survives the dead masks (``missing_both``).  A
-        set below ``base`` that dominates G + uv is one of those cases,
-        so no other single edge is a hit.  After a nonempty prefix every
-        candidate is open (-1).
+        decided once, or when its "both endpoints" case survives the
+        dead masks (``missing_both``; total variant, ``base`` above 2).
+        A set below ``base`` that dominates G + uv is one of those
+        cases, so no other single edge is a hit.  After a nonempty
+        prefix every candidate is open (-1).
         """
         if prefix:
             return -1
         lone = _bits(x for x in range(len(self._cover)) if self.missing_only(x))
-        both = self._total and self.base > 2  # a "both" set holds u and v, so base - 1 >= 2
         return _bits(
             e
             for e, (u, v) in enumerate(self.ends.values())
-            if (lone >> u | lone >> v) & 1 or both and self.missing_both(u, v)
+            if (lone >> u | lone >> v) & 1 or self._both and self.missing_both(u, v)
         )
 
     def hit(self, edges: tuple[Edge, ...]) -> bool:
-        """Whether adding ``edges`` leaves a cover smaller than ``base``."""
-        return self.covers_after(edges, self.base - 1)
+        """Whether adding ``edges`` leaves a cover smaller than ``base``.
+
+        One edge uv is a hit when a set of ``base`` - 1 vertices holds u
+        and misses only v, or the other way round (``_misses_only``), or
+        holds both and misses exactly both (``missing_both``), its rest
+        found by a search for ``base`` - 3 vertices.  Two or more edges
+        are decided by one search for ``base`` - 1 vertices on the cover
+        masks with them joined.
+        """
+        ends = [self.ends[edge] for edge in edges]
+        if len(ends) > 1:
+            cover = list(self._cover)
+            for u, v in ends:
+                cover[u] |= 1 << v
+                cover[v] |= 1 << u
+            return _search(tuple(cover), self.base - 1) is not None
+        (u, v), = ends
+        if self._misses_only(u, v) or self._misses_only(v, u):
+            return True
+        # Both endpoints in the set and, the cases above having failed,
+        # neither dominated in G.
+        both = self.missing_both(u, v)
+        return both is not None and _search(self._cover, self.base - 3, *both) is not None
 
     def _dead_with(self, x: int) -> int:
         """The vertices left without a dominator once every dominator of x is barred."""
@@ -365,22 +389,21 @@ class AdditionSearch:
             self._dead[x] = _bits(w for w, mask in enumerate(self._cover) if not mask & ~out)
         return self._dead[x]
 
-    def _partnered(self, x: int, limit: int) -> int | None:
-        """Members other than x of the sets found so far of at most ``limit`` vertices that dominate all of G but x.
+    def _partnered(self, x: int) -> int | None:
+        """Members other than x of the sets found so far of ``base`` - 1 vertices that dominate all of G but x.
 
         None when no such set exists.  Such a set is smaller than the
         parameter, so it really misses x: no dominator of x may join it,
         and none exists when that leaves another vertex without a
-        dominator.  The first call per key makes the one search from the root.
+        dominator.  The first call per vertex makes the one search from the root.
         """
-        key = (x, limit)
-        if key not in self._partners:
+        if x not in self._partners:
             if self._dead_with(x) & ~(1 << x):
                 found = None
             else:
-                found = _search(self._cover, limit, 1 << x, self._cover[x])
-            self._partners[key] = None if found is None else _bits(found) & ~(1 << x)
-        return self._partners[key]
+                found = _search(self._cover, self.base - 1, 1 << x, self._cover[x])
+            self._partners[x] = None if found is None else _bits(found) & ~(1 << x)
+        return self._partners[x]
 
     def missing_only(self, x: int) -> tuple[int, int] | None:
         """``(dominated, banned)`` of the sets of ``base`` - 1 vertices that dominate all of G but x.
@@ -389,58 +412,44 @@ class AdditionSearch:
         its members u, and every one has exactly ``base`` - 1 vertices:
         with one neighbour of x added, it dominates G.
         """
-        if self._partnered(x, self.base - 1) is None:
+        if self._partnered(x) is None:
             return None
         return 1 << x, self._cover[x]
 
     def missing_both(self, u: int, v: int) -> tuple[int, int] | None:
-        """``(dominated, banned)`` of the rest of the sets that hold u and v and dominate all of G but both.
+        """``(dominated, banned)`` of the rest of the sets of ``base`` - 1 vertices that hold u and v and dominate all of G but both.
 
-        Total variant only.  Cover masks are symmetric, so the vertices u
-        and v dominate are also the ones that may not join; any other
-        vertex whose dominators are all among them stays undominated, so
-        no such set exists, and the answer is None.
+        None in the closed variant, where u and v dominate themselves,
+        and when ``base`` is at most 2, which leaves no room for both.
+        Cover masks are symmetric, so the vertices u and v dominate are
+        also the ones that may not join; any other vertex whose
+        dominators are all among them stays undominated, so no such set
+        exists, and the answer is None.
         """
+        if not self._both:
+            return None
         near = self._cover[u] | self._cover[v]
         ends = 1 << u | 1 << v
         if (self._dead_with(u) | self._dead_with(v)) & ~(near | ends):
             return None
         return near | ends, near
 
-    def _misses_only(self, u: int, x: int, limit: int) -> bool:
-        """Some set of at most ``limit`` vertices holds u and dominates all of G but x."""
-        partners = self._partnered(x, limit)
+    def _misses_only(self, u: int, x: int) -> bool:
+        """Some set of ``base`` - 1 vertices holds u and dominates all of G but x.
+
+        Its rest is found by a search for ``base`` - 2 vertices, unless a
+        set found earlier already holds u; a set found joins x's partners.
+        """
+        partners = self._partnered(x)
         if partners is None:
             return False
         if partners >> u & 1:
             return True
-        found = _search(self._cover, limit - 1, self._cover[u] | 1 << x, self._cover[x])
+        found = _search(self._cover, self.base - 2, self._cover[u] | 1 << x, self._cover[x])
         if found is None:
             return False
-        self._partners[x, limit] = partners | (_bits(found) | 1 << u) & ~(1 << x)
+        self._partners[x] = partners | (_bits(found) | 1 << u) & ~(1 << x)
         return True
-
-    def covers_after(self, edges: tuple[Edge, ...], limit: int) -> bool:
-        """Whether G plus the missing ``edges`` has a cover of at most ``limit`` vertices."""
-        if limit >= self.base:
-            return True
-        if limit < max(1, self.base - len(edges) * (2 if self._total else 1)):
-            return False
-        ends = [self.ends[edge] for edge in edges]
-        if len(ends) > 1:
-            cover = list(self._cover)
-            for u, v in ends:
-                cover[u] |= 1 << v
-                cover[v] |= 1 << u
-            return _search(tuple(cover), limit) is not None
-        (u, v), = ends
-        if self._misses_only(u, v, limit) or self._misses_only(v, u, limit):
-            return True
-        # Both endpoints in the set and, the cases above having failed,
-        # neither dominated in G.
-        if not self._total or limit < 2 or (both := self.missing_both(u, v)) is None:
-            return False
-        return _search(self._cover, limit - 2, *both) is not None
 
 
 def _first_hit(search: RemovalSearch | AdditionSearch, max_k: int | None) -> PerturbResult:

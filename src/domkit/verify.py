@@ -251,8 +251,10 @@ def _augmented_minimum_sets(g: Graph, cover: tuple[int, ...], total: bool, param
     (``AdditionSearch.missing_only``), at that problem's optimum, and
     each edge of the search's single-edge row, in candidate order, takes
     the pool sets of v that hold u, those of u that hold v, and the
-    "both" sets, enumerated per edge.  An edge whose "both" case has a
-    set of ``param`` - 2 lowers gamma_t by two and is skipped.
+    "both" sets, enumerated per edge where ``AdditionSearch.missing_both``
+    gives their masks (total variant, ``param`` above 2).  An edge whose
+    "both" case has a set of ``param`` - 2 lowers gamma_t by two and is
+    skipped.
 
     Raises BudgetExceededError when an edge has more than ``cap`` sets.
     A pool is bounded by ``cap`` sets per candidate edge at its vertex:
@@ -276,7 +278,7 @@ def _augmented_minimum_sets(g: Graph, cover: tuple[int, ...], total: bool, param
         edge = additions.candidates[e]
         u, v = additions.ends[edge]
         sets = [chosen for chosen in pool(v) if u in chosen] + [chosen for chosen in pool(u) if v in chosen]
-        both = additions.missing_both(u, v) if total and param > 2 else None
+        both = additions.missing_both(u, v)
         if both is not None:
             dominated, banned = both
             if param > 3 and _search(cover, param - 4, dominated, banned) is not None:

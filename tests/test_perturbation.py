@@ -386,14 +386,13 @@ def test_witnesses_match_reference_scan():
             check(build(kind, unsat).graph, kind, max_k)
 
 
-def assert_single_additions_match(g, total, base, limits):
-    """Every missing edge at every limit, decided by ``AdditionSearch``, equals the search on a copied graph."""
+def assert_single_additions_match(g, total, base):
+    """Every missing edge, decided by ``AdditionSearch.hit``, equals the search below ``base`` on a copied graph."""
     within = has_total_dominating_set_within if total else has_dominating_set_within
     additions = AdditionSearch(g, total, base)
     for edge in g.complement_edges():
-        for limit in limits:
-            expected = within(g.add_edges([edge]), limit)
-            assert additions.covers_after((edge,), limit) == expected, (total, edge, limit, g.edges)
+        expected = within(g.add_edges([edge]), base - 1)
+        assert additions.hit((edge,)) == expected, (total, edge, g.edges)
 
 
 def removal_searches(g, total, start):
@@ -422,12 +421,13 @@ def assert_kept_covers_dominate(g, total, removals):
 
 
 def test_single_edge_searches_match_graph_copies():
-    """Every edge and every limit, decided on masks, equals the search on a copied graph.
+    """Every edge, decided on masks, equals the search on a copied graph.
 
     Unlike the first-hit scans, this runs past hits, so it reaches the
-    reuse of covers and partner sets found by earlier edges.  ``hit``
-    accepts a removal exactly when it isolates no vertex (total
-    variant) and the copy keeps no cover within the limit.
+    reuse of covers and partner sets found by earlier edges.  An
+    addition's ``hit`` asks below the parameter; a removal's, at every
+    limit around it, accepts a removal exactly when it isolates no
+    vertex (total variant) and the copy keeps no cover within the limit.
     """
     rng = random.Random(1990)
     for _ in range(120):
@@ -436,8 +436,7 @@ def test_single_edge_searches_match_graph_copies():
             if total and g.isolated_vertices():
                 continue
             start = total_domination_number(g) if total else domination_number(g)
-            base = start.value
-            assert_single_additions_match(g, total, base, range(base - 3, base + 1))
+            assert_single_additions_match(g, total, start.value)
             removals = removal_searches(g, total, start)
             for edge in sorted(g.edges):
                 reduced = g.remove_edges([edge])
@@ -472,10 +471,40 @@ def test_single_edge_additions_match_graph_copies_on_gadgets(monkeypatch):
             for masks in (dead_with, lambda self, x: 0):
                 monkeypatch.setattr(AdditionSearch, "_dead_with", masks)
                 searches.clear()
-                assert_single_additions_match(g, total, base, (base - 1, base - 2))
+                assert_single_additions_match(g, total, base)
                 counts.append(len(searches))
             # The masks fire only in the total variant; on the plain gadgets no vertex is dead.
             assert counts[0] < counts[1] if total else counts[0] == counts[1], (kind, counts)
+
+
+def test_missing_both_only_in_the_total_variant_above_2():
+    """``missing_both`` gives masks only in the total variant with ``base`` above 2.
+
+    In the closed variant u and v dominate themselves, so no set holds
+    both and misses both; at ``base`` at most 2 a set below it has no
+    room for both.  In either case the answer is None for every missing
+    edge.
+    """
+    rng = random.Random(1991)
+    graphs = [random_graph(rng, rng.randint(3, 8), rng.uniform(0.2, 0.7)) for _ in range(120)]
+    graphs += [star_graph(4), path_graph(4), path_graph(6), cycle_graph(6)]
+    graphs += [build(kind, inst).graph for kind in ("reinforcement", "total-reinforcement")
+               for inst in sat_and_unsat_instances()]
+    asked = {"closed": 0, "total, base <= 2": 0}
+    masks_given = 0
+    for g in graphs:
+        for total in (False, True):
+            if total and g.isolated_vertices():
+                continue
+            base = (total_domination_number(g) if total else domination_number(g)).value
+            additions = AdditionSearch(g, total, base)
+            got = [additions.missing_both(u, v) for u, v in additions.ends.values()]
+            if total and base > 2:
+                masks_given += sum(masks is not None for masks in got)
+                continue
+            asked["total, base <= 2" if total else "closed"] += len(got)
+            assert got == [None] * len(got), (total, base, g.edges)
+    assert all(asked.values()) and masks_given, (asked, masks_given)
 
 
 def test_edge_pair_removals_match_graph_copies():
@@ -599,10 +628,10 @@ def test_scan_offers_hit_no_edge_with_a_degree_1_end():
 
 
 def test_edge_pair_additions_match_graph_copies():
-    """Every pair of missing edges and every limit, decided on joined masks, equals a copied-graph search.
+    """Every pair of missing edges, decided on joined masks, equals a copied-graph search below the parameter.
 
     The first-hit scans stop at the first pair that lowers the parameter;
-    this also runs through the pairs after it and the limits around it.
+    this also runs through the pairs after it.
     """
     rng = random.Random(2003)
     for _ in range(400):
@@ -614,6 +643,4 @@ def test_edge_pair_additions_match_graph_copies():
             base = (total_domination_number(g) if total else domination_number(g)).value
             additions = AdditionSearch(g, total, base)
             for pair in combinations(g.complement_edges(), 2):
-                joined = g.add_edges(pair)
-                for limit in range(base - 3, base + 1):
-                    assert additions.covers_after(pair, limit) == within(joined, limit), (total, pair, limit, g.edges)
+                assert additions.hit(pair) == within(g.add_edges(pair), base - 1), (total, pair, g.edges)

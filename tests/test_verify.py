@@ -514,9 +514,9 @@ UNSAT_N12_CLAUSES = (
 )
 
 
-# 559 and 7,974 branch steps.  As one search, without the split of the open
+# 328 and 5,181 branch steps.  As one search, without the split of the open
 # masks into the gadget's two sides, each runs past 30 s.
-@pytest.mark.parametrize("kind, max_steps", [("total-bondage", 2_000), ("total-reinforcement", 20_000)])
+@pytest.mark.parametrize("kind, max_steps", [("total-bondage", 1_000), ("total-reinforcement", 10_000)])
 def test_unsat_ladder_step_bound(monkeypatch, kind, max_steps):
     """``verify`` of the total kinds on the unsat rung n = 12 stays within its ``_branch`` bound; past it the count raises."""
     raise_past(monkeypatch, max_steps, kind)
