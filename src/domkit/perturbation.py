@@ -8,9 +8,11 @@ lexicographic order of the normalized edge list, so witnesses are
 deterministic and the first hit is provably minimum.
 
 One loop, ``_first_hit``, walks the candidate sets of a search, which
-owns the scan: its ``candidates`` in scan order, the ``row`` of those
-still open after a prefix, and the ``hit`` test; ``verify``'s sweep of
-single-edge removals runs it too.  No candidate set gets a graph copy.
+owns the scan: its ``ends``, each candidate edge's endpoint indices in
+scan order, the ``row`` of those still open after a prefix, and the
+``hit`` test, both of which take candidate positions; ``verify``'s sweep
+of single-edge removals runs it too.  Only the witness it returns is
+named by labels.  No candidate set gets a graph copy.
 Each is decided on the cover bitmasks of the unperturbed graph, with
 the candidate's edges toggled at their endpoints, and the searches
 reuse what earlier searches found:
@@ -142,12 +144,11 @@ def _bits(indices: Iterable[int]) -> int:
     return mask
 
 
-def _toggled(g: Graph, cover: tuple[int, ...], edges: Iterable[Edge]) -> tuple[list[int], list[int]]:
-    """``cover`` with ``edges`` removed if present, joined if absent; and their endpoints."""
+def _toggled(cover: tuple[int, ...], ends: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """``cover`` with the edges of endpoint indices ``ends`` removed if present, joined if absent; and their endpoints."""
     masks = list(cover)
     touched: list[int] = []
-    for a, b in edges:
-        i, j = g.index_of(a), g.index_of(b)
+    for i, j in ends:
         masks[i] ^= 1 << j
         masks[j] ^= 1 << i
         touched += (i, j)
@@ -186,11 +187,11 @@ def _pruned(cover: list[int], chosen: int) -> int:
 class RemovalSearch:
     """Decides whether G - R keeps a (total) dominating set of at most ``base`` vertices.
 
-    As a scan, its ``candidates`` are the edges of G, sorted, and ``hit``
-    accepts a removal that qualifies and leaves no cover within ``base``.
-    The candidates are numbered by their position in that order, and
-    the edge numbers by endpoint indices come from the graph's
-    ``edge_ends``, so no label is looked up.  ``kept`` seeds the store
+    As a scan, its candidates are the edges of G, sorted: ``ends``
+    holds their endpoint indices in that order, taken from the graph's
+    ``edge_ends``, and ``row`` and ``hit`` number them by their position
+    there, so no label is looked up.  ``hit`` accepts a removal that
+    qualifies and leaves no cover within ``base``.  ``kept`` seeds the store
     of known covers of G; those within ``base`` are kept, and every
     cover a search finds or a repair makes joins them.  ``row`` drops
     the edges whose removal isolates a vertex (``_isolating``: in the
@@ -204,23 +205,20 @@ class RemovalSearch:
     def __init__(self, g: Graph, total: bool, base: int, kept: Iterable[Iterable[str]] = ()):
         self.graph = g
         self.base = base
-        # The candidates' positions in ``g.edges``, and their endpoint indices.
         edges, edge_ends = g.edges, g.edge_ends()
-        order = sorted(range(len(edges)), key=edges.__getitem__)
-        self.candidates = [edges[e] for e in order]
-        ends = [edge_ends[e] for e in order]
+        self.ends = [edge_ends[e] for e in sorted(range(len(edges)), key=edges.__getitem__)]
         self._cover = _cover_masks(g, total)
         # A seeded cover larger than ``base`` proves nothing about it.
         seeds = (_bits(g.index_of(v) for v in chosen) for chosen in kept)
         self._kept = [mask for mask in seeds if mask.bit_count() <= base]
-        # Edge numbers, as positions in ``candidates``, by endpoint indices in either order.
+        # Candidate positions by endpoint indices in either order.
         self._edge_ids: dict[tuple[int, int], int] = {}
-        for e, (i, j) in enumerate(ends):
+        for e, (i, j) in enumerate(self.ends):
             self._edge_ids[i, j] = self._edge_ids[j, i] = e
         # Per kept cover, in the same order: its slack, fragile and doubly fragile
         # edges, and for each edge the edges it forms a fragile pair with.
         self._fragile: list[tuple[int, int, int, dict[int, int]]] = []
-        self._isolating = _isolating(g, total, ends)
+        self._isolating = _isolating(g, total, self.ends)
 
     def _summaries(self) -> list[tuple[int, int, int, dict[int, int]]]:
         """Slack, fragile and doubly fragile edges, and fragile pairs of each kept cover, brought up to date."""
@@ -249,7 +247,7 @@ class RemovalSearch:
     def row(self, prefix: tuple[int, ...]) -> int:
         """Bits of the edges whose removal along with ``prefix`` may be a hit.
 
-        Edges are numbered by their position in ``candidates``.  An edge
+        Edges are numbered by their position in ``ends``.  An edge
         with a degree-1 end (total variant) is never open: its removal
         isolates that vertex, so no set holding it qualifies, and after
         a prefix that holds one the row is empty.  Every other edge is
@@ -273,8 +271,8 @@ class RemovalSearch:
                 still &= fragile | mates.get(prefix[0], 0)
         return still
 
-    def hit(self, edges: Iterable[Edge]) -> bool:
-        """Whether removing ``edges`` qualifies and leaves no cover within ``base``.
+    def hit(self, edges: tuple[int, ...]) -> bool:
+        """Whether removing the candidates at positions ``edges`` qualifies and leaves no cover within ``base``.
 
         A removal that empties an endpoint's mask isolates it (total
         variant): it does not qualify, so the answer is False before any
@@ -285,7 +283,7 @@ class RemovalSearch:
         if it changed, joins the kept covers; only when none fits is
         there a search, and a cover it finds joins them too.
         """
-        cover, touched = _toggled(self.graph, self._cover, edges)
+        cover, touched = _toggled(self._cover, map(self.ends.__getitem__, edges))
         if _isolates(cover, touched):
             return False
         # A cover that lost no dominator survives as it is.
@@ -312,21 +310,19 @@ class AdditionSearch:
     ``base`` must be the unperturbed parameter, above its floor (1, or 2
     in the total variant), so that a set below it does not dominate G
     and dominates G + uv only through uv (see the module docstring).
-    As a scan, its ``candidates`` are the missing edges of G, sorted,
-    and ``hit`` accepts an addition that leaves a cover below ``base``:
-    one edge by the forced-endpoint tests, more by the joined cover
-    masks.  ``row`` settles the single edges per vertex (see its
-    docstring), and ``ends`` holds each candidate's endpoint indices,
-    in candidate order.
+    As a scan, its candidates are the missing edges of G, sorted:
+    ``ends`` holds their endpoint indices in that order, from the
+    graph's ``complement_ends``, and ``row`` and ``hit`` number them by
+    their position there.  ``hit`` accepts an addition that leaves a
+    cover below ``base``: one edge by the forced-endpoint tests, more by
+    the joined cover masks.  ``row`` settles the single edges per vertex
+    (see its docstring).
     """
 
     def __init__(self, g: Graph, total: bool, base: int):
         self.graph = g
         self.base = base
-        labels = g.vertices
-        # In candidate order, so that no hit looks a label up.
-        self.ends = {(labels[i], labels[j]): (i, j) for i, j in g.complement_ends()}
-        self.candidates = list(self.ends)
+        self.ends = g.complement_ends()
         # Whether a set below ``base`` may hold both endpoints and miss exactly both:
         # in the closed variant each dominates itself, and such a set needs base - 1 >= 2.
         self._both = total and base > 2
@@ -338,7 +334,7 @@ class AdditionSearch:
         self._dead: dict[int, int] = {}
 
     def row(self, prefix: tuple[int, ...]) -> int:
-        """Bits of the candidates that may be a hit when added along with ``prefix``.
+        """Bits, over the positions in ``ends``, of the candidates that may be a hit when added along with ``prefix``.
 
         Alone, an edge uv is open when u or v has a set of ``base`` - 1
         vertices that misses only it (``missing_only``), each vertex's
@@ -353,28 +349,24 @@ class AdditionSearch:
         lone = _bits(x for x in range(len(self._cover)) if self.missing_only(x))
         return _bits(
             e
-            for e, (u, v) in enumerate(self.ends.values())
+            for e, (u, v) in enumerate(self.ends)
             if (lone >> u | lone >> v) & 1 or self._both and self.missing_both(u, v)
         )
 
-    def hit(self, edges: tuple[Edge, ...]) -> bool:
-        """Whether adding ``edges`` leaves a cover smaller than ``base``.
+    def hit(self, edges: tuple[int, ...]) -> bool:
+        """Whether adding the candidates at positions ``edges`` leaves a cover smaller than ``base``.
 
         One edge uv is a hit when a set of ``base`` - 1 vertices holds u
         and misses only v, or the other way round (``_misses_only``), or
         holds both and misses exactly both (``missing_both``), its rest
         found by a search for ``base`` - 3 vertices.  Two or more edges
         are decided by one search for ``base`` - 1 vertices on the cover
-        masks with them joined.
+        masks with them joined (``_toggled``: they are missing from G).
         """
-        ends = [self.ends[edge] for edge in edges]
-        if len(ends) > 1:
-            cover = list(self._cover)
-            for u, v in ends:
-                cover[u] |= 1 << v
-                cover[v] |= 1 << u
+        if len(edges) > 1:
+            cover, _ = _toggled(self._cover, map(self.ends.__getitem__, edges))
             return _search(tuple(cover), self.base - 1) is not None
-        (u, v), = ends
+        u, v = self.ends[edges[0]]
         if self._misses_only(u, v) or self._misses_only(v, u):
             return True
         # Both endpoints in the set and, the cases above having failed,
@@ -453,25 +445,29 @@ class AdditionSearch:
 
 
 def _first_hit(search: RemovalSearch | AdditionSearch, max_k: int | None) -> PerturbResult:
-    """The first set of ``search.candidates``, by size and then lexicographically, that ``search.hit`` accepts.
+    """The first set of candidates, by size and then lexicographically, that ``search.hit`` accepts.
 
-    A set of k candidates is a prefix of k - 1 and one later candidate;
+    The candidates are the edges of endpoint indices ``search.ends``, in
+    scan order, and a set is a tuple of their positions there.  A set
+    of k candidates is a prefix of k - 1 and one later candidate;
     ``search.row(prefix)`` gives, as bits over the candidate positions,
     the last candidates that are not already known to miss (-1: all),
     and ``search.hit`` decides each of those, qualification included.
+    The witness is the hit set's edges as label pairs, normalized.
     """
-    candidates = search.candidates
-    count = len(candidates)
+    ends = search.ends
+    count = len(ends)
     if max_k is None:  # every size while an exhaustive scan stays desk-scale
         max_k = count if search.graph.num_edges <= 12 else 2
     for k in range(1, min(max_k, count) + 1):
         for prefix in combinations(range(count), k - 1):
-            head = tuple(candidates[i] for i in prefix)
             first = prefix[-1] + 1 if prefix else 0
             for last in iter_bits(search.row(prefix) & ((1 << count) - (1 << first))):
-                subset = head + (candidates[last],)
+                subset = prefix + (last,)
                 if search.hit(subset):
-                    return PerturbResult(k, subset, search.base)
+                    labels = search.graph.vertices
+                    witness = tuple((labels[i], labels[j]) for i, j in map(ends.__getitem__, subset))
+                    return PerturbResult(k, witness, search.base)
     return PerturbResult(None, None, search.base)
 
 

@@ -30,8 +30,9 @@ minimum set, which ``structure_violation`` checks: at the exact bound,
 fixed anchor picks, two vertices per variable gadget, at most one
 literal (so ``witness_to_assignment`` reads an assignment back) and no
 clause vertex; for total bondage, at every bound, s5 and one of v/q.
-``every_bound_facts`` lists the every-bound half as vertex sets, for a
-caller that refutes each one by a search instead of listing the sets.
+``every_bound_facts`` lists the every-bound half as vertex sets, each
+with the violation that names a set missing it, for a caller that
+refutes each one by a search instead of listing the sets.
 """
 
 from __future__ import annotations
@@ -64,6 +65,9 @@ ROLE_AUX = "aux"
 ROLE_CLAUSE = "clause"
 ROLE_ANCHOR = "anchor"
 
+# A vertex set that every minimum set meets, and the violation naming a set that misses it.
+Fact = tuple[frozenset[str], str]
+
 
 class UnsatisfyingAssignmentError(ValueError):
     """The assignment handed to the witness converter falsifies a clause."""
@@ -87,15 +91,19 @@ class ReductionOutput:
         return tuple(f"{p}{i}" for p in _SPECS[self.kind].part.prefixes)
 
     @cached_property
-    def _shape(self) -> tuple[frozenset[str], list[tuple[frozenset[str], frozenset[str], frozenset[str]]]]:
-        """For ``structure_violation``: clause vertices; per variable its gadget, literals and ``one_of`` vertices."""
-        one_of = _SPECS[self.kind].one_of
+    def _shape(self) -> tuple[frozenset[str], list[tuple[frozenset[str], frozenset[str]]], list[Fact]]:
+        """For ``structure_violation``: clause vertices; per variable its gadget and literals; ``every_bound_facts``."""
+        spec = _SPECS[self.kind]
+        neither = f"neither {' nor '.join(spec.one_of)} picked"
+        facts = [(frozenset((s,)), f"a minimum set misses {s}") for s in spec.held]
         gadgets = []
         for i in range(1, self.instance.num_vars + 1):
             gadget = frozenset(self.variable_gadget(i))
             literals = frozenset(v for v in gadget if self.roles[v] in (ROLE_LITERAL_POS, ROLE_LITERAL_NEG))
-            gadgets.append((gadget, literals, frozenset(f"{p}{i}" for p in one_of)))
-        return frozenset(v for v, role in self.roles.items() if role == ROLE_CLAUSE), gadgets
+            gadgets.append((gadget, literals))
+            if spec.one_of:
+                facts.append((frozenset(f"{p}{i}" for p in spec.one_of), f"variable {i}: {neither}"))
+        return frozenset(v for v, role in self.roles.items() if role == ROLE_CLAUSE), gadgets, facts
 
 
 def _literal_label(lit: int) -> str:
@@ -259,32 +267,29 @@ def assignment_to_witness(out: ReductionOutput, assignment: Assignment) -> Gadge
     return GadgetWitness(frozenset(chosen), normalize_edge(spec.edge_end, literal))
 
 
-def every_bound_facts(out: ReductionOutput) -> list[frozenset[str]]:
-    """The vertex sets that every minimum set meets, at every bound: each ``held`` vertex, each variable's ``one_of``.
+def every_bound_facts(out: ReductionOutput) -> list[Fact]:
+    """The vertex sets that every minimum set meets, at every bound, each with the violation that misses it.
 
-    In the order ``structure_violation`` checks them, so a minimum set
-    that meets the facts before one and misses that one is named by it.
+    Each ``held`` vertex, then each variable's ``one_of`` vertices, in
+    the order ``structure_violation`` checks them: a minimum set that
+    meets the facts before one and misses that one is named by its text.
     """
-    _, gadgets = out._shape
-    return [frozenset((s,)) for s in _SPECS[out.kind].held] + [one_of for _, _, one_of in gadgets if one_of]
+    return out._shape[2]
 
 
 def structure_violation(out: ReductionOutput, chosen: frozenset[str], at_exact: bool) -> str | None:
     """The first way the minimum (total) dominating set ``chosen`` breaks the kind's lemma, or None.
 
     At every bound: the row's ``held`` vertices, one ``one_of`` vertex per
-    variable.  At the exact bound (for the reinforcement kinds, one below
+    variable (``every_bound_facts``).  At the exact bound (for the reinforcement kinds, one below
     it on G+e): picks among ``fixed`` from ``fixed_picks``, no clause
     vertex, two vertices per variable gadget, at most one literal.
     """
     spec = _SPECS[out.kind]
-    clauses, gadgets = out._shape
-    for s in spec.held:
-        if s not in chosen:
-            return f"a minimum set misses {s}"
-    for i, (_, _, one_of) in enumerate(gadgets, 1):
-        if one_of and not chosen & one_of:
-            return f"variable {i}: neither {' nor '.join(spec.one_of)} picked"
+    clauses, gadgets, facts = out._shape
+    for vertices, text in facts:
+        if not chosen & vertices:
+            return text
     if not at_exact:
         return None
     anchor_pick = sorted(s for s in spec.fixed if s in chosen)
@@ -292,7 +297,7 @@ def structure_violation(out: ReductionOutput, chosen: frozenset[str], at_exact: 
         return f"anchor pick {anchor_pick}"
     if chosen & clauses:
         return f"clause vertices {sorted(chosen & clauses)} picked"
-    for i, (gadget, literals, _) in enumerate(gadgets, 1):
+    for i, (gadget, literals) in enumerate(gadgets, 1):
         if len(chosen & gadget) != 2:
             return f"variable {i} gadget holds {len(chosen & gadget)} of {sorted(chosen)}"
         if len(chosen & literals) > 1:

@@ -226,16 +226,16 @@ def _every_bound_violation(out: ReductionOutput, cover: tuple[int, ...], param: 
     """Refute each of ``every_bound_facts`` by one decide at ``param``, with the fact's vertices banned.
 
     ``param`` is the proven optimum, so a cover found within it is a
-    minimum set that misses the fact, and ``structure_violation`` names
-    it.  The facts come in that function's order, and every minimum set
-    meets those refuted before, so the name is the fact's.  Returns that
-    name, or None when every decide is refuted.
+    minimum set that misses the fact.  The facts come in the order
+    ``structure_violation`` checks them, and every minimum set meets
+    those refuted before, so that function would name the set by the
+    fact's text.  Returns that text, or None when every decide is
+    refuted.
     """
     g = out.graph
-    for fact in every_bound_facts(out):
-        found = _search(cover, param, 0, sum(1 << g.index_of(v) for v in fact))
-        if found is not None:
-            return structure_violation(out, frozenset(map(g.label_at, found)), False)
+    for vertices, text in every_bound_facts(out):
+        if _search(cover, param, 0, sum(1 << g.index_of(v) for v in vertices)) is not None:
+            return text
     return None
 
 
@@ -275,8 +275,7 @@ def _augmented_minimum_sets(g: Graph, cover: tuple[int, ...], total: bool, param
             raise BudgetExceededError(f"more than {cap} minimum sets") from None
 
     for e in iter_bits(additions.row(())):
-        edge = additions.candidates[e]
-        u, v = additions.ends[edge]
+        u, v = additions.ends[e]
         sets = [chosen for chosen in pool(v) if u in chosen] + [chosen for chosen in pool(u) if v in chosen]
         both = additions.missing_both(u, v)
         if both is not None:
@@ -288,7 +287,7 @@ def _augmented_minimum_sets(g: Graph, cover: tuple[int, ...], total: bool, param
         if len(sets) > cap:
             raise BudgetExceededError(f"more than {cap} minimum sets")
         if sets:
-            yield edge, sorted(sets)
+            yield (g.label_at(u), g.label_at(v)), sorted(sets)
 
 
 def _structure_claim(
@@ -365,7 +364,8 @@ def _dominates_with(g: Graph, cover: tuple[int, ...], witness: GadgetWitness) ->
 
     The added edge is one the gadget lacks, so toggling it sets its two bits.
     """
-    masks, _ = _toggled(g, cover, [witness.added_edge] if witness.added_edge else [])
+    edge = witness.added_edge
+    masks, _ = _toggled(cover, [(g.index_of(edge[0]), g.index_of(edge[1]))] if edge else [])
     covered = 0
     for v in witness.vertices:
         covered |= masks[g.index_of(v)]
@@ -404,8 +404,9 @@ def _certifies_one(
     if witness.added_edge is not None:
         return param > (2 if total else 1) and len(witness.vertices) < param and dominating
     # sorted is stable: row order within each group
-    for edge in sorted(_SPECS[out.kind].anchor_edges, key=lambda edge: not witness.vertices.issuperset(edge)):
-        masks, touched = _toggled(out.graph, cover, [edge])
+    g = out.graph
+    for a, b in sorted(_SPECS[out.kind].anchor_edges, key=lambda edge: not witness.vertices.issuperset(edge)):
+        masks, touched = _toggled(cover, [(g.index_of(a), g.index_of(b))])
         if not _isolates(masks, touched) and _search(tuple(masks), param) is None:
             return True
     return False

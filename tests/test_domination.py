@@ -695,8 +695,9 @@ def count_branch_steps(monkeypatch) -> list[int]:
     return calls
 
 
-# Nodes without tight-packing propagation: 52,179 and 125,696.
-@pytest.mark.parametrize("kind, max_nodes", [("bondage", 1_000), ("total-bondage", 60_000)])
+# Nodes: 58 and 36; without tight-packing propagation (``_tighten``), 20,471 and
+# 105.  The total-bondage bound is twice its count, below the count without.
+@pytest.mark.parametrize("kind, max_nodes", [("bondage", 1_000), ("total-bondage", 72)])
 def test_tight_refutation_node_bound(monkeypatch, kind, max_nodes):
     """The unsat gadgets' refutations at the exact bound stay cheap: the packing is tight from the root."""
     total = kind == "total-bondage"

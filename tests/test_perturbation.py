@@ -218,15 +218,19 @@ class TestSeededSweep:
 
 
 class ScriptedSearch:
-    """A search for ``_first_hit`` with five candidates, a fixed table of rows, and a ``hit`` that records its calls."""
+    """A search for ``_first_hit`` with five candidates, a fixed table of rows, and a ``hit`` that records its calls.
 
-    candidates = list("abcde")
+    The candidates are the edges of the path a-b-c-d-e-f, by endpoint
+    indices; ``row`` and ``hit`` see only their positions.
+    """
+
+    ends = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
     base = 7
     # Bits over the candidate positions; a prefix missing here leaves every candidate open.
     rows = {(): 0b10110, (1,): 0b00100, (0, 2): 0b01000}
 
     def __init__(self, num_edges, accept=None):
-        self.graph = SimpleNamespace(num_edges=num_edges)
+        self.graph = SimpleNamespace(num_edges=num_edges, vertices=tuple("abcdef"))
         self.accept = accept
         self.asked = []
 
@@ -239,9 +243,9 @@ class ScriptedSearch:
 
 
 def scripted_order(max_k):
-    """Sets of at most ``max_k`` candidates whose last is open in the others' row, by size, then lexicographically."""
+    """Sets of at most ``max_k`` candidate positions whose last is open in the others' row, by size, then lexicographically."""
     return [
-        tuple(ScriptedSearch.candidates[i] for i in chosen)
+        chosen
         for k in range(1, max_k + 1)
         for chosen in combinations(range(5), k)
         if ScriptedSearch.rows.get(chosen[:-1], -1) >> chosen[-1] & 1
@@ -249,22 +253,23 @@ def scripted_order(max_k):
 
 
 class TestFirstHit:
-    """``_first_hit`` on its own, through the scan protocol: ``candidates``, ``row``, ``hit`` and ``base``."""
+    """``_first_hit`` on its own, through the scan protocol: ``ends``, ``row``, ``hit`` and ``base``."""
 
     def test_hit_sees_only_open_sets_in_scan_order(self):
         search = ScriptedSearch(num_edges=5)
         assert _first_hit(search, 3) == PerturbResult(None, None, 7)
         assert search.asked == scripted_order(3)
         assert search.asked == sorted(search.asked, key=lambda edges: (len(edges), edges))
-        # the rows closed a and d alone, b's partners but c, and every last candidate after a, c but d
-        assert {("a",), ("d",), ("b", "d"), ("b", "e"), ("a", "c", "e")}.isdisjoint(search.asked)
-        assert {("b",), ("b", "c"), ("a", "c", "d"), ("a", "d", "e")} <= set(search.asked)
+        # the rows closed 0 and 3 alone, 1's partners but 2, and every last candidate after 0, 2 but 3
+        assert {(0,), (3,), (1, 3), (1, 4), (0, 2, 4)}.isdisjoint(search.asked)
+        assert {(1,), (1, 2), (0, 2, 3), (0, 3, 4)} <= set(search.asked)
 
     def test_first_accepted_set_comes_back_with_the_base(self):
-        search = ScriptedSearch(num_edges=5, accept=("a", "c", "d"))
-        assert _first_hit(search, None) == PerturbResult(3, ("a", "c", "d"), 7)
+        """``hit`` is asked positions; the witness names the accepted set's edges by their labels."""
+        search = ScriptedSearch(num_edges=5, accept=(0, 2, 3))
+        assert _first_hit(search, None) == PerturbResult(3, (("a", "b"), ("c", "d"), ("d", "e")), 7)
         order = scripted_order(3)
-        assert search.asked == order[: order.index(("a", "c", "d")) + 1]
+        assert search.asked == order[: order.index((0, 2, 3)) + 1]
 
     @pytest.mark.parametrize("num_edges, sizes", [(12, 5), (13, 2)])
     def test_unbounded_scan_tries_every_size_only_on_small_graphs(self, num_edges, sizes):
@@ -390,9 +395,9 @@ def assert_single_additions_match(g, total, base):
     """Every missing edge, decided by ``AdditionSearch.hit``, equals the search below ``base`` on a copied graph."""
     within = has_total_dominating_set_within if total else has_dominating_set_within
     additions = AdditionSearch(g, total, base)
-    for edge in g.complement_edges():
+    for e, edge in enumerate(g.complement_edges()):
         expected = within(g.add_edges([edge]), base - 1)
-        assert additions.hit((edge,)) == expected, (total, edge, g.edges)
+        assert additions.hit((e,)) == expected, (total, edge, g.edges)
 
 
 def removal_searches(g, total, start):
@@ -438,11 +443,11 @@ def test_single_edge_searches_match_graph_copies():
             start = total_domination_number(g) if total else domination_number(g)
             assert_single_additions_match(g, total, start.value)
             removals = removal_searches(g, total, start)
-            for edge in sorted(g.edges):
+            for e, edge in enumerate(sorted(g.edges)):
                 reduced = g.remove_edges([edge])
                 for limit, search in removals:
                     expected = removal_covers(reduced, total, limit) is False
-                    assert search.hit((edge,)) == expected, (total, edge, limit, g.edges)
+                    assert search.hit((e,)) == expected, (total, edge, limit, g.edges)
             assert_kept_covers_dominate(g, total, removals)
 
 
@@ -498,7 +503,7 @@ def test_missing_both_only_in_the_total_variant_above_2():
                 continue
             base = (total_domination_number(g) if total else domination_number(g)).value
             additions = AdditionSearch(g, total, base)
-            got = [additions.missing_both(u, v) for u, v in additions.ends.values()]
+            got = [additions.missing_both(u, v) for u, v in additions.ends]
             if total and base > 2:
                 masks_given += sum(masks is not None for masks in got)
                 continue
@@ -539,7 +544,7 @@ def test_edge_pair_removals_match_graph_copies():
                     for (limit, search), row in zip(removals, rows):
                         covers = removal_covers(reduced, total, limit)
                         assert row >> f & 1 or covers is not False, (total, pair, limit, "dropped by the row")
-                        assert search.hit(pair) == (covers is False), (total, pair, limit, g.edges)
+                        assert search.hit((e, f)) == (covers is False), (total, pair, limit, g.edges)
             assert_kept_covers_dominate(g, total, removals)
 
 
@@ -570,7 +575,7 @@ def test_qualifying_rows_match_graph_copies():
                         assert row >> f & 1 or covers is not False, (total, prefix, f, "dropped by the row")
                         if total and any(a in leaves or b in leaves for a, b in removed):
                             assert not row >> f & 1, (prefix, f, "an edge with a degree-1 end stays open")
-                        assert search.hit(removed) == (covers is False), (total, prefix, f, g.edges)
+                        assert search.hit(prefix + (f,)) == (covers is False), (total, prefix, f, g.edges)
 
 
 def test_isolating_removal_runs_no_search(monkeypatch):
@@ -588,11 +593,12 @@ def test_isolating_removal_runs_no_search(monkeypatch):
     monkeypatch.setattr(perturbation, "_search", counted)
     g = Graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
     search = RemovalSearch(g, True, 2)
-    for removed in ((("a", "b"),), (("b", "c"), ("c", "d")), (("a", "b"), ("c", "d"))):
+    # Positions in the sorted edges a-b, b-c, c-d: {ab}, {bc, cd}, {ab, cd}.
+    for removed in ((0,), (1, 2), (0, 2)):
         assert search.hit(removed) is False, removed
     assert searches == [] and search._kept == []
     # Control: b-c isolates nothing, and G - bc, two K2, needs four picks.
-    assert search.hit((("b", "c"),)) is True
+    assert search.hit((1,)) is True
     assert len(searches) == 1
 
 
@@ -609,7 +615,7 @@ def test_scan_offers_hit_no_edge_with_a_degree_1_end():
 
     class Recorded(RemovalSearch):
         def hit(self, edges):
-            asked.append(edges)
+            asked.append([tuple(map(self.graph.label_at, self.ends[e])) for e in edges])
             return super().hit(edges)
 
     rng = random.Random(1983)
@@ -642,5 +648,44 @@ def test_edge_pair_additions_match_graph_copies():
             within = has_total_dominating_set_within if total else has_dominating_set_within
             base = (total_domination_number(g) if total else domination_number(g)).value
             additions = AdditionSearch(g, total, base)
-            for pair in combinations(g.complement_edges(), 2):
-                assert additions.hit(pair) == within(g.add_edges(pair), base - 1), (total, pair, g.edges)
+            for (e, first), (f, second) in combinations(enumerate(g.complement_edges()), 2):
+                pair = (first, second)
+                assert additions.hit((e, f)) == within(g.add_edges(pair), base - 1), (total, pair, g.edges)
+
+
+def test_scan_positions_name_the_sorted_edges():
+    """Both searches' ``ends`` name, by label pairs, the candidates in scan order, and every witness is made of them.
+
+    A removal scan's candidates are the sorted edges, an addition scan's
+    the complement edges, both normalized.  Graphs of ten or more
+    vertices order their labels (``x10`` < ``x2``) apart from their
+    indices, as the gadgets do.  Each kind's witness is a set of those
+    pairs, in scan order: up to two edges on the random graphs, one on
+    the gadgets, where some other kind's two-edge addition scan takes
+    seconds.
+    """
+    rng = random.Random(2012)
+    graphs = [random_graph(rng, rng.randint(3, 11), rng.uniform(0.2, 0.6)) for _ in range(60)]
+    sat, _ = sat_and_unsat_instances()
+    graphs += [build(kind, sat).graph for kind in SOLVERS]
+    witnesses = 0
+    for g in graphs:
+        for total in (False, True):
+            if total and g.isolated_vertices():
+                continue
+            base = (total_domination_number(g) if total else domination_number(g)).value
+            for search, candidates, kind in (
+                (RemovalSearch(g, total, base), sorted(g.edges), "bondage"),
+                (AdditionSearch(g, total, base), g.complement_edges(), "reinforcement"),
+            ):
+                pairs = [(g.label_at(i), g.label_at(j)) for i, j in search.ends]
+                assert pairs == candidates, (kind, total, g.edges)
+                if kind == "bondage" and not g.edges:
+                    continue
+                max_k = 2 if g.num_vertices <= 11 else 1
+                witness = SOLVERS[("total-" if total else "") + kind](g, max_k=max_k).witness
+                if witness is not None:
+                    witnesses += 1
+                    positions = [pairs.index(edge) for edge in witness]
+                    assert positions == sorted(set(positions)), (kind, total, witness)
+    assert witnesses >= 100, witnesses
